@@ -31,7 +31,7 @@ import numpy as np
 
 from .behrend import QCSystem, behrend_qc_free, behrend_sum_free, qc_coefficients
 from .contfrac import AlphaSequence, build_alpha_hard, verify_alpha
-from .patterns import GridSet, Pattern
+from .patterns import MAX_CELLS, GridSet, Pattern, _grid_hits
 
 __all__ = [
     "f_quad",
@@ -208,7 +208,10 @@ class AvoiderParams:
 
 class _AvoiderBase:
     """Shared plumbing: membership through the interval system, density
-    reporting, optional materialization."""
+    reporting, optional materialization.  Subclasses set `dim`, the
+    dimension of the grid they materialize into."""
+
+    dim: int
 
     def __init__(self, system: IntervalSystem, alpha: AlphaSequence, params: AvoiderParams):
         self.system = system
@@ -236,27 +239,17 @@ class _AvoiderBase:
             "delta_requested": self.params.delta,
         }
 
-    def density_estimate(self, samples: int, seed: int = 0) -> tuple[float, float]:
-        """Monte Carlo density estimate (each membership test itself exact);
-        returns (estimate, standard error)."""
-        import random
-
-        rng = random.Random(seed)
-        dim = 3 if self.params.form == "corner3d" else 1
-        hits = 0
-        for _ in range(samples):
-            point = tuple(rng.randint(1, self.side) for _ in range(dim))
-            hits += point in self
-        p = hits / samples
-        return p, math.sqrt(max(p * (1 - p), 1e-12) / samples)
+    def attach_grid(self, grid: GridSet) -> None:
+        """Adopt an externally loaded materialization (for verification runs)."""
+        if grid.dim != self.dim or grid.side != self.side:
+            raise ValueError(f"expected a side-{self.side} {self.dim}-d set, got {grid!r}")
+        self._grid = grid
 
 
 class CornerAvoider(_AvoiderBase):
     """A subset of [N]^3 whose corner counts stay small for every nonzero d."""
 
-    def __init__(self, system: IntervalSystem, alpha: AlphaSequence, params: AvoiderParams):
-        super().__init__(system, alpha, params)
-        self._bool_cube: Optional[np.ndarray] = None
+    dim = 3
 
     def statistic(self, point) -> int:
         x, y, z = point
@@ -270,7 +263,7 @@ class CornerAvoider(_AvoiderBase):
         n = self.side
         if n > MATERIALIZE_CAP:
             raise ValueError(f"refusing to materialize side {n} > {MATERIALIZE_CAP}")
-        if n**3 > 400_000_000:
+        if n**3 > MAX_CELLS:
             raise ValueError(f"side {n} needs {n ** 3} cells; use the membership predicate")
         vmax = f_quad(n, 1, 1)  # largest attainable |statistic|
         table_vals = range(-vmax, vmax + 1)
@@ -281,42 +274,20 @@ class CornerAvoider(_AvoiderBase):
         coords = np.arange(1, n + 1, dtype=np.int64)
         xs = coords[None, :]  # x varies fastest
         ys = coords[:, None]
-        planes = []
+        cube = np.empty((n, n, n), dtype=bool)  # [z, y, x]; ravel(C) puts x fastest
         for z in range(1, n + 1):
-            stat = (xs - ys) * (xs + ys - 2 * z)
-            planes.append(lookup[stat + vmax])
-        cube = np.stack(planes)  # [z, y, x]; ravel(C) puts x fastest
+            cube[z - 1] = lookup[(xs - ys) * (xs + ys - 2 * z) + vmax]
         bits = np.packbits(cube.reshape(-1), bitorder="little")
+        del cube
         self._grid = GridSet.from_mask(3, n, int.from_bytes(bits.tobytes(), "little"))
-        self._bool_cube = cube
         return self._grid
-
-    def as_bool_cube(self) -> np.ndarray:
-        if self._bool_cube is None:
-            if self._grid is not None:
-                self._bool_cube = _cube_from_grid(self._grid)
-            else:
-                self.materialize()
-        return self._bool_cube
-
-    def attach_grid(self, grid: GridSet) -> None:
-        """Adopt an externally loaded materialization (for verification runs)."""
-        if grid.dim != 3 or grid.side != self.side:
-            raise ValueError(f"expected a side-{self.side} cube, got {grid!r}")
-        self._grid = grid
-        self._bool_cube = None
-
-
-def _cube_from_grid(grid: GridSet) -> np.ndarray:
-    n = grid.side
-    raw = grid.mask.to_bytes((n**3 + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return bits[: n**3].reshape(n, n, n).astype(bool)  # [z, y, x]
 
 
 class FivePointAvoider(_AvoiderBase):
     """A subset of [N] avoiding popular translates x + a_i * d of a fixed
     five-point pattern; membership keys on frac(alpha * x^2)."""
+
+    dim = 1
 
     def statistic(self, point) -> int:
         (x,) = point if isinstance(point, tuple) else (point,)
@@ -367,12 +338,7 @@ def load_avoider(params_json: str, grid: Optional[GridSet] = None):
         else FivePointAvoider(system, alpha, params)
     )
     if grid is not None:
-        if params.form == "corner3d":
-            avoider.attach_grid(grid)
-        else:
-            if grid.dim != 1 or grid.side != params.side:
-                raise ValueError(f"expected a side-{params.side} 1-d set, got {grid!r}")
-            avoider._grid = grid
+        avoider.attach_grid(grid)
     return avoider
 
 
@@ -651,7 +617,7 @@ def verify_corner_avoidance(avoider: CornerAvoider, *, d_values: Optional[Iterab
     2*(n1-n2)*d*p/q at most 3/L).  The per-d count is compared with the
     14 N^3 / L ceiling.
     """
-    cube = avoider.as_bool_cube()  # [z, y, x]
+    grid = avoider.materialize()
     n = avoider.side
     length = avoider.params.length
     p, q = avoider.params.p, avoider.params.q
@@ -663,20 +629,8 @@ def verify_corner_avoidance(avoider: CornerAvoider, *, d_values: Optional[Iterab
     bound_rational = Fraction(3, length)
     rows = []
     ceiling = Fraction(14 * n**3, length)
-    for d in ds:
-        a = abs(d)
-        if d > 0:
-            anchor = cube[: n - a, : n - a, : n - a]
-            sx = cube[: n - a, : n - a, a:]
-            sy = cube[: n - a, a:, : n - a]
-            sz = cube[a:, : n - a, : n - a]
-        else:
-            anchor = cube[a:, a:, a:]
-            sx = cube[a:, a:, : n - a]
-            sy = cube[a:, : n - a, a:]
-            sz = cube[: n - a, a:, a:]
-        hits = anchor & sx & sy & sz
-        count = int(hits.sum())
+    for d, hits in _grid_hits(grid, Pattern.corner(3), ds):
+        count = 0 if hits is None else int(np.count_nonzero(hits))
         ok_transfer = ok_rational = True
         if count:
             present = hits.any(axis=0)  # collapse z; axes now [y, x]

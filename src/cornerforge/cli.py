@@ -271,7 +271,7 @@ def _cmd_construct_mandache(args):
 def _cmd_count_spectrum(args):
     carrier = _sniff_set(args.set)
     pattern = _parse_pattern(args.pattern) if args.pattern else None
-    spec = spectrum(carrier, pattern, threads=args.threads)
+    spec = spectrum(carrier, pattern)
     with _open_out(args) as fh:
         if args.format == "csv":
             write_spectrum_csv(fh, spec)
@@ -518,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = count.add_parser("spectrum")
     p.add_argument("--set", required=True)
     p.add_argument("--pattern", help="cornerK, apK, a:..., or points:... (grid sets only)")
-    p.add_argument("--threads", type=int)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_output(p)
     p.set_defaults(func=_cmd_count_spectrum)

@@ -25,7 +25,7 @@ from typing import Iterable, TextIO
 from .behrend import SphereSet
 from .diamond import TripartiteGraph
 from .hypergraph import Hypergraph, StepKernel
-from .patterns import GridSet, Group, GroupSet, Spectrum
+from .patterns import MAX_CELLS, GridSet, Group, GroupSet, Spectrum
 
 __all__ = [
     "ParseError",
@@ -69,6 +69,13 @@ def _int(path: str, lineno: int, col: int, token: str) -> int:
         raise ParseError(path, lineno, col, f"expected an integer, got {token!r}") from None
 
 
+def _check_cells(path: str, lineno: int, col: int, base: int, exp: int, what: str) -> None:
+    """Refuse a header whose carrier, base**exp cells, exceeds MAX_CELLS,
+    before anything is allocated; a huge exponent is refused unevaluated."""
+    if base > 1 and (exp >= MAX_CELLS.bit_length() or base**exp > MAX_CELLS):
+        raise ParseError(path, lineno, col, f"{what} exceeds the {MAX_CELLS}-cell limit")
+
+
 def _data_lines(fh: TextIO):
     for lineno, line in enumerate(fh, start=1):
         if line.strip() and not line.lstrip().startswith("#"):
@@ -86,16 +93,19 @@ def read_grid_set(fh: TextIO, path: str = "<grid set>") -> GridSet:
         raise ParseError(path, lineno, toks[0][0] if toks else 1, "expected header 'dim k side N'")
     dim = _int(path, lineno, toks[1][0], toks[1][1])
     side = _int(path, lineno, toks[3][0], toks[3][1])
-    members = []
-    for lineno, line in lines:
-        toks = _tokens(line)
-        if len(toks) != dim:
-            raise ParseError(path, lineno, toks[0][0] if toks else 1, f"expected {dim} coordinates")
-        point = tuple(_int(path, lineno, c, t) for c, t in toks)
-        if not all(1 <= x <= side for x in point):
-            raise ParseError(path, lineno, toks[0][0], f"point {point} outside [1, {side}]^{dim}")
-        members.append(point)
-    return GridSet(dim, side, members)
+    _check_cells(path, lineno, toks[3][0], side, dim, f"side {side} in dim {dim}")
+
+    def points():
+        for lineno, line in lines:
+            toks = _tokens(line)
+            if len(toks) != dim:
+                raise ParseError(path, lineno, toks[0][0] if toks else 1, f"expected {dim} coordinates")
+            point = tuple(_int(path, lineno, c, t) for c, t in toks)
+            if not all(1 <= x <= side for x in point):
+                raise ParseError(path, lineno, toks[0][0], f"point {point} outside [1, {side}]^{dim}")
+            yield point
+
+    return GridSet(dim, side, points())
 
 
 def write_grid_set(fh: TextIO, grid: GridSet) -> None:
@@ -128,27 +138,31 @@ def read_group_set(fh: TextIO, path: str = "<group set>") -> GroupSet:
     if not toks or toks[0][1] != "group":
         raise ParseError(path, lineno, 1, "expected header 'group zN <N>' or 'group fp <p> <n>'")
     if len(toks) == 3 and toks[1][1] == "zN":
-        group = Group.zmod(_int(path, lineno, toks[2][0], toks[2][1]))
+        modulus = _int(path, lineno, toks[2][0], toks[2][1])
+        _check_cells(path, lineno, toks[2][0], modulus, 2, f"zN {modulus} x zN {modulus}")
+        group = Group.zmod(modulus)
     elif len(toks) == 4 and toks[1][1] == "fp":
-        group = Group.vector(
-            _int(path, lineno, toks[2][0], toks[2][1]),
-            _int(path, lineno, toks[3][0], toks[3][1]),
-        )
+        p = _int(path, lineno, toks[2][0], toks[2][1])
+        n = _int(path, lineno, toks[3][0], toks[3][1])
+        _check_cells(path, lineno, toks[3][0], p, 2 * n, f"fp {p} {n} x fp {p} {n}")
+        group = Group.vector(p, n)
     else:
         raise ParseError(path, lineno, toks[1][0] if len(toks) > 1 else 1, "unknown group kind")
-    members = []
-    for lineno, line in lines:
-        toks = _tokens(line)
-        if len(toks) != 2:
-            raise ParseError(path, lineno, toks[0][0] if toks else 1, "expected two elements")
-        pair = []
-        for col, token in toks:
-            try:
-                pair.append(group.parse_element(token))
-            except ValueError:
-                raise ParseError(path, lineno, col, f"bad group element {token!r}") from None
-        members.append(tuple(pair))
-    return GroupSet(group, members)
+
+    def pairs():
+        for lineno, line in lines:
+            toks = _tokens(line)
+            if len(toks) != 2:
+                raise ParseError(path, lineno, toks[0][0] if toks else 1, "expected two elements")
+            pair = []
+            for col, token in toks:
+                try:
+                    pair.append(group.parse_element(token))
+                except ValueError:
+                    raise ParseError(path, lineno, col, f"bad group element {token!r}") from None
+            yield tuple(pair)
+
+    return GroupSet(group, pairs())
 
 
 def write_group_set(fh: TextIO, pairs: GroupSet) -> None:
@@ -208,7 +222,10 @@ def read_kernel(fh: TextIO, path: str = "<kernel>") -> StepKernel:
     flat = []
     for lineno, line in lines:
         for col, token in _tokens(line):
-            flat.append(_fraction(path, lineno, col, token))
+            value = _fraction(path, lineno, col, token)
+            if not 0 <= value <= 1:
+                raise ParseError(path, lineno, col, f"kernel value {value} outside [0, 1]")
+            flat.append(value)
     if len(flat) != g**3:
         raise ParseError(path, lineno if flat else 1, 1, f"expected {g ** 3} values, found {len(flat)}")
     values = [[[Fraction(0)] * g for _ in range(g)] for _ in range(g)]
@@ -243,13 +260,14 @@ def read_tripartite(fh: TextIO, path: str = "<graph>") -> TripartiteGraph:
         toks = _tokens(line)
         if len(toks) != 3 or toks[0][1] not in families:
             raise ParseError(path, lineno, toks[0][0] if toks else 1, "expected 'XY|YZ|XZ u v'")
-        families[toks[0][1]].append(
-            (_int(path, lineno, toks[1][0], toks[1][1]), _int(path, lineno, toks[2][0], toks[2][1]))
-        )
-    try:
-        return TripartiteGraph(side, frozenset(families["XY"]), frozenset(families["YZ"]), frozenset(families["XZ"]))
-    except ValueError as exc:
-        raise ParseError(path, 1, 1, str(exc)) from None
+        edge = []
+        for col, token in toks[1:]:
+            v = _int(path, lineno, col, token)
+            if not 0 <= v < side:
+                raise ParseError(path, lineno, col, f"{toks[0][1]} edge vertex {v} outside [0, {side})")
+            edge.append(v)
+        families[toks[0][1]].append(tuple(edge))
+    return TripartiteGraph(side, frozenset(families["XY"]), frozenset(families["YZ"]), frozenset(families["XZ"]))
 
 
 def write_tripartite(fh: TextIO, graph: TripartiteGraph) -> None:

@@ -8,17 +8,21 @@ Two kinds of carrier set are supported:
   (``Z/N`` or a vector group ``F_p^n``), counted against corners
   ``(x,y), (x+d,y), (x,y+d)`` with group arithmetic (wraparound).
 
-Both are stored as packed bit arrays (one Python int holds the whole set), so
-a single pattern count is a handful of shifted ANDs followed by a popcount.
-The spectrum over all admissible differences d is the statistic of interest:
-its maximum entry is the best "popular difference" of the set.
+Both are stored as packed bit arrays (one Python int holds the whole set).
+Grid patterns are counted on a bool view of the mask, unpacked once, by
+ANDing one cropped slice per pattern point; group corners are counted by
+rotating the packed mask itself.  The spectrum over all admissible
+differences d is the statistic of interest: its maximum entry is the best
+"popular difference" of the set.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Union
+from math import prod
+from typing import Iterable, Iterator, Optional, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "Pattern",
@@ -29,7 +33,12 @@ __all__ = [
     "count_pattern",
     "corner_count_group",
     "spectrum",
+    "MAX_CELLS",
 ]
+
+# Largest carrier (grid cells or |G|^2 pairs) any reader or materializer
+# will allocate; the grid kernel needs two bytes per cell on top of the mask.
+MAX_CELLS = 400_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -91,18 +100,6 @@ def _rotate_blocks(mask: int, nbits: int, block: int, amount: int) -> int:
     keep = _replicate((1 << (block - amount)) - 1, block, count)
     wrap = _replicate(((1 << amount) - 1) << (block - amount), block, count)
     return ((mask >> amount) & keep) | ((mask << (block - amount)) & wrap)
-
-
-def _box_mask(side: int, lo: tuple[int, ...], hi: tuple[int, ...]) -> int:
-    """Bits of all 1-based points p with lo[j] <= p[j] <= hi[j] (x0 fastest)."""
-    mask = ((1 << (hi[0] - lo[0] + 1)) - 1) << (lo[0] - 1)
-    stride = side
-    for j in range(1, len(lo)):
-        # the dim-(j-1) mask occupies fewer than `stride` bits, so copies
-        # placed at this stride never overlap
-        mask = _replicate(mask, stride, hi[j] - lo[j] + 1) << ((lo[j] - 1) * stride)
-        stride *= side
-    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +169,7 @@ class GridSet:
             raise ValueError("dim and side must be positive")
         self.dim = dim
         self.side = side
-        flats = []
-        for p in members:
-            p = tuple(int(c) for c in p)
-            if len(p) != dim:
-                raise ValueError(f"point {p} has wrong dimension (expected {dim})")
-            if not all(1 <= c <= side for c in p):
-                raise ValueError(f"point {p} outside [1, {side}]^{dim}")
-            flats.append(self._flat(p))
-        self._mask = _mask_from_flats(flats, side**dim)
+        self._mask = _mask_from_flats(map(self._checked_flat, members), side**dim)
 
     @classmethod
     def from_mask(cls, dim: int, side: int, mask: int) -> "GridSet":
@@ -201,6 +190,14 @@ class GridSet:
     @property
     def mask(self) -> int:
         return self._mask
+
+    def _checked_flat(self, p: tuple[int, ...]) -> int:
+        p = tuple(int(c) for c in p)
+        if len(p) != self.dim:
+            raise ValueError(f"point {p} has wrong dimension (expected {self.dim})")
+        if not all(1 <= c <= self.side for c in p):
+            raise ValueError(f"point {p} outside [1, {self.side}]^{self.dim}")
+        return self._flat(p)
 
     def _flat(self, p: tuple[int, ...]) -> int:
         f = 0
@@ -245,34 +242,61 @@ class GridSet:
         return GridSet.from_mask(self.dim, self.side, _mask_from_flats(flats, self.side**self.dim))
 
 
+def _grid_hits(
+    grid: GridSet, pattern: Pattern, ds: Sequence[int]
+) -> Iterator[tuple[int, Optional[np.ndarray]]]:
+    """Yield (d, hits) for each d in `ds`, the one grid pattern kernel.
+
+    Anchors are re-based at the first pattern point t_0: y = x + d*t_0 runs
+    over the box [lo, hi) (0-based, per axis) where every translate
+    y + d*(t - t_0) stays inside the grid, and hits[i] is True when all of
+    them are members for y = lo + i.  hits is None when no anchor is.
+
+    The packed mask is unpacked once into a bool array with axes
+    [x_k .. x_1] (first coordinate fastest, as in the flat index).  For each
+    d the |T| shifted slices of the box are ANDed into one reusable buffer,
+    stopping as soon as the result is empty; `hits` is a view of that
+    buffer, so it is overwritten by the next step.
+    """
+    if grid.dim != pattern.dim:
+        raise ValueError(f"dimension mismatch: set {grid.dim}, pattern {pattern.dim}")
+    n, k = grid.side, grid.dim
+    raw = np.frombuffer(grid.mask.to_bytes((n**k + 7) // 8, "little"), dtype=np.uint8)
+    cells = np.unpackbits(raw, count=n**k, bitorder="little").view(bool).reshape((n,) * k)
+    buf = np.empty(n**k, dtype=bool)
+    base = pattern.points[0]
+    # offsets reversed once so offset j lines up with array axis j
+    offsets = [tuple(t[j] - base[j] for j in reversed(range(k))) for t in pattern.points]
+    for d in ds:
+        if d == 0:
+            raise ValueError("difference d must be nonzero")
+        lo = [max(-d * u[j] for u in offsets) for j in range(k)]  # 0-based, >= 0
+        hi = [min(n - d * u[j] for u in offsets) for j in range(k)]  # exclusive
+        if any(lo[j] >= hi[j] for j in range(k)):
+            yield d, None
+            continue
+        shape = tuple(h - l for l, h in zip(lo, hi))
+        out = buf[: prod(shape)].reshape(shape)
+        views = [cells[tuple(slice(lo[j] + d * u[j], hi[j] + d * u[j]) for j in range(k))] for u in offsets]
+        if len(views) == 1:
+            np.copyto(out, views[0])
+        else:
+            np.logical_and(views[0], views[1], out=out)
+        for view in views[2:]:
+            if not out.any():
+                break
+            np.logical_and(out, view, out=out)
+        yield d, out if out.any() else None
+
+
 def count_pattern(grid: GridSet, pattern: Pattern, d: int) -> int:
     """Number of anchors x in Z^k with x + d*t in the set for every t.
 
     The anchor itself need not be a member unless the zero vector is a
-    pattern point.  Counting re-anchors at the first pattern point, so every
-    contributing anchor image is inside the grid; one shifted AND per
-    remaining point and a final box mask keep flat-index arithmetic exact.
+    pattern point.
     """
-    if grid.dim != pattern.dim:
-        raise ValueError(f"dimension mismatch: set {grid.dim}, pattern {pattern.dim}")
-    if d == 0:
-        raise ValueError("difference d must be nonzero")
-    n, k = grid.side, grid.dim
-    base = pattern.points[0]
-    offsets = [tuple(t[j] - base[j] for j in range(k)) for t in pattern.points]
-    lo = tuple(max(1, max(1 - d * u[j] for u in offsets)) for j in range(k))
-    hi = tuple(min(n, min(n - d * u[j] for u in offsets)) for j in range(k))
-    if any(lo[j] > hi[j] for j in range(k)):
-        return 0
-    strides = [n**j for j in range(k)]
-    acc = grid.mask
-    for u in offsets[1:]:
-        o = d * sum(u[j] * strides[j] for j in range(k))
-        acc &= grid.mask >> o if o >= 0 else grid.mask << -o
-        if not acc:
-            return 0
-    acc &= _box_mask(n, lo, hi)
-    return acc.bit_count()
+    ((_, hits),) = _grid_hits(grid, pattern, [d])
+    return 0 if hits is None else int(np.count_nonzero(hits))
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +404,7 @@ class GroupSet:
     def __init__(self, group: Group, members: Iterable[tuple] = ()):
         self.group = group
         w = group.order
-        flats = []
-        for x, y in members:
-            x, y = group.canon(x), group.canon(y)
-            flats.append(group.index(x) * w + group.index(y))
+        flats = (group.index(group.canon(x)) * w + group.index(group.canon(y)) for x, y in members)
         self._mask = _mask_from_flats(flats, w * w)
 
     @classmethod
@@ -503,32 +524,21 @@ class Spectrum:
             yield key, c
 
 
-def spectrum(
-    carrier: Union[GridSet, GroupSet],
-    pattern: Optional[Pattern] = None,
-    *,
-    threads: Optional[int] = None,
-) -> Spectrum:
+def spectrum(carrier: Union[GridSet, GroupSet], pattern: Optional[Pattern] = None) -> Spectrum:
     """Pattern counts for every admissible difference.
 
     Grid sets take |d| < N (both signs); group sets take every nonidentity d
-    against the corner configuration (`pattern` must be omitted).  Evaluation
-    order is canonical so results are reproducible; the thread pool only
-    fans out independent per-d counts.
+    against the corner configuration (`pattern` must be omitted).  Entries
+    are in canonical order, so results are reproducible.
     """
     if isinstance(carrier, GridSet):
         if pattern is None:
             raise ValueError("grid spectra need an explicit pattern")
         ds = [s * m for m in range(1, carrier.side) for s in (1, -1)]
-        fn = lambda d: count_pattern(carrier, pattern, d)
-    else:
-        if pattern is not None:
-            raise ValueError("group spectra are corner spectra; omit the pattern")
-        ds = [d for d in carrier.group.elements() if d != carrier.group.identity]
-        fn = lambda d: corner_count_group(carrier, d)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(fn, ds))
-    else:
-        values = [fn(d) for d in ds]
-    return Spectrum(dict(zip(ds, values)))
+        return Spectrum(
+            {d: 0 if hits is None else int(np.count_nonzero(hits)) for d, hits in _grid_hits(carrier, pattern, ds)}
+        )
+    if pattern is not None:
+        raise ValueError("group spectra are corner spectra; omit the pattern")
+    ds = [d for d in carrier.group.elements() if d != carrier.group.identity]
+    return Spectrum({d: corner_count_group(carrier, d) for d in ds})

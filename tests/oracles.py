@@ -23,6 +23,21 @@ def grid_count_oracle(members, dim, side, points, d):
     return count
 
 
+def corner3_count_oracle(members, ds):
+    """{d: count} of 3-d corners (x,y,z), (x+d,y,z), (x,y+d,z), (x,y,z+d):
+    every member is tried as the anchor and its three translates are looked
+    up in a Python set, O(|members|) per d."""
+    members = set(map(tuple, members))
+    return {
+        d: sum(
+            1
+            for x, y, z in members
+            if (x + d, y, z) in members and (x, y + d, z) in members and (x, y, z + d) in members
+        )
+        for d in ds
+    }
+
+
 def corner_count_oracle(members, group, d):
     """Triple-membership loop over all of G x G."""
     members = set(members)

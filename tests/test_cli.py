@@ -73,6 +73,27 @@ def test_malformed_input_exits_1_with_position(tmp_path, capsys):
     assert f"{bad}:2:3" in stderr
 
 
+@pytest.mark.parametrize(
+    "header, column",
+    [("dim 3 side 100000", 12), ("dim 40 side 2", 13), ("group fp 3 20", 12), ("group zN 30000", 10)],
+)
+def test_oversized_header_exits_1_before_allocating(tmp_path, capsys, header, column):
+    big = tmp_path / "big.set"
+    big.write_text(header + "\n")
+    code, _, stderr = run(capsys, "count", "density", "--set", str(big))
+    assert code == 1
+    assert f"{big}:1:{column}: " in stderr
+    assert "400000000-cell limit" in stderr
+
+
+def test_spectrum_threads_flag_is_gone(tmp_path, capsys):
+    grid = tmp_path / "g.set"
+    grid.write_text("dim 1 side 4\n1\n2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "spectrum", "--threads", "2", "--set", str(grid), "--pattern", "ap3"])
+    assert exc.value.code == 1
+
+
 def test_alpha_construct_and_verify(tmp_path, capsys):
     out = tmp_path / "alpha.json"
     code, _, _ = run(capsys, "construct", "alpha", "--m", "5", "--r", "3/2", "-o", str(out))

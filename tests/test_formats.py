@@ -112,6 +112,20 @@ def test_kernel_diagnostics():
     assert err.value.line == 2
 
 
+def test_kernel_value_out_of_range_has_position():
+    with pytest.raises(ParseError) as err:
+        read_kernel(io.StringIO("1\n# one cell\n  3/2\n"), "w.kern")
+    assert (err.value.line, err.value.column) == (3, 3)
+    assert "kernel value 3/2 outside [0, 1]" in str(err.value)
+
+
+def test_tripartite_edge_error_names_its_line():
+    with pytest.raises(ParseError) as err:
+        read_tripartite(io.StringIO("tripartite 3\nXY 0 1\nYZ 1 2\nXZ 0 3\n"), "g.graph")
+    assert (err.value.line, err.value.column) == (4, 6)
+    assert str(err.value).startswith("g.graph:4:6: XZ edge")
+
+
 def test_tripartite_round_trip():
     g = diamond_free_from_ap_free({0, 1}, 5)
     again = round_trip(write_tripartite, read_tripartite, g)

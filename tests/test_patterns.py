@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cornerforge.patterns import (
     GridSet,
@@ -169,14 +172,28 @@ def test_spectrum_total_matches_oracle_sum():
     assert spec.total() == oracle_total
 
 
-def test_spectrum_threads_bit_identical():
-    rng = random.Random(9)
-    g = random_grid(rng, 2, 8)
-    pat = Pattern.corner(2)
-    assert spectrum(g, pat).counts == spectrum(g, pat, threads=4).counts
-    group = Group.vector(2, 3)
-    pairs = random_group_set(rng, group)
-    assert spectrum(pairs).counts == spectrum(pairs, threads=3).counts
+@st.composite
+def grid_pattern_cases(draw):
+    dim = draw(st.integers(1, 3))
+    side = draw(st.integers(1, 8))
+    cells = list(itertools.product(range(1, side + 1), repeat=dim))
+    keep = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    members = [c for c, k in zip(cells, keep) if k]
+    coord = st.integers(-3, 3)
+    points = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=5, unique=True))
+    d = draw(st.integers(-(side + 2), side + 2).filter(bool))
+    return GridSet(dim, side, members), Pattern(dim, tuple(points)), d
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_pattern_cases())
+def test_grid_kernel_matches_oracle(case):
+    g, pat, d = case
+    members = set(g)
+    assert count_pattern(g, pat, d) == grid_count_oracle(members, g.dim, g.side, pat.points, d)
+    assert spectrum(g, pat).counts == {
+        e: grid_count_oracle(members, g.dim, g.side, pat.points, e) for s in range(1, g.side) for e in (s, -s)
+    }
 
 
 def test_group_spectrum_max_entry():
