@@ -116,15 +116,21 @@ def _sphere_dimensions(length: int, headroom: int) -> tuple[int, int]:
 
 
 def _int_root(x: int, d: int) -> int:
-    """Largest m with m**d <= x."""
-    if d == 1:
+    """Largest m with m**d <= x, in integer arithmetic at any size.
+
+    Newton's iteration from 2^ceil(bits/d), which is above the root, falls
+    strictly until it reaches the root and then stops falling.
+    """
+    if x < 0 or d < 1:
+        raise ValueError("need x >= 0 and d >= 1")
+    if d == 1 or x < 2:
         return x
-    m = max(1, int(round(x ** (1.0 / d))))
-    while m**d > x:
-        m -= 1
-    while (m + 1) ** d <= x:
-        m += 1
-    return m
+    m = 1 << -(-x.bit_length() // d)
+    while True:
+        nxt = ((d - 1) * m + x // m ** (d - 1)) // d
+        if nxt >= m:
+            return m
+        m = nxt
 
 
 def _digit_sphere_set(length: int, headroom: int) -> SphereSet:

@@ -22,10 +22,9 @@ import csv
 from fractions import Fraction
 from typing import Iterable, TextIO
 
-from .behrend import SphereSet
 from .diamond import TripartiteGraph
 from .hypergraph import Hypergraph, StepKernel
-from .patterns import MAX_CELLS, GridSet, Group, GroupSet, Spectrum
+from .patterns import MAX_CELLS, GridSet, Group, GroupSet, Spectrum, _iter_flats, _mask_from_flats
 
 __all__ = [
     "ParseError",
@@ -149,27 +148,36 @@ def read_group_set(fh: TextIO, path: str = "<group set>") -> GroupSet:
     else:
         raise ParseError(path, lineno, toks[1][0] if len(toks) > 1 else 1, "unknown group kind")
 
-    def pairs():
+    order = group.order
+    index = {group.format_element(e): i for i, e in enumerate(group.elements())}
+
+    def element_index(lineno: int, col: int, token: str) -> int:
+        i = index.get(token)
+        if i is not None:
+            return i
+        # not a canonical name: `-1`, `4,0` and the like still parse
+        try:
+            return group.index(group.parse_element(token))
+        except ValueError:
+            raise ParseError(path, lineno, col, f"bad group element {token!r}") from None
+
+    def flats():
         for lineno, line in lines:
             toks = _tokens(line)
             if len(toks) != 2:
                 raise ParseError(path, lineno, toks[0][0] if toks else 1, "expected two elements")
-            pair = []
-            for col, token in toks:
-                try:
-                    pair.append(group.parse_element(token))
-                except ValueError:
-                    raise ParseError(path, lineno, col, f"bad group element {token!r}") from None
-            yield tuple(pair)
+            (cx, x), (cy, y) = toks
+            yield element_index(lineno, cx, x) * order + element_index(lineno, cy, y)
 
-    return GroupSet(group, pairs())
+    return GroupSet.from_mask(group, _mask_from_flats(flats(), order * order))
 
 
 def write_group_set(fh: TextIO, pairs: GroupSet) -> None:
-    fh.write(f"group {pairs.group.label()}\n")
-    fmt = pairs.group.format_element
-    for x, y in pairs:
-        fh.write(f"{fmt(x)} {fmt(y)}\n")
+    group = pairs.group
+    order = group.order
+    names = [group.format_element(e) for e in group.elements()]
+    fh.write(f"group {group.label()}\n")
+    fh.writelines(f"{names[f // order]} {names[f % order]}\n" for f in _iter_flats(pairs.mask, order * order))
 
 
 def read_hypergraph(fh: TextIO, path: str = "<hypergraph>") -> Hypergraph:
@@ -283,6 +291,3 @@ def write_spectrum_csv(fh: TextIO, spec: Spectrum) -> None:
     for key, count in spec.rows():
         writer.writerow([key, count])
 
-
-def write_sphere_set(fh: TextIO, s: SphereSet) -> None:
-    write_residues(fh, s.members, s.params.length)

@@ -24,20 +24,24 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .hypergraph import StepKernel, triforce_weighted
-from .patterns import Group, GroupSet, corner_count_group
+from .patterns import Group, GroupSet, RotationMasks, corner_count_group
 
 __all__ = ["sample_mandache", "mandache_report", "MandacheReport", "kernel_fingerprint"]
 
 _SCALE = 1 << 64
+_U64 = struct.Struct(">Q").unpack_from  # first 8 digest bytes, big-endian
 
 
 def _u64(key: str) -> int:
-    return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
+    return _U64(hashlib.sha256(key.encode()).digest())[0]
 
 
 def _cell(u: int, g: int) -> int:
@@ -51,35 +55,56 @@ def kernel_fingerprint(w: StepKernel) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _neg_sum_rows(group: Group) -> Iterator[np.ndarray]:
+    """Row a of the index table b -> index(-(a + b)), one row at a time.
+
+    Digit j of element index i is i // p^j % p (Z/N is one digit base N),
+    so negated sums are digitwise arithmetic on the index arrays; a row costs
+    O(|G|) memory where the whole table would cost O(|G|^2).
+    """
+    p, n = (group.order, 1) if group.kind == "zN" else group.params
+    weights = p ** np.arange(n)
+    digits = np.arange(group.order)[:, None] // weights % p
+    for row in digits:
+        yield ((-(row + digits)) % p) @ weights
+
+
 def sample_mandache(w: StepKernel, group: Group, seed: int) -> GroupSet:
-    """One draw of the random pair set; bit-identical for identical seeds."""
+    """One draw of the random pair set; bit-identical for identical seeds.
+
+    Runs on element indices: every element is named once, its X/Y/Z cells
+    are drawn into index arrays, and the pair (a, b) -- bit
+    a * |G| + b of the mask -- reads its kernel cell through the -(a+b)
+    table, so only the inclusion coin is hashed per pair.
+    """
     g = w.g
-    labels = {}
-    for e in group.elements():
-        name = group.format_element(e)
-        labels[e] = (
-            _cell(_u64(f"{seed}|X|{name}"), g),
-            _cell(_u64(f"{seed}|Y|{name}"), g),
-            _cell(_u64(f"{seed}|Z|{name}"), g),
-        )
-    members = []
-    elements = list(group.elements())
-    for a in elements:
-        name_a = group.format_element(a)
-        cx = labels[a][0]
-        for b in elements:
-            cz = labels[group.neg(group.add(a, b))][2]
-            cy = labels[b][1]
-            prob = w.values[cx][cy][cz]
-            if prob == 1:
-                members.append((a, b))
-                continue
-            if prob == 0:
-                continue
-            coin = _u64(f"{seed}|INC|{name_a}|{group.format_element(b)}")
-            if coin * prob.denominator < prob.numerator * _SCALE:
-                members.append((a, b))
-    return GroupSet(group, members)
+    order = group.order
+    names = [group.format_element(e) for e in group.elements()]
+    cx, cy, cz = (
+        np.array([_cell(_u64(f"{seed}|{role}|{name}"), g) for name in names], dtype=np.int64)
+        for role in "XYZ"
+    )
+    # kernel cell x*g*g + y*g + z as (numerator, denominator) in lowest terms
+    cell_values = [(v.numerator, v.denominator) for plane in w.values for row in plane for v in row]
+    y_part = cy * g
+    tails = [name.encode() for name in names]
+    buf = bytearray((order * order + 7) // 8)
+    for a, neg in enumerate(_neg_sum_rows(group)):
+        cells = (cx[a] * (g * g) + y_part + cz[neg]).tolist()
+        head = hashlib.sha256(f"{seed}|INC|{names[a]}|".encode())
+        flat = a * order
+        for cell, tail in zip(cells, tails):
+            num, den = cell_values[cell]
+            if num == den:  # kernel value 1: always included
+                buf[flat >> 3] |= 1 << (flat & 7)
+            elif num:  # kernel value 0 never is; others draw their coin
+                h = head.copy()  # key "<seed>|INC|<a>|<b>"
+                h.update(tail)
+                coin = _U64(h.digest())[0]
+                if coin * den < num * _SCALE:
+                    buf[flat >> 3] |= 1 << (flat & 7)
+            flat += 1
+    return GroupSet.from_mask(group, int.from_bytes(buf, "little"))
 
 
 @dataclass
@@ -142,11 +167,12 @@ def mandache_report(w: StepKernel, group: Group, seeds: Sequence[int]) -> Mandac
         raise ValueError("need at least 2 seeds for a spread estimate")
     order = group.order
     norm = Fraction(1, order * order)
+    masks = RotationMasks(group)  # shared by every seed: they depend only on the group
     rows = []
     for seed in seeds:
         pairs = sample_mandache(w, group, seed)
         counts = [
-            corner_count_group(pairs, d)
+            corner_count_group(pairs, d, masks)
             for d in group.elements()
             if d != group.identity
         ]

@@ -33,6 +33,7 @@ __all__ = [
     "count_pattern",
     "corner_count_group",
     "spectrum",
+    "RotationMasks",
     "MAX_CELLS",
 ]
 
@@ -87,18 +88,47 @@ def _replicate(unit: int, block: int, count: int) -> int:
     return out
 
 
-def _rotate_blocks(mask: int, nbits: int, block: int, amount: int) -> int:
+class RotationMasks:
+    """Keep/wrap mask pairs of `_rotate_blocks` by (nbits, block, amount).
+
+    They depend only on the group, so one instance shared by the corner
+    counts of an fp spectrum -- where each (digit, value) rotation recurs
+    for many d -- or of many sets on one fp group builds each pair once.
+    Caching stops once the cached masks would hold more than MAX_CELLS
+    bits; later pairs are built per call.  A zN group caches nothing: its
+    counts never repeat a key within a set, and across sets the reuse
+    measured no faster while a zN:500 cache held 46 MB.
+    """
+
+    __slots__ = ("_pairs", "_bits", "_cache")
+
+    def __init__(self, group: Group) -> None:
+        self._pairs: dict[tuple[int, int, int], tuple[int, int]] = {}
+        self._bits = 0
+        self._cache = group.kind == "fp"
+
+    def get(self, nbits: int, block: int, amount: int) -> tuple[int, int]:
+        key = (nbits, block, amount)
+        pair = self._pairs.get(key)
+        if pair is None:
+            keep = _replicate((1 << (block - amount)) - 1, block, nbits // block)
+            pair = keep, keep ^ ((1 << nbits) - 1)  # wrap: the complement
+            if self._cache and self._bits + 2 * nbits <= MAX_CELLS:
+                self._pairs[key] = pair
+                self._bits += 2 * nbits
+        return pair
+
+
+def _rotate_blocks(mask: int, nbits: int, block: int, amount: int, masks: RotationMasks) -> int:
     """Rotate every aligned `block`-bit window of `mask` down by `amount`.
 
     Bit ``p`` of the result equals bit ``start + (offset + amount) % block``
     of the input, where ``start = p - p % block``.  With block == nbits this
-    is a plain cyclic rotation.
+    is a plain cyclic rotation.  `block` must divide `nbits`.
     """
     if amount == 0:
         return mask
-    count = nbits // block
-    keep = _replicate((1 << (block - amount)) - 1, block, count)
-    wrap = _replicate(((1 << amount) - 1) << (block - amount), block, count)
+    keep, wrap = masks.get(nbits, block, amount)
     return ((mask >> amount) & keep) | ((mask << (block - amount)) & wrap)
 
 
@@ -450,47 +480,53 @@ class GroupSet:
         return GroupSet(g, ((g.add(x, u), g.add(y, v)) for x, y in self))
 
 
-def _shift_first(gs: GroupSet, d) -> int:
+def _shift_first(gs: GroupSet, d, masks: RotationMasks) -> int:
     """Mask whose bit at (x, y) is the membership bit of (x + d, y)."""
     g = gs.group
     w = g.order
     nbits = w * w
     if g.kind == "zN":
-        return _rotate_blocks(gs.mask, nbits, nbits, (d % w) * w)
+        return _rotate_blocks(gs.mask, nbits, nbits, (d % w) * w, masks)
     p, _ = g.params
     mask = gs.mask
     unit = w
     for dj in d:
         if dj:
-            mask = _rotate_blocks(mask, nbits, unit * p, dj * unit)
+            mask = _rotate_blocks(mask, nbits, unit * p, dj * unit, masks)
         unit *= p
     return mask
 
 
-def _shift_second(gs: GroupSet, d) -> int:
+def _shift_second(gs: GroupSet, d, masks: RotationMasks) -> int:
     """Mask whose bit at (x, y) is the membership bit of (x, y + d)."""
     g = gs.group
     w = g.order
     nbits = w * w
     if g.kind == "zN":
-        return _rotate_blocks(gs.mask, nbits, w, d % w)
+        return _rotate_blocks(gs.mask, nbits, w, d % w, masks)
     p, _ = g.params
     mask = gs.mask
     unit = 1
     for dj in d:
         if dj:
-            mask = _rotate_blocks(mask, nbits, unit * p, dj * unit)
+            mask = _rotate_blocks(mask, nbits, unit * p, dj * unit, masks)
         unit *= p
     return mask
 
 
-def corner_count_group(pairs: GroupSet, d) -> int:
-    """|{(x,y) : (x,y), (x+d,y), (x,y+d) all in the set}| with group arithmetic."""
+def corner_count_group(pairs: GroupSet, d, masks: Optional[RotationMasks] = None) -> int:
+    """|{(x,y) : (x,y), (x+d,y), (x,y+d) all in the set}| with group arithmetic.
+
+    Pass one `RotationMasks` to a run of counts on the same group so the
+    rotation masks are built once, not per count.
+    """
     g = pairs.group
     d = g.canon(d)
     if d == g.identity:
         raise ValueError("difference d must not be the identity")
-    acc = pairs.mask & _shift_first(pairs, d) & _shift_second(pairs, d)
+    if masks is None:
+        masks = RotationMasks(g)
+    acc = pairs.mask & _shift_first(pairs, d, masks) & _shift_second(pairs, d, masks)
     return acc.bit_count()
 
 
@@ -541,4 +577,5 @@ def spectrum(carrier: Union[GridSet, GroupSet], pattern: Optional[Pattern] = Non
     if pattern is not None:
         raise ValueError("group spectra are corner spectra; omit the pattern")
     ds = [d for d in carrier.group.elements() if d != carrier.group.identity]
-    return Spectrum({d: corner_count_group(carrier, d) for d in ds})
+    masks = RotationMasks(carrier.group)
+    return Spectrum({d: corner_count_group(carrier, d, masks) for d in ds})

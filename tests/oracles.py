@@ -4,6 +4,7 @@ Everything here is deliberately naive: plain loops over points, maps, and
 tuples, sharing no code with the library kernels it checks.
 """
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -51,6 +52,39 @@ def corner_count_oracle(members, group, d):
             ):
                 count += 1
     return count
+
+
+def group_corner_oracle(members, kind, params):
+    """{d: corner count} for every nonzero d of Z/N (kind "zN") or F_p^n
+    (kind "fp"), with the group written out by hand: residues or digit
+    tuples added componentwise, every (x, y) of G x G tried."""
+    if kind == "zN":
+        (modulus,) = params
+        elements = list(range(modulus))
+        zero = 0
+
+        def add(a, b):
+            return (a + b) % modulus
+
+    else:
+        p, n = params
+        elements = list(itertools.product(range(p), repeat=n))
+        zero = (0,) * n
+
+        def add(a, b):
+            return tuple((x + y) % p for x, y in zip(a, b))
+
+    members = set(members)
+    return {
+        d: sum(
+            1
+            for x in elements
+            for y in elements
+            if (x, y) in members and (add(x, d), y) in members and (x, add(y, d)) in members
+        )
+        for d in elements
+        if d != zero
+    }
 
 
 def hom_count_oracle(motif, target):
@@ -140,3 +174,39 @@ def prune_oracle(h, delta, rng):
             return frozenset(alive)
         victim = rng.choice(sorted(sparse, key=sorted))
         alive = {e for e in alive if not victim <= e}
+
+
+def mandache_oracle(kernel, kind, params, seed):
+    """Packed mask of one Mandache draw, built straight from the README key
+    strings: labels "<seed>|R|<e>", coins "<seed>|INC|<a>|<b>", every uniform
+    the first 8 bytes of SHA-256 read as u / 2^64, and a pair kept when its
+    coin fraction is strictly below the kernel value.  Elements are digit
+    tuples (least significant first), named and added digit by digit;
+    bit index(a) * |G| + index(b) holds the pair (a, b)."""
+    if kind == "zN":
+        (modulus,) = params
+        elements = [(v,) for v in range(modulus)]
+        p = modulus
+    else:
+        p, n = params
+        elements = [tuple(reversed(e)) for e in itertools.product(range(p), repeat=n)]
+
+    def name(e):
+        return ",".join(str(c) for c in e)
+
+    def uniform(key):
+        return Fraction(int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big"), 2**64)
+
+    def cell(key):
+        return int(uniform(key) * kernel.g)
+
+    label = {e: [cell(f"{seed}|{role}|{name(e)}") for role in ("X", "Y", "Z")] for e in elements}
+    order = len(elements)
+    mask = 0
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            c = tuple((-(x + y)) % p for x, y in zip(a, b))
+            value = kernel.values[label[a][0]][label[b][1]][label[c][2]]
+            if uniform(f"{seed}|INC|{name(a)}|{name(b)}") < value:
+                mask |= 1 << (i * order + j)
+    return mask

@@ -6,6 +6,7 @@ from cornerforge.behrend import (
     RELATION_3AP,
     RELATION_SUM3,
     QCSystem,
+    _int_root,
     behrend_3ap_free,
     behrend_qc_free,
     behrend_sum_free,
@@ -172,3 +173,24 @@ def test_sphere_vectors_share_one_radius():
             digits.append(r)
         assert all(0 <= x < params.digit_cap for x in digits)
         assert sum(x * x for x in digits) == params.radius_sq
+
+
+def test_int_root_matches_brute_force():
+    for d in range(1, 7):
+        m = 0
+        for x in range(3000):
+            while (m + 1) ** d <= x:
+                m += 1
+            assert _int_root(x, d) == m, (x, d)
+
+
+def test_int_root_beyond_float_range():
+    x = 10**400
+    for d in (2, 3, 7, 400, 1329, 1330, 5000):
+        m = _int_root(x, d)
+        assert m**d <= x < (m + 1) ** d, d
+    assert _int_root(10**400, 2) == 10**200
+    assert _int_root(10**400 - 1, 2) == 10**200 - 1
+    assert _int_root(2**3000, 3) == 2**1000
+    with pytest.raises(ValueError):
+        _int_root(-1, 2)

@@ -2,6 +2,8 @@ import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cornerforge.behrend import behrend_sum_free
 from cornerforge.diamond import diamond_free_from_ap_free
@@ -17,7 +19,7 @@ from cornerforge.formats import (
     write_group_set,
     write_hypergraph,
     write_kernel,
-    write_sphere_set,
+    write_residues,
     write_tripartite,
 )
 from cornerforge.hypergraph import Hypergraph, StepKernel
@@ -51,7 +53,7 @@ def test_grid_set_diagnostics():
 def test_residue_round_trip_shifts_to_one_based():
     out = behrend_sum_free(64)
     buf = io.StringIO()
-    write_sphere_set(buf, out)
+    write_residues(buf, out.members, out.params.length)
     text = buf.getvalue()
     assert text.splitlines()[0] == "dim 1 side 64"
     assert text.splitlines()[1] == "1"  # residue 0 stored as 1
@@ -73,6 +75,97 @@ def test_group_set_diagnostics():
     with pytest.raises(ParseError) as err:
         read_group_set(io.StringIO("group fp 3 2\n0,1 2\n"), "g.gset")
     assert err.value.line == 2 and err.value.column == 5
+
+
+IO_GROUPS = [Group.zmod(m) for m in (1, 2, 5, 12)] + [
+    Group.vector(p, n) for p, n in ((2, 1), (2, 3), (3, 2), (5, 1))
+]
+
+
+@st.composite
+def group_pair_lists(draw):
+    group = draw(st.sampled_from(IO_GROUPS))
+    elems = list(group.elements())
+    pairs = draw(st.lists(st.tuples(st.sampled_from(elems), st.sampled_from(elems)), max_size=40))
+    return group, pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(group_pair_lists())
+def test_group_set_write_read_round_trip(case):
+    group, pairs = case
+    gset = GroupSet(group, pairs)
+    buf = io.StringIO()
+    write_group_set(buf, gset)
+    fmt = group.format_element
+    # one line per member in flat-index order, elements in canonical form
+    assert buf.getvalue() == f"group {group.label()}\n" + "".join(f"{fmt(x)} {fmt(y)}\n" for x, y in gset)
+    buf.seek(0)
+    again = read_group_set(buf)
+    assert again.group == group and again.mask == gset.mask
+
+
+@st.composite
+def noisy_group_texts(draw):
+    """A pair list spelled with non-canonical elements (shifted by multiples
+    of the modulus, zero-padded), repeated lines, uneven spacing, and blank
+    and comment lines in between."""
+    group, pairs = draw(group_pair_lists())
+    modulus = group.order if group.kind == "zN" else group.params[0]
+
+    def spell(value):
+        v = value + modulus * draw(st.integers(-2, 2))
+        return f"0{v}" if v >= 0 and draw(st.booleans()) else str(v)
+
+    def name(e):
+        return spell(e) if group.kind == "zN" else ",".join(spell(c) for c in e)
+
+    lines = [f"group {group.label()}\n"]
+    for x, y in pairs:
+        for _ in range(draw(st.integers(1, 2))):
+            lead, gap = " " * draw(st.integers(0, 2)), " " * draw(st.integers(1, 3))
+            lines.append(f"{lead}{name(x)}{gap}{name(y)}\n")
+        lines += draw(st.lists(st.sampled_from(["\n", "   \n", "# note\n", "  # 1 2\n"]), max_size=2))
+    return group, pairs, "".join(lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(noisy_group_texts())
+def test_group_set_reader_accepts_non_canonical_input(case):
+    group, pairs, text = case
+    got = read_group_set(io.StringIO(text))
+    assert got.group == group and got.mask == GroupSet(group, pairs).mask
+
+
+# (text, line, column, message) as the group-set reader has always reported them
+MALFORMED_GROUP_SETS = [
+    ("group fp 3 2\n0,1 2\n", 2, 5, "bad group element '2'"),
+    ("group zN 5\n1\n", 2, 1, "expected two elements"),
+    ("group zN 5\n1 2 3\n", 2, 1, "expected two elements"),
+    ("group zN 5\n# c\n\n1 x\n", 4, 3, "bad group element 'x'"),
+    ("group zN 5\n0 0\n  1   2x\n", 3, 7, "bad group element '2x'"),
+    ("group fp 3 2\n0,1,2 0,0\n", 2, 1, "bad group element '0,1,2'"),
+    ("group fp 3 2\n0,0 0;0\n", 2, 5, "bad group element '0;0'"),
+    ("group fp 3 2\n0,0 0,\n", 2, 5, "bad group element '0,'"),
+    ("group zN 4\n1 1\n2\t3\n", 3, 1, "expected two elements"),
+    ("group zN 4\n1 2\n1 1 \n  # x\n3 4 5\n", 5, 1, "expected two elements"),
+    ("group zN\n", 1, 7, "unknown group kind"),
+    ("grp zN 4\n", 1, 1, "expected header 'group zN <N>' or 'group fp <p> <n>'"),
+    ("group fp 3 x\n", 1, 12, "expected an integer, got 'x'"),
+    ("group qq 3\n", 1, 7, "unknown group kind"),
+    ("", 1, 1, "empty file"),
+    ("# only\n\n", 1, 1, "empty file"),
+    ("group zN 4\n1 2\n2 ,\n", 3, 3, "bad group element ','"),
+    ("group fp 2 2\n1,1 1,1,\n", 2, 5, "bad group element '1,1,'"),
+    ("group zN 4\n1.0 2\n", 2, 1, "bad group element '1.0'"),
+]
+
+
+@pytest.mark.parametrize("text,line,column,message", MALFORMED_GROUP_SETS)
+def test_group_set_parse_error_positions(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        read_group_set(io.StringIO(text), "g.gset")
+    assert str(err.value) == f"g.gset:{line}:{column}: {message}"
 
 
 def test_hypergraph_round_trip_and_checks():

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cornerforge import patterns
 from cornerforge.patterns import (
     GridSet,
     Group,
     GroupSet,
     Pattern,
+    RotationMasks,
     corner_count_group,
     count_pattern,
     spectrum,
 )
-from oracles import corner_count_oracle, grid_count_oracle
+from oracles import corner_count_oracle, grid_count_oracle, group_corner_oracle
 
 
 def random_grid(rng, dim, side, density=0.4):
@@ -202,3 +204,54 @@ def test_group_spectrum_max_entry():
     spec = spectrum(pairs)
     assert spec.max_entry() == (1, 25)
     assert len(spec.counts) == 4
+
+
+SMALL_GROUPS = [Group.zmod(m) for m in (1, 2, 5, 9, 12)] + [
+    Group.vector(p, n) for p, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))
+]
+
+
+@st.composite
+def group_member_sets(draw, group):
+    cells = list(itertools.product(group.elements(), repeat=2))
+    keep = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    return {c for c, k in zip(cells, keep) if k}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL_GROUPS).flatmap(lambda g: st.tuples(st.just(g), group_member_sets(g))))
+def test_group_spectrum_matches_oracle(case):
+    group, members = case
+    spec = spectrum(GroupSet(group, members))
+    assert spec.counts == group_corner_oracle(members, group.kind, group.params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(SMALL_GROUPS).flatmap(
+        lambda g: st.tuples(st.just(g), st.lists(group_member_sets(g), min_size=2, max_size=4))
+    )
+)
+def test_shared_rotation_masks_across_sets(case):
+    # the report loop: several sets on one group, one mask cache for all
+    group, sets = case
+    masks = RotationMasks(group)
+    ds = [d for d in group.elements() if d != group.identity]
+    for members in sets:
+        pairs = GroupSet(group, members)
+        got = {d: corner_count_group(pairs, d, masks) for d in ds}
+        assert got == group_corner_oracle(members, group.kind, group.params)
+    if group.kind == "zN":  # no key repeats within a zN set: nothing is held
+        assert not masks._pairs
+
+
+def test_rotation_masks_stop_caching_at_the_cell_limit(monkeypatch):
+    group = Group.vector(3, 2)
+    rng = random.Random(7)
+    pairs = GroupSet(group, [(a, b) for a in group.elements() for b in group.elements() if rng.random() < 0.6])
+    expected = spectrum(pairs).counts
+    nbits = group.order**2
+    monkeypatch.setattr(patterns, "MAX_CELLS", 5 * nbits)  # room for two keep/wrap pairs
+    masks = RotationMasks(group)
+    assert {d: corner_count_group(pairs, d, masks) for d in expected} == expected
+    assert len(masks._pairs) == 2 and masks._bits == 4 * nbits
