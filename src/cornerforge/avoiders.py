@@ -31,7 +31,7 @@ import numpy as np
 
 from .behrend import QCSystem, behrend_qc_free, behrend_sum_free, qc_coefficients
 from .contfrac import AlphaSequence, build_alpha_hard, verify_alpha
-from .patterns import MAX_CELLS, GridSet, Pattern, _grid_hits
+from .patterns import MAX_CELLS, GridSet, Pattern, _grid_hits, _replicate
 
 __all__ = [
     "f_quad",
@@ -274,12 +274,10 @@ class CornerAvoider(_AvoiderBase):
         coords = np.arange(1, n + 1, dtype=np.int64)
         xs = coords[None, :]  # x varies fastest
         ys = coords[:, None]
-        cube = np.empty((n, n, n), dtype=bool)  # [z, y, x]; ravel(C) puts x fastest
+        cube = np.empty((n, n, n), dtype=bool)  # [z, y, x], as GridSet.cells
         for z in range(1, n + 1):
             cube[z - 1] = lookup[(xs - ys) * (xs + ys - 2 * z) + vmax]
-        bits = np.packbits(cube.reshape(-1), bitorder="little")
-        del cube
-        self._grid = GridSet.from_mask(3, n, int.from_bytes(bits.tobytes(), "little"))
+        self._grid = GridSet.from_cells(cube)
         return self._grid
 
 
@@ -300,8 +298,8 @@ class FivePointAvoider(_AvoiderBase):
         if n > 4_000_000:
             raise ValueError("side too large to materialize")
         decisions = self.system.decide_values(self.alpha, [x * x for x in range(1, n + 1)])
-        members = [(x,) for x in range(1, n + 1) if decisions[x * x]]
-        self._grid = GridSet(1, n, members)
+        cells = np.fromiter((decisions[x * x] for x in range(1, n + 1)), dtype=bool, count=n)
+        self._grid = GridSet.from_cells(cells)
         return self._grid
 
 
@@ -711,7 +709,8 @@ def lift_avoider(pattern: Pattern, base: GridSet) -> GridSet:
 
     Occurrences of the pattern in the lifted set map to occurrences in the
     base (both maps are linear, so they commute with dilation), which is how
-    the base's avoidance carries over.
+    the base's avoidance carries over.  A lifted grid of more than MAX_CELLS
+    cells is refused before it is allocated.
     """
     k = pattern.dim
     if base.dim == 1:
@@ -720,12 +719,19 @@ def lift_avoider(pattern: Pattern, base: GridSet) -> GridSet:
         side = base.side // weight
         if side < 1:
             raise ValueError("base side too small for even one lifted layer")
-        members = []
-        for point in itertools.product(range(1, side + 1), repeat=k):
-            value = sum(c ** (i + 1) * point[i] for i in range(k))
-            if (value,) in base:
-                members.append(point)
-        return GridSet(k, side, members)
+        _check_lift_cells(side, k)
+        # phi(x) - 1 over axes [x_{k-1} .. x_1]: the 0-based base cell of each
+        # point, less its x_k term, which each row below adds
+        inner = np.full((side,) * (k - 1), -1, dtype=np.int64)
+        for i in range(k - 1):
+            shape = [1] * (k - 1)
+            shape[k - 2 - i] = side
+            inner = inner + c ** (i + 1) * np.arange(1, side + 1, dtype=np.int64).reshape(shape)
+        base_cells = base.cells()
+        cells = np.empty((side,) * k, dtype=bool)
+        for xk in range(1, side + 1):
+            cells[xk - 1] = base_cells[inner + c**k * xk]
+        return GridSet.from_cells(cells)
     if base.dim != 3:
         raise ValueError("lifting expects a 1-d or 3-d base set")
     if _affine_rank(pattern.points) < 3:
@@ -735,13 +741,12 @@ def lift_avoider(pattern: Pattern, base: GridSet) -> GridSet:
     if k < 3:
         raise ValueError("affine dimension 3 needs at least 3 ambient dimensions")
     n = base.side
-    padded = set()
-    for pt in base:
-        for rest in itertools.product(range(1, n + 1), repeat=k - 3):
-            padded.add(pt + rest)
+    _check_lift_cells(n, k)
+    # base x [N]^(k-3): the base's N^3 bits repeat once per trailing point
+    padded = GridSet.from_mask(k, n, _replicate(base.mask, n**3, n ** (k - 3)))
     corner3 = {(0,) * k} | {tuple(1 if j == i else 0 for j in range(k)) for i in range(3)}
     if set(pattern.points) >= corner3:
-        return GridSet(k, n, padded)
+        return padded
     # general position: send the first three axes to a spanning triple of
     # pattern differences, completed to a full-rank integer map
     columns: Optional[list[tuple[int, ...]]] = None
@@ -765,8 +770,16 @@ def lift_avoider(pattern: Pattern, base: GridSet) -> GridSet:
         tuple(sum(columns[c][r] * point[c] for c in range(k)) for r in range(k))
         for point in padded
     ]
+    if not images:
+        raise ValueError("cannot place the image of an empty base set")
     lows = [min(img[r] for img in images) for r in range(k)]
     highs = [max(img[r] for img in images) for r in range(k)]
     side = max(h - l + 1 for h, l in zip(highs, lows))
+    _check_lift_cells(side, k)
     shifted = [tuple(img[r] - lows[r] + 1 for r in range(k)) for img in images]
     return GridSet(k, side, shifted)
+
+
+def _check_lift_cells(side: int, k: int) -> None:
+    if side**k > MAX_CELLS:
+        raise ValueError(f"lifted grid of side {side} in dim {k} exceeds the {MAX_CELLS}-cell limit")

@@ -22,8 +22,11 @@ import csv
 from fractions import Fraction
 from typing import Iterable, TextIO
 
+import numpy as np
+
 from .diamond import TripartiteGraph
 from .hypergraph import Hypergraph, StepKernel
+from .contfrac import _is_prime
 from .patterns import MAX_CELLS, GridSet, Group, GroupSet, Spectrum, _iter_flats, _mask_from_flats
 
 __all__ = [
@@ -48,6 +51,10 @@ class ParseError(ValueError):
     def __init__(self, path: str, line: int, column: int, message: str):
         self.path, self.line, self.column = path, line, column
         super().__init__(f"{path}:{line}:{column}: {message}")
+
+
+# coordinate values up to this many get a name table in read_grid_set
+_NAMED_COORDS = 1 << 12
 
 
 def _tokens(line: str) -> list[tuple[int, str]]:
@@ -75,10 +82,26 @@ def _check_cells(path: str, lineno: int, col: int, base: int, exp: int, what: st
         raise ParseError(path, lineno, col, f"{what} exceeds the {MAX_CELLS}-cell limit")
 
 
+def _is_data(line: str) -> bool:
+    """Not blank and not a comment."""
+    return bool(line.strip()) and not line.lstrip().startswith("#")
+
+
 def _data_lines(fh: TextIO):
     for lineno, line in enumerate(fh, start=1):
-        if line.strip() and not line.lstrip().startswith("#"):
+        if _is_data(line):
             yield lineno, line
+
+
+def _grid_point(path: str, lineno: int, line: str, dim: int, side: int) -> tuple[int, ...]:
+    """The point on a grid-set data line, with every check at its position."""
+    toks = _tokens(line)
+    if len(toks) != dim:
+        raise ParseError(path, lineno, toks[0][0] if toks else 1, f"expected {dim} coordinates")
+    point = tuple(_int(path, lineno, c, t) for c, t in toks)
+    if not all(1 <= x <= side for x in point):
+        raise ParseError(path, lineno, toks[0][0], f"point {point} outside [1, {side}]^{dim}")
+    return point
 
 
 def read_grid_set(fh: TextIO, path: str = "<grid set>") -> GridSet:
@@ -92,25 +115,53 @@ def read_grid_set(fh: TextIO, path: str = "<grid set>") -> GridSet:
         raise ParseError(path, lineno, toks[0][0] if toks else 1, "expected header 'dim k side N'")
     dim = _int(path, lineno, toks[1][0], toks[1][1])
     side = _int(path, lineno, toks[3][0], toks[3][1])
+    if dim < 1:
+        raise ParseError(path, lineno, toks[1][0], f"dim must be positive, got {dim}")
+    if side < 1:
+        raise ParseError(path, lineno, toks[3][0], f"side must be positive, got {side}")
     _check_cells(path, lineno, toks[3][0], side, dim, f"side {side} in dim {dim}")
 
-    def points():
-        for lineno, line in lines:
-            toks = _tokens(line)
-            if len(toks) != dim:
-                raise ParseError(path, lineno, toks[0][0] if toks else 1, f"expected {dim} coordinates")
-            point = tuple(_int(path, lineno, c, t) for c, t in toks)
-            if not all(1 <= x <= side for x in point):
-                raise ParseError(path, lineno, toks[0][0], f"point {point} outside [1, {side}]^{dim}")
-            yield point
-
-    return GridSet(dim, side, points())
+    weights = [side**j for j in range(dim)]
+    # canonical coordinate names, so most tokens skip int(); bounded so a
+    # 1-d header with a huge side does not cost a dict entry per cell
+    known = {str(c): c - 1 for c in range(1, min(side, _NAMED_COORDS) + 1)}.get
+    buf = bytearray((side**dim + 7) // 8)
+    # the header came from `lines`, which has read nothing past it
+    for lineno, line in enumerate(fh, start=lineno + 1):
+        # fast path: exactly `dim` single-space-separated in-range integers,
+        # which is never a blank or comment line
+        fields = line.rstrip("\n").split(" ")
+        flat = 0
+        try:
+            if len(fields) != dim:
+                raise ValueError
+            for token, weight in zip(fields, weights):
+                c = known(token)
+                if c is None:
+                    c = int(token) - 1
+                    if not 0 <= c < side:
+                        raise ValueError
+                flat += c * weight
+        except ValueError:
+            if not _is_data(line):
+                continue
+            # anything else gets the full checks: the same point, or a ParseError
+            flat = sum((c - 1) * w for c, w in zip(_grid_point(path, lineno, line, dim, side), weights))
+        buf[flat >> 3] |= 1 << (flat & 7)
+    return GridSet.from_mask(dim, side, int.from_bytes(buf, "little"))
 
 
 def write_grid_set(fh: TextIO, grid: GridSet) -> None:
-    fh.write(f"dim {grid.dim} side {grid.side}\n")
-    for point in grid:
-        fh.write(" ".join(str(c) for c in point) + "\n")
+    n = grid.side
+    fh.write(f"dim {grid.dim} side {n}\n")
+    flats = np.flatnonzero(grid.cells())
+    columns = []
+    for j in range(grid.dim):
+        # name each distinct coordinate once, then index the names
+        values, where = np.unique(flats // n**j % n, return_inverse=True)
+        names = np.array([str(v + 1) for v in values.tolist()], dtype=object)
+        columns.append(names[where].tolist())
+    fh.writelines(" ".join(point) + "\n" for point in zip(*columns))
 
 
 def read_residues(fh: TextIO, path: str = "<residue set>") -> tuple[frozenset, int]:
@@ -138,12 +189,18 @@ def read_group_set(fh: TextIO, path: str = "<group set>") -> GroupSet:
         raise ParseError(path, lineno, 1, "expected header 'group zN <N>' or 'group fp <p> <n>'")
     if len(toks) == 3 and toks[1][1] == "zN":
         modulus = _int(path, lineno, toks[2][0], toks[2][1])
+        if modulus < 1:
+            raise ParseError(path, lineno, toks[2][0], f"modulus must be positive, got {modulus}")
         _check_cells(path, lineno, toks[2][0], modulus, 2, f"zN {modulus} x zN {modulus}")
         group = Group.zmod(modulus)
     elif len(toks) == 4 and toks[1][1] == "fp":
         p = _int(path, lineno, toks[2][0], toks[2][1])
         n = _int(path, lineno, toks[3][0], toks[3][1])
+        if n < 1:
+            raise ParseError(path, lineno, toks[3][0], f"exponent must be positive, got {n}")
         _check_cells(path, lineno, toks[3][0], p, 2 * n, f"fp {p} {n} x fp {p} {n}")
+        if not _is_prime(p):
+            raise ParseError(path, lineno, toks[2][0], f"p must be prime, got {p}")
         group = Group.vector(p, n)
     else:
         raise ParseError(path, lineno, toks[1][0] if len(toks) > 1 else 1, "unknown group kind")

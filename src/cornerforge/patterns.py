@@ -24,6 +24,8 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
+from .contfrac import _is_prime
+
 __all__ = [
     "Pattern",
     "GridSet",
@@ -217,9 +219,25 @@ class GridSet:
     def empty(cls, dim: int, side: int) -> "GridSet":
         return cls.from_mask(dim, side, 0)
 
+    @classmethod
+    def from_cells(cls, cells: np.ndarray) -> "GridSet":
+        """The set whose membership is the bool array `cells`, with axes
+        [x_k .. x_1] (first coordinate fastest, as in the flat index)."""
+        if len(set(cells.shape)) != 1:  # also refuses a 0-d array
+            raise ValueError(f"cells must be a cube, got shape {cells.shape}")
+        bits = np.packbits(cells.reshape(-1), bitorder="little")
+        return cls.from_mask(cells.ndim, cells.shape[0], int.from_bytes(bits.tobytes(), "little"))
+
     @property
     def mask(self) -> int:
         return self._mask
+
+    def cells(self) -> np.ndarray:
+        """The set as a fresh bool array with axes [x_k .. x_1] (first
+        coordinate fastest), one byte per cell."""
+        n, k = self.side, self.dim
+        raw = np.frombuffer(self._mask.to_bytes((n**k + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, count=n**k, bitorder="little").view(bool).reshape((n,) * k)
 
     def _checked_flat(self, p: tuple[int, ...]) -> int:
         p = tuple(int(c) for c in p)
@@ -265,11 +283,7 @@ class GridSet:
 
     def reflect(self, axis: int = 0) -> "GridSet":
         """Negate one coordinate and translate back into range (p -> N+1-p)."""
-        flats = []
-        for p in self:
-            q = tuple(self.side + 1 - c if j == axis else c for j, c in enumerate(p))
-            flats.append(self._flat(q))
-        return GridSet.from_mask(self.dim, self.side, _mask_from_flats(flats, self.side**self.dim))
+        return GridSet.from_cells(np.flip(self.cells(), axis=self.dim - 1 - axis))
 
 
 def _grid_hits(
@@ -282,8 +296,7 @@ def _grid_hits(
     y + d*(t - t_0) stays inside the grid, and hits[i] is True when all of
     them are members for y = lo + i.  hits is None when no anchor is.
 
-    The packed mask is unpacked once into a bool array with axes
-    [x_k .. x_1] (first coordinate fastest, as in the flat index).  For each
+    The packed mask is unpacked once (`GridSet.cells`).  For each
     d the |T| shifted slices of the box are ANDed into one reusable buffer,
     stopping as soon as the result is empty; `hits` is a view of that
     buffer, so it is overwritten by the next step.
@@ -291,8 +304,7 @@ def _grid_hits(
     if grid.dim != pattern.dim:
         raise ValueError(f"dimension mismatch: set {grid.dim}, pattern {pattern.dim}")
     n, k = grid.side, grid.dim
-    raw = np.frombuffer(grid.mask.to_bytes((n**k + 7) // 8, "little"), dtype=np.uint8)
-    cells = np.unpackbits(raw, count=n**k, bitorder="little").view(bool).reshape((n,) * k)
+    cells = grid.cells()
     buf = np.empty(n**k, dtype=bool)
     base = pattern.points[0]
     # offsets reversed once so offset j lines up with array axis j
@@ -333,7 +345,6 @@ def count_pattern(grid: GridSet, pattern: Pattern, d: int) -> int:
 # group pair sets
 # ---------------------------------------------------------------------------
 
-
 @dataclass(frozen=True)
 class Group:
     """Finite abelian group descriptor: Z/N or the vector group F_p^n."""
@@ -349,8 +360,8 @@ class Group:
 
     @staticmethod
     def vector(p: int, n: int) -> "Group":
-        if p < 2 or n < 1:
-            raise ValueError("need prime p >= 2 and exponent n >= 1")
+        if n < 1 or not _is_prime(p):
+            raise ValueError(f"need prime p and exponent n >= 1, got p={p}, n={n}")
         return Group("fp", (p, n))
 
     @property

@@ -7,6 +7,7 @@ tuples, sharing no code with the library kernels it checks.
 import hashlib
 import itertools
 from fractions import Fraction
+from math import prod
 
 
 def grid_count_oracle(members, dim, side, points, d):
@@ -210,3 +211,65 @@ def mandache_oracle(kernel, kind, params, seed):
             if uniform(f"{seed}|INC|{name(a)}|{name(b)}") < value:
                 mask |= 1 << (i * order + j)
     return mask
+
+
+def lift_oracle(pattern_points, base_members, base_dim, base_side):
+    """(side, members) of the lift of a base set, from the definitions alone.
+
+    1-d base: C is 1 + the total coordinate magnitude of the pattern,
+    phi(x) = sum C^(i+1) x_i, the side is the largest N with phi(N, .., N) at
+    most the base side, and the members are every x in [N]^k whose phi is a
+    base member.  3-d base: the padding base x [N]^(k-3), returned as is when
+    the pattern holds the unit corner {0, e1, e2, e3}; otherwise its image
+    under the integer matrix whose columns are q1 - q0, q2 - q0, q3 - q0 for
+    the first 4-subset (q0..q3, in pattern order) spanning three dimensions,
+    then the unit vectors, in axis order, that raise the rank, translated so
+    every coordinate starts at 1; the side is the widest coordinate range.
+    Ranks come from nonzero minors, found by brute force.
+    """
+    pts = [tuple(p) for p in pattern_points]
+    k = len(pts[0])
+    members = set(map(tuple, base_members))
+    if base_dim == 1:
+        c = 1 + sum(abs(x) for p in pts for x in p)
+        side = base_side // sum(c ** (i + 1) for i in range(k))
+        lifted = {
+            x
+            for x in itertools.product(range(1, side + 1), repeat=k)
+            if (sum(c ** (i + 1) * x[i] for i in range(k)),) in members
+        }
+        return side, lifted
+    n = base_side
+    padded = {p + rest for p in members for rest in itertools.product(range(1, n + 1), repeat=k - 3)}
+    corner = {(0,) * k} | {tuple(int(j == i) for j in range(k)) for i in range(3)}
+    if corner <= set(pts):
+        return n, padded
+
+    def det(m):
+        return sum(
+            (-1) ** sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+            * prod(m[i][perm[i]] for i in range(len(m)))
+            for perm in itertools.permutations(range(len(m)))
+        )
+
+    def rank(vectors):
+        for r in range(min(len(vectors), k), 0, -1):
+            for rows in itertools.combinations(vectors, r):
+                for cols in itertools.combinations(range(k), r):
+                    if det([[v[j] for j in cols] for v in rows]):
+                        return r
+        return 0
+
+    for quad in itertools.combinations(pts, 4):
+        diffs = [tuple(q[j] - quad[0][j] for j in range(k)) for q in quad[1:]]
+        if rank(diffs) == 3:
+            break
+    for axis in range(k):
+        unit = tuple(int(j == axis) for j in range(k))
+        if len(diffs) < k and rank(diffs + [unit]) == len(diffs) + 1:
+            diffs.append(unit)
+    images = {tuple(sum(diffs[c][r] * p[c] for c in range(k)) for r in range(k)) for p in padded}
+    lows = [min(img[r] for img in images) for r in range(k)]
+    side = max(max(img[r] for img in images) - lows[r] + 1 for r in range(k))
+    return side, {tuple(img[r] - lows[r] + 1 for r in range(k)) for img in images}
+

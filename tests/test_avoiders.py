@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cornerforge.avoiders import (
     IntervalSystem,
@@ -20,7 +22,8 @@ from cornerforge.avoiders import (
 from cornerforge.behrend import qc_coefficients
 from cornerforge.contfrac import build_alpha_hard
 from cornerforge.patterns import GridSet, Pattern, spectrum
-from oracles import corner3_count_oracle
+from cornerforge import avoiders
+from oracles import corner3_count_oracle, lift_oracle
 
 
 def test_f_quad_values_and_identity():
@@ -277,8 +280,94 @@ def test_lift_general_affine_position():
     base = GridSet(3, 3, [(1, 1, 1), (2, 3, 1), (3, 3, 3)])
     lifted = lift_avoider(pat, base)
     assert len(lifted) == len(base)
-    # images are an affine embedding: pairwise difference structure persists
-    assert lifted.side >= 3
+    # the map doubles each axis: images of 1..3 run over 2..6, shifted to 1..5
+    assert lifted == GridSet(3, 5, [(1, 1, 1), (3, 5, 1), (5, 5, 5)])
+    _assert_lift_matches_oracle(pat, base)
+
+
+def _assert_lift_matches_oracle(pattern, base):
+    lifted = lift_avoider(pattern, base)
+    side, members = lift_oracle(pattern.points, list(base), base.dim, base.side)
+    assert (lifted.dim, lifted.side) == (pattern.dim, side)
+    assert lifted == GridSet(pattern.dim, side, members)
+
+
+@st.composite
+def projection_cases(draw):
+    """A pattern of 5-6 distinct points in dims 1-3 and a random 1-d base
+    whose lifted side is 1-12 (well past C for small patterns, where phi is
+    not injective) with at most ~1000 lifted cells."""
+    dim = draw(st.integers(1, 3))
+    coords = st.tuples(*[st.integers(-2, 2)] * dim)
+    points = draw(st.lists(coords, min_size=5, max_size=6, unique=True))
+    c = 1 + sum(abs(x) for p in points for x in p)
+    weight = sum(c ** (i + 1) for i in range(dim))
+    side = draw(st.integers(1, {1: 12, 2: 12, 3: 8}[dim]))
+    base_side = weight * side + draw(st.integers(0, weight - 1))
+    members = draw(st.sets(st.integers(1, base_side), max_size=200))
+    return Pattern(dim, tuple(points)), GridSet(1, base_side, [(v,) for v in members])
+
+
+@settings(max_examples=60, deadline=None)
+@given(projection_cases())
+def test_lift_via_projection_matches_lift_oracle(case):
+    _assert_lift_matches_oracle(*case)
+
+
+def test_lift_via_projection_beyond_the_digit_base():
+    # the benchmark's shape: a 2-d five-point pattern (C = 7) lifted to side
+    # 40 > C, where phi is not injective, from a dense random base
+    pat = Pattern(2, ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0)))
+    rng = random.Random(23)
+    base_side = (7 + 49) * 40 + 5
+    base = GridSet(1, base_side, [(v,) for v in range(1, base_side + 1) if rng.random() < 0.3])
+    lifted = lift_avoider(pat, base)
+    assert lifted.side == 40
+    _assert_lift_matches_oracle(pat, base)
+
+
+LIFT_3D_PATTERNS = [
+    # padding: the pattern holds the unit corner {0, e1, e2, e3}
+    Pattern.corner(4),
+    Pattern(4, tuple(p + (0,) for p in Pattern.corner(3).points)),
+    Pattern(5, tuple(p + (0, 0) for p in Pattern.corner(3).points) + ((0, 0, 0, 1, 1),)),
+    Pattern.corner(3),
+    # general position
+    Pattern(3, ((0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2))),
+    Pattern(3, ((1, 1, 0), (0, 0, 0), (1, -1, 2), (0, 1, 1), (3, 3, 3))),
+    Pattern(4, ((0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, 1))),
+    Pattern(4, ((0, 0, 0, 0), (0, 0, 0, 2), (0, 1, 0, 1), (0, 2, 1, 0), (1, 0, 0, 0))),
+]
+
+
+@pytest.mark.parametrize("pattern", LIFT_3D_PATTERNS, ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_lift_of_3d_base_matches_lift_oracle(pattern, seed):
+    rng = random.Random(seed)
+    side = rng.randint(2, 4)
+    cube = list(itertools.product(range(1, side + 1), repeat=3))
+    base = GridSet(3, side, rng.sample(cube, rng.randint(1, len(cube))))
+    _assert_lift_matches_oracle(pattern, base)
+
+
+def test_lift_refuses_grids_past_the_cell_limit(monkeypatch):
+    proj = GridSet(1, (7 + 49) * 10, [(v,) for v in range(1, 561, 3)])
+    pat5 = Pattern(2, ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0)))
+    cube = GridSet(3, 4, [(1, 2, 3), (4, 4, 4)])
+    general = Pattern(4, ((0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, 1)))
+    assert lift_avoider(pat5, proj).side == 10
+    monkeypatch.setattr(avoiders, "MAX_CELLS", 99)  # one cell short of the 10 x 10 lift
+    with pytest.raises(ValueError, match="side 10 in dim 2 exceeds the 99-cell limit"):
+        lift_avoider(pat5, proj)
+    monkeypatch.setattr(avoiders, "MAX_CELLS", 255)  # padding needs 4^4 = 256 cells
+    with pytest.raises(ValueError, match="side 4 in dim 4 exceeds"):
+        lift_avoider(Pattern.corner(4), cube)
+    with pytest.raises(ValueError, match="side 4 in dim 4 exceeds"):
+        lift_avoider(general, cube)
+    # the general route's image can be wider than the padded grid
+    monkeypatch.setattr(avoiders, "MAX_CELLS", 256)
+    with pytest.raises(ValueError, match="exceeds the 256-cell limit"):
+        lift_avoider(general, cube)
 
 
 def test_lift_rejects_unsupported_patterns():

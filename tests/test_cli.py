@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cornerforge import avoiders
 from cornerforge.cli import main
 from cornerforge.formats import read_grid_set
 
@@ -84,6 +85,49 @@ def test_oversized_header_exits_1_before_allocating(tmp_path, capsys, header, co
     assert code == 1
     assert f"{big}:1:{column}: " in stderr
     assert "400000000-cell limit" in stderr
+
+
+@pytest.mark.parametrize(
+    "header,column,message",
+    [
+        ("dim 0 side 5", 5, "dim must be positive, got 0"),
+        ("dim 3 side 0", 12, "side must be positive, got 0"),
+        ("group zN 0", 10, "modulus must be positive, got 0"),
+        ("group fp 1 3", 10, "p must be prime, got 1"),
+        ("group fp 4 2", 10, "p must be prime, got 4"),
+    ],
+)
+def test_bad_header_value_exits_1_with_position(tmp_path, capsys, header, column, message):
+    bad = tmp_path / "bad.set"
+    bad.write_text(header + "\n")
+    code, _, stderr = run(capsys, "count", "spectrum", "--set", str(bad), "--pattern", "ap3")
+    assert code == 1
+    assert stderr.strip() == f"error: {bad}:1:{column}: {message}"
+
+
+@pytest.mark.parametrize("group", ["fp:4:2", "fp:1:3", "fp:9:1", "fp:3:0"])
+def test_composite_or_degenerate_vector_group_exits_1(tmp_path, capsys, group):
+    kern = tmp_path / "w.kern"
+    kern.write_text("1\n1/2\n")
+    out = tmp_path / "pairs.gset"
+    code, _, stderr = run(capsys, "construct", "mandache", "--kernel", str(kern), "--group", group, "-o", str(out))
+    assert code == 1
+    assert "need prime p and exponent n >= 1" in stderr
+    assert not out.exists()
+
+
+def test_lift_past_the_cell_limit_exits_1(tmp_path, capsys, monkeypatch):
+    # a 2-d five-point pattern (C = 7, weight 56) over a base of side 560
+    # lifts to side 10: 100 cells, one more than the patched limit
+    base = tmp_path / "base.set"
+    base.write_text("dim 1 side 560\n" + "".join(f"{v}\n" for v in range(1, 561, 3)))
+    monkeypatch.setattr(avoiders, "MAX_CELLS", 99)
+    out = tmp_path / "lifted.set"
+    pattern = "points:0,0;1,0;0,1;1,1;2,0"
+    code, _, stderr = run(capsys, "construct", "lift", "--pattern", pattern, "--base", str(base), "-o", str(out))
+    assert code == 1
+    assert stderr.strip() == "error: lifted grid of side 10 in dim 2 exceeds the 99-cell limit"
+    assert not out.exists()
 
 
 def test_spectrum_threads_flag_is_gone(tmp_path, capsys):

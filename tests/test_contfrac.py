@@ -6,6 +6,7 @@ import pytest
 
 from cornerforge.contfrac import (
     AlphaSequence,
+    _is_prime,
     approximants,
     build_alpha_hard,
     quotients_from_pair,
@@ -128,3 +129,16 @@ def test_build_rejects_bad_arguments():
         build_alpha_hard(1, 1)
     with pytest.raises(ValueError):
         build_alpha_hard(4, 0)
+
+
+def test_primality_matches_trial_division_and_strong_pseudoprimes():
+    trial = lambda n: n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+    assert all(_is_prime(n) == trial(n) for n in range(-3, 20_000))
+    # strong pseudoprimes to every prime base up to 2, 3, 5, ..., 37
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    assert 318665857834031151167461 == 399165290221 * 798330580441
+    assert _is_prime(2**31 - 1) and _is_prime(2**61 - 1)
+    with pytest.raises(ValueError):
+        _is_prime(3_317_044_064_679_887_385_961_981)

@@ -50,6 +50,143 @@ def test_grid_set_diagnostics():
     assert err.value.line == 2
 
 
+# (text, line, column, message) as the grid-set reader has always reported them
+MALFORMED_GRID_SETS = [
+    ('', 1, 1, 'empty file'),
+    ('# only\n\n', 1, 1, 'empty file'),
+    ('\n\n', 1, 1, 'empty file'),
+    ('dim 2\n', 1, 1, "expected header 'dim k side N'"),
+    ('dim 2 side\n', 1, 1, "expected header 'dim k side N'"),
+    ('dim 2 size 3\n', 1, 1, "expected header 'dim k side N'"),
+    ('dims 2 side 3\n', 1, 1, "expected header 'dim k side N'"),
+    ('dim x side 3\n', 1, 5, "expected an integer, got 'x'"),
+    ('dim 2 side y\n', 1, 12, "expected an integer, got 'y'"),
+    ('dim 2 side 3 4\n', 1, 1, "expected header 'dim k side N'"),
+    ('dim 2 side 3\n1\n', 2, 1, 'expected 2 coordinates'),
+    ('dim 2 side 3\n1 2 3\n', 2, 1, 'expected 2 coordinates'),
+    ('dim 2 side 3\n1 x\n', 2, 3, "expected an integer, got 'x'"),
+    ('dim 2 side 3\n  1   2x\n', 2, 7, "expected an integer, got '2x'"),
+    ('dim 2 side 3\n4 1\n', 2, 1, 'point (4, 1) outside [1, 3]^2'),
+    ('dim 2 side 3\n0 1\n', 2, 1, 'point (0, 1) outside [1, 3]^2'),
+    ('dim 2 side 3\n1 -1\n', 2, 1, 'point (1, -1) outside [1, 3]^2'),
+    ('dim 2 side 3\n1\t2\n', 2, 1, 'expected 2 coordinates'),
+    ('dim 3 side 3\n1\t2 3\n', 2, 1, 'expected 3 coordinates'),
+    ('dim 2 side 3\n1.0 2\n', 2, 1, "expected an integer, got '1.0'"),
+    ('dim 2 side 3\n1 2\n# c\n\n2 2 2\n', 5, 1, 'expected 2 coordinates'),
+    ('dim 2 side 3\n1 2\n   \n  # 1 2\n3 9\n', 5, 1, 'point (3, 9) outside [1, 3]^2'),
+    ('dim 1 side 5\n6\n', 2, 1, 'point (6,) outside [1, 5]^1'),
+    ('dim 1 side 5\n1,2\n', 2, 1, "expected an integer, got '1,2'"),
+    ('dim 3 side 4\n1  2\n', 2, 1, 'expected 3 coordinates'),
+    ('dim 3 side 4\n 1 2 3 4\n', 2, 2, 'expected 3 coordinates'),
+    ('dim 2 side 3\n1 2\r\n3 x\r\n', 3, 3, "expected an integer, got 'x\\r'"),
+    ('dim 2 side 3\n1 2 \n2 0 \n', 3, 1, 'point (2, 0) outside [1, 3]^2'),
+    ('dim 2 side 3\n+4 1\n', 2, 1, 'point (4, 1) outside [1, 3]^2'),
+    ('dim 2 side 3\n1 1_0\n', 2, 1, 'point (1, 10) outside [1, 3]^2'),
+    ('dim 2 side 3\n1 _1\n', 2, 3, "expected an integer, got '_1'"),
+    ('dim 2 side 100000\n', 1, 12, 'side 100000 in dim 2 exceeds the 400000000-cell limit'),
+    ('dim 9 side 10\n', 1, 12, 'side 10 in dim 9 exceeds the 400000000-cell limit'),
+    ('dim 2 side 3\n3 3\n3 3 \x0c\n', 3, 1, 'expected 2 coordinates'),
+]
+
+
+@pytest.mark.parametrize("text,line,column,message", MALFORMED_GRID_SETS)
+def test_grid_set_parse_error_positions(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        read_grid_set(io.StringIO(text), "g.set")
+    assert str(err.value) == f"g.set:{line}:{column}: {message}"
+
+
+# headers the reader used to hand unchecked to GridSet / Group
+BAD_HEADERS = [
+    (read_grid_set, "dim 0 side 5\n", 1, 5, "dim must be positive, got 0"),
+    (read_grid_set, "dim -1 side 5\n", 1, 5, "dim must be positive, got -1"),
+    (read_grid_set, "dim 3 side 0\n", 1, 12, "side must be positive, got 0"),
+    (read_grid_set, "# c\n\ndim  2  side  -4\n1 1\n", 3, 15, "side must be positive, got -4"),
+    (read_group_set, "group zN 0\n", 1, 10, "modulus must be positive, got 0"),
+    (read_group_set, "group zN -3\n0 0\n", 1, 10, "modulus must be positive, got -3"),
+    (read_group_set, "group fp 1 3\n", 1, 10, "p must be prime, got 1"),
+    (read_group_set, "group fp 4 2\n0,0 0,0\n", 1, 10, "p must be prime, got 4"),
+    (read_group_set, "group fp 91 1\n", 1, 10, "p must be prime, got 91"),
+    (read_group_set, "\ngroup fp 3 0\n", 2, 12, "exponent must be positive, got 0"),
+]
+
+
+@pytest.mark.parametrize("read,text,line,column,message", BAD_HEADERS)
+def test_bad_header_values_have_positions(read, text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        read(io.StringIO(text), "h.set")
+    assert str(err.value) == f"h.set:{line}:{column}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text,points",
+    [
+        ("dim 2 side 5\n1  2\n", [(1, 2)]),
+        ("dim 2 side 5\n  3 4  \n", [(3, 4)]),
+        ("dim 2 side 40\n+3 007\n", [(3, 7)]),
+        ("dim 1 side 40\n3_0\n", [(30,)]),
+        ("dim 2 side 5\r\n1 2\r\n5 5\r\n", [(1, 2), (5, 5)]),
+        ("# a grid\n\ndim 3 side 2\n# first\n1 1 1\n\n   \n  # 2 2 2\n2 1 2\n2 1 2\n", [(1, 1, 1), (2, 1, 2)]),
+        ("dim 2 side 3\n1\t 2\n", [(1, 2)]),
+        ("dim 2 side 3\n1 \u0661\n", [(1, 1)]),
+        ("dim 1 side 70000\n70000\n65537\n1\n", [(70000,), (65537,), (1,)]),
+        ("dim 2 side 3\n", []),
+    ],
+)
+def test_grid_set_reader_accepts_non_canonical_input(text, points):
+    grid = read_grid_set(io.StringIO(text))
+    assert grid == GridSet(grid.dim, grid.side, points)
+
+
+@st.composite
+def grid_sets(draw):
+    dim = draw(st.integers(1, 3))
+    side = draw(st.sampled_from([1, 2, 3, 9, 10, 11, 257] if dim < 3 else [1, 2, 5, 12]))
+    coords = st.tuples(*[st.integers(1, side)] * dim)
+    return GridSet(dim, side, draw(st.lists(coords, max_size=60)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_sets())
+def test_grid_set_write_read_round_trip(grid):
+    buf = io.StringIO()
+    write_grid_set(buf, grid)
+    # one line per member in flat-index order, as the per-point writer had it
+    expected = f"dim {grid.dim} side {grid.side}\n" + "".join(" ".join(str(c) for c in p) + "\n" for p in grid)
+    assert buf.getvalue() == expected
+    buf.seek(0)
+    assert read_grid_set(buf) == grid
+
+
+@st.composite
+def noisy_grid_texts(draw):
+    """A point list spelled non-canonically (signs, zero padding,
+    underscores), with repeated points, uneven spacing, CR LF line ends and
+    blank and comment lines in between."""
+    grid = draw(grid_sets())
+    points = draw(st.permutations(list(grid)))
+
+    def spell(c):
+        return draw(st.sampled_from([str(c), f"+{c}", f"0{c}", f"00{c}", f"{c}" if c < 10 else f"{c // 10}_{c % 10}"]))
+
+    lines = draw(st.lists(st.sampled_from(["\n", "  \n", "# note\n", " # 1 1\n"]), max_size=2))
+    lines.append(f"dim {grid.dim} side {grid.side}\n")
+    for p in points:
+        for _ in range(draw(st.integers(1, 2))):
+            lead, gap = " " * draw(st.integers(0, 2)), " " * draw(st.integers(1, 3))
+            end = draw(st.sampled_from(["\n", "\r\n", " \n"]))
+            lines.append(lead + gap.join(spell(c) for c in p) + end)
+        lines += draw(st.lists(st.sampled_from(["\n", "   \n", "# note\n", "  # 1 2\n"]), max_size=2))
+    return grid, "".join(lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(noisy_grid_texts())
+def test_grid_set_reader_accepts_noisy_input(case):
+    grid, text = case
+    assert read_grid_set(io.StringIO(text)) == grid
+
+
 def test_residue_round_trip_shifts_to_one_based():
     out = behrend_sum_free(64)
     buf = io.StringIO()

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,6 +100,30 @@ def test_grid_set_round_trip():
     assert set(g) == {(1, 1), (4, 3), (2, 2)}
     assert (4, 3) in g and (3, 4) not in g
     assert len(g) == 3
+
+
+def test_cells_view_and_back():
+    rng = random.Random(11)
+    for dim in (1, 2, 3):
+        side = rng.randint(1, 6)
+        g = random_grid(rng, dim, side)
+        cells = g.cells()
+        assert cells.shape == (side,) * dim and cells.dtype == bool
+        # axes [x_k .. x_1], 0-based
+        assert {tuple(c + 1 for c in reversed(idx)) for idx in zip(*cells.nonzero())} == set(g)
+        assert GridSet.from_cells(cells) == g
+        for axis in range(dim):
+            flipped = {tuple(side + 1 - c if j == axis else c for j, c in enumerate(p)) for p in g}
+            assert set(g.reflect(axis)) == flipped
+    with pytest.raises(ValueError):
+        GridSet.from_cells(np.zeros((2, 3), dtype=bool))
+
+
+def test_vector_group_needs_a_prime():
+    for p, n in ((4, 2), (1, 3), (0, 1), (9, 1), (91, 2), (3, 0)):
+        with pytest.raises(ValueError, match="need prime p"):
+            Group.vector(p, n)
+    assert Group.vector(2, 1).order == 2 and Group.vector(7, 2).order == 49
 
 
 # -- group sets --------------------------------------------------------------
