@@ -625,21 +625,28 @@ def verify_corner_avoidance(avoider: CornerAvoider, *, d_values: Optional[Iterab
     alpha = avoider.alpha
     bound_transfer = Fraction(1, 9 * length)
     bound_rational = Fraction(3, length)
+    # distinct (slot, n1 - n2) classes over all corners, coded slot * 2n + n1 - n2 + n
+    counts = np.zeros(len(ds), dtype=np.int64)
+    classes = [np.zeros(0, dtype=np.int64)]
+    for slots, anchors in _grid_hits(grid, Pattern.corner(3), ds):
+        counts += np.bincount(slots, minlength=len(ds))
+        classes.append(np.unique(slots * 2 * n + anchors[:, 0] - anchors[:, 1] + n))
+    slot_classes, diffs = np.divmod(np.unique(np.concatenate(classes)), 2 * n)
+    bounds = np.searchsorted(slot_classes, np.arange(len(ds) + 1))
     rows = []
     ceiling = Fraction(14 * n**3, length)
-    for d, hits in _grid_hits(grid, Pattern.corner(3), ds):
-        count = 0 if hits is None else int(np.count_nonzero(hits))
+    first: dict[int, int] = {}
+    for i, d in enumerate(ds):
+        slot = first.setdefault(d, i)
+        count = int(counts[slot])
         ok_transfer = ok_rational = True
-        if count:
-            present = hits.any(axis=0)  # collapse z; axes now [y, x]
-            ys, xs = np.nonzero(present)
-            for diff in np.unique(xs - ys):  # n1 - n2 is x-index minus y-index
-                v = 2 * int(diff) * d
-                if v not in transfer_cache:
-                    transfer_cache[v] = _norm_of_multiple(alpha, v, bound_transfer)
-                    rational_cache[v] = norm_to_nearest_int(Fraction(v * p, q)) <= bound_rational
-                ok_transfer &= transfer_cache[v]
-                ok_rational &= rational_cache[v]
+        for diff in diffs[bounds[slot] : bounds[slot + 1]]:
+            v = 2 * (int(diff) - n) * d
+            if v not in transfer_cache:
+                transfer_cache[v] = _norm_of_multiple(alpha, v, bound_transfer)
+                rational_cache[v] = norm_to_nearest_int(Fraction(v * p, q)) <= bound_rational
+            ok_transfer &= transfer_cache[v]
+            ok_rational &= rational_cache[v]
         rows.append((d, count, ceiling, Fraction(count) <= ceiling, ok_transfer, ok_rational))
     return AvoidanceReport(n, length, rows)
 

@@ -9,17 +9,18 @@ Two kinds of carrier set are supported:
   ``(x,y), (x+d,y), (x,y+d)`` with group arithmetic (wraparound).
 
 Both are stored as packed bit arrays (one Python int holds the whole set).
-Grid patterns are counted on a bool view of the mask, unpacked once, by
-ANDing one cropped slice per pattern point; group corners are counted by
-rotating the packed mask itself.  The spectrum over all admissible
-differences d is the statistic of interest: its maximum entry is the best
-"popular difference" of the set.
+Grid patterns are counted from the members: every copy x + d*T holds two
+members on one line parallel to t_1 - t_0, so the grid kernel pairs up
+members line by line and tests the other pattern points by bit lookups in
+the packed mask.  Group corners are counted by rotating the packed mask
+itself.  The spectrum over all admissible differences d is the statistic
+of interest: its maximum entry is the best "popular difference" of the
+set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -40,7 +41,8 @@ __all__ = [
 ]
 
 # Largest carrier (grid cells or |G|^2 pairs) any reader or materializer
-# will allocate; the grid kernel needs two bytes per cell on top of the mask.
+# will allocate.  The grid kernel needs one more copy of the packed mask
+# (N^k / 8 bytes), about 50 bytes per member and 8 bytes per difference d.
 MAX_CELLS = 400_000_000
 
 
@@ -286,49 +288,130 @@ class GridSet:
         return GridSet.from_cells(np.flip(self.cells(), axis=self.dim - 1 - axis))
 
 
+# bytes of the packed mask unpacked at a time while reading the members, and
+# member pairs tested at a time; both bound the kernel's scratch arrays
+_UNPACK_CHUNK = 1 << 16
+_PAIR_CHUNK = 1 << 15
+
+
+def _member_columns(raw: np.ndarray, side: int, dim: int) -> list[np.ndarray]:
+    """0-based int32 coordinate columns (first coordinate first) of the
+    members of the packed mask `raw`, in flat-index order.  The mask is
+    unpacked a chunk of bytes at a time, never as a whole bool grid."""
+    chunks = [np.zeros(0, dtype=np.int64)]
+    for start in range(0, raw.size, _UNPACK_CHUNK):
+        bits = np.unpackbits(raw[start : start + _UNPACK_CHUNK], bitorder="little")
+        chunks.append(np.flatnonzero(bits) + 8 * start)
+    flats = np.concatenate(chunks)
+    return [(flats // side**j % side).astype(np.int32) for j in range(dim)]
+
+
 def _grid_hits(
     grid: GridSet, pattern: Pattern, ds: Sequence[int]
-) -> Iterator[tuple[int, Optional[np.ndarray]]]:
-    """Yield (d, hits) for each d in `ds`, the one grid pattern kernel.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (slots, anchors) chunks of pattern copies, the one grid kernel.
 
-    Anchors are re-based at the first pattern point t_0: y = x + d*t_0 runs
-    over the box [lo, hi) (0-based, per axis) where every translate
-    y + d*(t - t_0) stays inside the grid, and hits[i] is True when all of
-    them are members for y = lo + i.  hits is None when no anchor is.
+    Each row is one anchor x (1-based, shape (hits, k)) with x + d*t in the
+    set for every pattern point t, where d = ds[slot] and slot is the first
+    position of d in `ds`: a d repeated in `ds` is reported once.  Every
+    copy is yielded once, in no fixed order.
 
-    The packed mask is unpacked once (`GridSet.cells`).  For each
-    d the |T| shifted slices of the box are ANDed into one reusable buffer,
-    stopping as soon as the result is empty; `hits` is a view of that
-    buffer, so it is overwritten by the next step.
+    The members are read once into coordinate columns and sorted into lines
+    parallel to v = t_1 - t_0, ordered by their position along the line.  A
+    copy with difference d holds two members y = x + d*t_0 and y + d*v on
+    one line, d positions apart, so the kernel walks same-line pairs by
+    rank gap g = 1, 2, ...: a pair at gap g has its line-mates at gap g - 1
+    too, so only the survivors of g - 1 are tried.  Each pair serves d and
+    -d at once; the other pattern points are then tested on the candidates
+    by bounds and by a bit test on the packed mask.  The work is the sum
+    over lines of c(c - 1) for c members on a line, against |T| * N^k per d
+    for scanning the grid: cheap on sparse sets, slow on dense ones.
     """
     if grid.dim != pattern.dim:
         raise ValueError(f"dimension mismatch: set {grid.dim}, pattern {pattern.dim}")
+    if 0 in ds:
+        raise ValueError("difference d must be nonzero")
     n, k = grid.side, grid.dim
-    cells = grid.cells()
-    buf = np.empty(n**k, dtype=bool)
-    base = pattern.points[0]
-    # offsets reversed once so offset j lines up with array axis j
-    offsets = [tuple(t[j] - base[j] for j in reversed(range(k))) for t in pattern.points]
-    for d in ds:
-        if d == 0:
-            raise ValueError("difference d must be nonzero")
-        lo = [max(-d * u[j] for u in offsets) for j in range(k)]  # 0-based, >= 0
-        hi = [min(n - d * u[j] for u in offsets) for j in range(k)]  # exclusive
-        if any(lo[j] >= hi[j] for j in range(k)):
-            yield d, None
-            continue
-        shape = tuple(h - l for l, h in zip(lo, hi))
-        out = buf[: prod(shape)].reshape(shape)
-        views = [cells[tuple(slice(lo[j] + d * u[j], hi[j] + d * u[j]) for j in range(k))] for u in offsets]
-        if len(views) == 1:
-            np.copyto(out, views[0])
-        else:
-            np.logical_and(views[0], views[1], out=out)
-        for view in views[2:]:
-            if not out.any():
-                break
-            np.logical_and(out, view, out=out)
-        yield d, out if out.any() else None
+    # slot of d at slot_of[d + reach]; no two members are n or more apart
+    reach = min(n - 1, max(map(abs, ds), default=0))
+    slot_of = np.full(2 * reach + 1, -1, dtype=np.int64)
+    for i in reversed(range(len(ds))):  # the first position of d wins
+        if abs(ds[i]) <= reach:
+            slot_of[ds[i] + reach] = i
+    raw = np.frombuffer(grid.mask.to_bytes((n**k + 7) // 8, "little"), dtype=np.uint8)
+    cols = _member_columns(raw, n, k)
+    t0 = pattern.points[0]
+    offsets = [tuple(t[j] - t0[j] for j in range(k)) for t in pattern.points[1:]]
+
+    def anchors(y: np.ndarray, d) -> np.ndarray:
+        return np.stack([cols[j][y].astype(np.int64) - d * t0[j] + 1 for j in range(k)], axis=1)
+
+    if not offsets:  # one point: every member anchors a copy for every d
+        every = np.arange(cols[0].size)
+        first: dict[int, int] = {}
+        for i, d in enumerate(ds):
+            if first.setdefault(d, i) == i:
+                yield np.full(every.size, i), anchors(every, d)
+        return
+    v, rest = offsets[0], offsets[1:]
+    # member = base + pos*v with base fixed on its line; the line's key is
+    # base, whose axis-a coordinate is the residue r
+    a = next(j for j in range(k) if v[j])
+    r = cols[a] % abs(v[a])
+    pos = (cols[a] - r) // v[a]
+    keys = [cols[j] - pos.astype(np.int64) * v[j] if v[j] else cols[j] for j in range(k) if j != a]
+    if abs(v[a]) > 1:
+        keys.append(r)
+    order = np.lexsort([pos] + keys)  # by line, then by position
+    pos = pos[order]
+    cols = [c[order] for c in cols]
+    line = np.zeros(order.size, dtype=np.int32)
+    for key in keys:
+        key = key[order]
+        line[1:] |= key[1:] != key[:-1]
+    del order, keys, r
+    np.cumsum(line, out=line)
+
+    def copies(y: np.ndarray, d: np.ndarray):
+        """The (slots, anchors) of the candidates y with y + d*v a member."""
+        slot = slot_of[d + reach]
+        keep = slot >= 0
+        y, d, slot = y[keep], d[keep], slot[keep]
+        for w in rest:
+            keep = np.ones(y.size, dtype=bool)
+            flat = np.zeros(y.size, dtype=np.int64)
+            for j in reversed(range(k)):
+                c = cols[j][y] + d * w[j]
+                keep &= (c >= 0) & (c < n)
+                flat = flat * n + c
+            flat = flat[keep]
+            keep[keep] = (raw[flat >> 3] >> (flat & 7).astype(np.uint8) & 1).astype(bool)
+            y, d, slot = y[keep], d[keep], slot[keep]
+        return slot, anchors(y, d)
+
+    gap = 1
+    low = np.flatnonzero(line[1:] == line[:-1])  # pairs (low, low + gap)
+    while low.size:
+        # positions rise along a line, so a pair past reach stays past it
+        low = low[pos[low + gap] - pos[low] <= reach]
+        for start in range(0, low.size, _PAIR_CHUNK):
+            y = low[start : start + _PAIR_CHUNK]
+            dist = (pos[y + gap] - pos[y]).astype(np.int64)
+            for chunk in (copies(y, dist), copies(y + gap, -dist)):  # d and -d
+                if chunk[0].size:
+                    yield chunk
+        gap += 1
+        low = low[low + gap < line.size]
+        low = low[line[low + gap] == line[low]]
+
+
+def _grid_counts(grid: GridSet, pattern: Pattern, ds: Sequence[int]) -> dict[int, int]:
+    """{d: copies of `pattern` in `grid`} for the distinct d of `ds`, in order."""
+    counts = dict.fromkeys(ds, 0)
+    for slots, _ in _grid_hits(grid, pattern, ds):
+        for slot, count in zip(*(a.tolist() for a in np.unique(slots, return_counts=True))):
+            counts[ds[slot]] += count
+    return counts
 
 
 def count_pattern(grid: GridSet, pattern: Pattern, d: int) -> int:
@@ -337,8 +420,7 @@ def count_pattern(grid: GridSet, pattern: Pattern, d: int) -> int:
     The anchor itself need not be a member unless the zero vector is a
     pattern point.
     """
-    ((_, hits),) = _grid_hits(grid, pattern, [d])
-    return 0 if hits is None else int(np.count_nonzero(hits))
+    return _grid_counts(grid, pattern, [d])[d]
 
 
 # ---------------------------------------------------------------------------
@@ -582,9 +664,7 @@ def spectrum(carrier: Union[GridSet, GroupSet], pattern: Optional[Pattern] = Non
         if pattern is None:
             raise ValueError("grid spectra need an explicit pattern")
         ds = [s * m for m in range(1, carrier.side) for s in (1, -1)]
-        return Spectrum(
-            {d: 0 if hits is None else int(np.count_nonzero(hits)) for d, hits in _grid_hits(carrier, pattern, ds)}
-        )
+        return Spectrum(_grid_counts(carrier, pattern, ds))
     if pattern is not None:
         raise ValueError("group spectra are corner spectra; omit the pattern")
     ds = [d for d in carrier.group.elements() if d != carrier.group.identity]

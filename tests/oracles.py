@@ -40,6 +40,20 @@ def corner3_count_oracle(members, ds):
     }
 
 
+def corner3_transfer_classes(members, ds):
+    """{d: {x - y}} over the anchors (x, y, z) of 3-d corners with
+    difference d, by the same member loop as corner3_count_oracle."""
+    members = set(map(tuple, members))
+    return {
+        d: {
+            x - y
+            for x, y, z in members
+            if (x + d, y, z) in members and (x, y + d, z) in members and (x, y, z + d) in members
+        }
+        for d in ds
+    }
+
+
 def corner_count_oracle(members, group, d):
     """Triple-membership loop over all of G x G."""
     members = set(members)

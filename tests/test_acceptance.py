@@ -240,13 +240,15 @@ def test_criterion_7_avoider_chain():
     oracle = corner3_count_oracle(set(grid), sorted(picked | set(busiest)))
     counts = {r[0]: r[1] for r in report.rows}
     agree = all(counts[d] == c for d, c in oracle.items())
-    # spot-check individual quadruples end to end, anchors taken from the
-    # kernel's hit arrays (axes [z, y, x], offset by the anchor box start)
+    # spot-check individual quadruples end to end, one anchor per busy d
+    # taken from the kernel's hit chunks (slot in busiest, 1-based anchor)
+    first_anchor = {}
+    for slots, anchors in _grid_hits(grid, Pattern.corner(3), busiest):
+        for slot, anchor in zip(slots.tolist(), anchors.tolist()):
+            first_anchor.setdefault(busiest[slot], tuple(anchor))
+    assert sorted(first_anchor) == sorted(busiest)
     spot = 0
-    for d, hits in _grid_hits(grid, Pattern.corner(3), busiest):
-        z, y, x = next(zip(*hits.nonzero()))
-        off = max(0, -d) + 1
-        n1, n2, n3 = int(x) + off, int(y) + off, int(z) + off
+    for d, (n1, n2, n3) in first_anchor.items():
         quad = [(n1, n2, n3), (n1 + d, n2, n3), (n1, n2 + d, n3), (n1, n2, n3 + d)]
         assert all(p in grid for p in quad), (d, quad)
         assert check_corner_transfer(avoider.system, avoider.alpha, quad[0], d)

@@ -21,9 +21,9 @@ from cornerforge.avoiders import (
 )
 from cornerforge.behrend import qc_coefficients
 from cornerforge.contfrac import build_alpha_hard
-from cornerforge.patterns import GridSet, Pattern, spectrum
+from cornerforge.patterns import GridSet, Pattern, count_pattern, spectrum
 from cornerforge import avoiders
-from oracles import corner3_count_oracle, lift_oracle
+from oracles import corner3_count_oracle, corner3_transfer_classes, lift_oracle
 
 
 def test_f_quad_values_and_identity():
@@ -163,6 +163,44 @@ def test_avoidance_report_counts_match_packed_kernel():
     assert {r[0]: r[1] for r in report.rows} == oracle
     assert spec.counts == oracle
     assert report.max_count()[1] == max(oracle.values())
+
+
+def test_verify_consults_exactly_the_transfer_classes(monkeypatch):
+    # a kernel with the right counts but the wrong anchors would check the
+    # wrong (x - y, d) classes; record every norm verify asks for
+    avoider = build_corner_avoider(0.25, length=8, q_max=128)
+    grid = avoider.materialize()
+    asked = set()
+    norm = avoiders._norm_of_multiple
+
+    def recording(alpha, value, bound):
+        asked.add(value)
+        return norm(alpha, value, bound)
+
+    monkeypatch.setattr(avoiders, "_norm_of_multiple", recording)
+    report = verify_corner_avoidance(avoider)
+    classes = corner3_transfer_classes(grid, [r[0] for r in report.rows])
+    expected = {2 * diff * d for d, diffs in classes.items() for diff in diffs}
+    assert expected and asked == expected
+
+
+def test_verify_d_values_keep_order_duplicates_and_range():
+    avoider = build_corner_avoider(0.25, length=8, q_max=128)
+    grid = avoider.materialize()
+    n = grid.side
+    # this set has corners for even d only, so 4 and -4 carry the nonzero
+    # counts through the duplicate and the sign
+    ds = [3, 3, -3, 4, -4, 4, n, -(n + 1)]
+    report = verify_corner_avoidance(avoider, d_values=ds)
+    assert [r[0] for r in report.rows] == ds
+    oracle = corner3_count_oracle(grid, ds)
+    assert oracle[4] and oracle[-4] and not oracle[n]
+    assert [r[1] for r in report.rows] == [oracle[d] for d in ds]
+    assert report.all_ok()
+    with pytest.raises(ValueError):
+        count_pattern(grid, Pattern.corner(3), 0)
+    with pytest.raises(ValueError):
+        verify_corner_avoidance(avoider, d_values=[1, 0])
 
 
 def test_theta_constants_values():

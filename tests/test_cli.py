@@ -1,10 +1,14 @@
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
 from cornerforge import avoiders
 from cornerforge.cli import main
-from cornerforge.formats import read_grid_set
+from cornerforge.formats import read_grid_set, write_grid_set
+from cornerforge.patterns import GridSet
+from oracles import corner3_count_oracle
 
 
 def run(capsys, *argv):
@@ -168,6 +172,42 @@ def test_corner3d_construct_then_verify_avoidance(tmp_path, capsys):
     with open(out) as fh:
         grid = read_grid_set(fh)
     assert grid.side <= 80
+
+
+def test_verify_avoidance_fails_on_an_inserted_corner(tmp_path, capsys):
+    out = tmp_path / "A.set"
+    params = tmp_path / "A.params.json"
+    code, _, _ = run(
+        capsys,
+        "construct", "corner3d", "--delta", "0.25", "--length", "8", "--q-max", "80",
+        "-o", str(out), "--params-out", str(params),
+    )
+    assert code == 0
+    with open(out) as fh:
+        grid = read_grid_set(fh)
+    avoider = avoiders.load_avoider(params.read_text(), grid)
+    n, d = grid.side, -3
+    bound = Fraction(1, 9 * avoider.params.length)
+
+    def corner(x, y, z):
+        return [(x, y, z), (x + d, y, z), (x, y + d, z), (x, y, z + d)]
+
+    # the first anchor, in lexicographic order, whose corner is not already
+    # in the set and whose class 2(x - y)d breaks the transfer bound
+    anchor = next(
+        p
+        for p in itertools.product(range(1 - d, n + 1), repeat=3)
+        if not all(q in grid for q in corner(*p))
+        and not avoiders._norm_of_multiple(avoider.alpha, 2 * (p[0] - p[1]) * d, bound)
+    )
+    mutated = GridSet(3, n, list(grid) + corner(*anchor))
+    with open(out, "w") as fh:
+        write_grid_set(fh, mutated)
+    code, stdout, _ = run(capsys, "verify", "avoidance", "--set", str(out), "--params", str(params))
+    assert code == 2
+    payload = json.loads(stdout.strip().splitlines()[-1])
+    assert payload["verified"] is False
+    assert payload["witness"] == {"d": d, "count": corner3_count_oracle(mutated, [d])[d]}
 
 
 def test_mandache_sample_and_report(tmp_path, capsys):
