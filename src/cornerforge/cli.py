@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -306,12 +307,13 @@ def _cmd_count_homs(args):
     with open(args.hypergraph) as fh:
         h = read_hypergraph(fh, args.hypergraph)
     name = args.motif
+    family = re.fullmatch(r"(kforce|edge)([0-9]+)", name)
     if name == "triforce":
         motif = triforce_motif()
-    elif name.startswith("kforce"):
-        motif = kforce_motif(int(name[len("kforce") :]))
-    elif name.startswith("edge"):
-        motif = single_edge_motif(int(name[len("edge") :]))
+    elif family and family[1] == "kforce":
+        motif = kforce_motif(int(family[2]))
+    elif family:
+        motif = single_edge_motif(int(family[2]))
     else:
         raise ValueError(f"unknown motif {name!r}; use triforce, kforceK, or edgeK")
     count = hom_count(motif, h)

@@ -5,7 +5,8 @@ All formats are line-oriented with a one-line header:
   grid set     ``dim <k> side <N>``   then one point per line (k integers)
   group set    ``group zN <N>`` or ``group fp <p> <n>``   then one pair of
                elements per line; vector-group elements are comma-joined
-  hypergraph   ``<k> <n> <m>``        then m lines of k vertex indices
+  hypergraph   ``<k> <n> <m>``        then m lines of k distinct vertex indices
+               in [0, n), no edge on two lines; k >= 2, n >= 1
   kernel       ``<g>``                then g^3 rationals p/q, x fastest
   graph        ``tripartite <N>``     then lines ``XY x y`` / ``YZ y z`` /
                ``XZ x z``
@@ -246,19 +247,33 @@ def read_hypergraph(fh: TextIO, path: str = "<hypergraph>") -> Hypergraph:
     toks = _tokens(header)
     if len(toks) != 3:
         raise ParseError(path, lineno, 1, "expected header 'k n m'")
-    k, n, m = (_int(path, lineno, c, t) for c, t in toks)
-    edges = []
+    (ck, k), (cn, n), (cm, m) = ((c, _int(path, lineno, c, t)) for c, t in toks)
+    if k < 2:
+        raise ParseError(path, lineno, ck, f"uniformity must be at least 2, got {k}")
+    if n < 1:
+        raise ParseError(path, lineno, cn, f"vertex count must be positive, got {n}")
+    if m < 0:
+        raise ParseError(path, lineno, cm, f"edge count must be nonnegative, got {m}")
+    first_line: dict[frozenset, int] = {}  # edge -> the line that gave it
     for lineno, line in lines:
         toks = _tokens(line)
         if len(toks) != k:
             raise ParseError(path, lineno, toks[0][0] if toks else 1, f"expected {k} vertices")
-        edge = frozenset(_int(path, lineno, c, t) for c, t in toks)
+        vertices = []
+        for col, token in toks:
+            v = _int(path, lineno, col, token)
+            if not 0 <= v < n:
+                raise ParseError(path, lineno, col, f"edge vertex {v} outside [0, {n})")
+            vertices.append(v)
+        edge = frozenset(vertices)
         if len(edge) != k:
             raise ParseError(path, lineno, toks[0][0], "edge vertices must be distinct")
-        edges.append(edge)
-    if len(edges) != m:
-        raise ParseError(path, lineno if edges else 1, 1, f"header promised {m} edges, found {len(edges)}")
-    return Hypergraph(k, n, frozenset(edges))
+        if edge in first_line:
+            raise ParseError(path, lineno, toks[0][0], f"edge {sorted(edge)} repeats line {first_line[edge]}")
+        first_line[edge] = lineno
+    if len(first_line) != m:
+        raise ParseError(path, lineno if first_line else 1, 1, f"header promised {m} edges, found {len(first_line)}")
+    return Hypergraph(k, n, frozenset(first_line))
 
 
 def write_hypergraph(fh: TextIO, h: Hypergraph) -> None:

@@ -6,6 +6,11 @@ an edge of the target with all k images distinct; maps collapsing an edge
 are not homomorphisms.  (The convention is forced by the single-triple
 count: one triple admits exactly 6 triforce homomorphisms.)  Vertices not
 sharing an edge may still collide.
+
+hom_count is one exact numpy tensor contraction over the target's adjacency
+tensor (int64 while n^v(motif) < 2^63, Python ints past that), refused
+before allocation when that tensor would pass MAX_CELLS // 64 cells.  numpy
+is imported inside it, so importing this module does not load numpy.
 """
 
 from __future__ import annotations
@@ -90,40 +95,50 @@ def hom_count(motif: Hypergraph, h: Hypergraph) -> int:
     """Number of vertex maps V(motif) -> V(h) sending every motif edge onto
     an edge of h (k distinct images per edge).
 
-    Plain depth-first enumeration with per-level edge checks; deliberately
-    independent of the codegree shortcut in kforce_density so the two can
+    One tensor contraction.  T is h's adjacency tensor: n^k cells, 1 exactly
+    where the k indices are distinct and form an edge, so a map collapsing
+    an edge meets a 0.  ``np.einsum`` takes one copy of T per motif edge
+    along a greedy path, each copy already summed over the edge's vertices
+    that lie in no other edge (T is symmetric, so which axes does not
+    matter): the triforce ``abf,ace,bcd->`` becomes the codegree triangle
+    ``ab,ac,bc->``, n^3 steps instead of n^5.  Each motif vertex in no edge
+    multiplies the count by n.  Every intermediate counts partial maps, at
+    most n^v(motif), so int64 is exact while n^v(motif) < 2^63; past that the
+    contraction runs on Python ints (object dtype).  A target whose T would
+    pass MAX_CELLS // 64 cells (50 MB of int64) is refused with ValueError
+    before anything is allocated; numpy's greedy path keeps every
+    intermediate within the largest operand, so that bounds them too.
+    Independent of the codegree sums in kforce_density, so the two
     cross-check each other.
     """
+    import numpy as np
+
+    from .patterns import MAX_CELLS
+
     if motif.k != h.k:
         raise ValueError(f"uniformity mismatch: motif {motif.k}, target {h.k}")
     if motif.n > 10:
         raise ValueError("motif too large (at most 10 vertices)")
-    k = h.k
-    target = h.edges
-    # edges become checkable once their last vertex (in assignment order) lands
-    checks: list[list[tuple[int, ...]]] = [[] for _ in range(motif.n)]
-    for e in motif.edges:
-        verts = sorted(e)
-        checks[verts[-1]].append(tuple(verts))
-    assign = [0] * motif.n
-    n = h.n
-
-    def descend(level: int) -> int:
-        if level == motif.n:
-            return 1
-        total = 0
-        todo = checks[level]
-        for v in range(n):
-            assign[level] = v
-            for e in todo:
-                img = frozenset(assign[u] for u in e)
-                if len(img) != k or img not in target:
-                    break
-            else:
-                total += descend(level + 1)
-        return total
-
-    return descend(0)
+    k, n = h.k, h.n
+    degree = Counter(v for e in motif.edges for v in e)
+    if not degree:
+        return n**motif.n
+    limit = MAX_CELLS // 64
+    if n**k > limit:
+        raise ValueError(f"adjacency tensor of {n}^{k} cells exceeds the {limit}-cell limit (MAX_CELLS // 64)")
+    terms = ["".join("abcdefghij"[v] for v in sorted(e) if degree[v] > 1) for e in motif.edges]
+    exact = np.int64 if n**motif.n < 2**63 else object
+    tensor = np.zeros((n,) * k, dtype=exact)
+    if h.edges:
+        rows = np.array([sorted(e) for e in h.edges], dtype=np.intp)
+        for perm in itertools.permutations(range(k)):
+            tensor[tuple(rows[:, perm].T)] = 1
+    summed = {r: tensor.sum(axis=tuple(range(k - r))) if r < k else tensor for r in {len(t) for t in terms}}
+    operands = [summed[len(t)] for t in terms]
+    subscripts = ",".join(terms) + "->"
+    path = np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+    count = np.einsum(subscripts, *operands, optimize=path)
+    return int(count) * n ** (motif.n - len(degree))
 
 
 def _codegrees(h: Hypergraph) -> Counter:

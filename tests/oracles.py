@@ -117,6 +117,46 @@ def hom_count_oracle(motif, target):
     return count
 
 
+def hom_count_dfs_oracle(motif, h):
+    """Number of vertex maps V(motif) -> V(h) sending every motif edge onto
+    an edge of h (k distinct images per edge).
+
+    Plain depth-first enumeration with per-level edge checks; it prunes a
+    branch as soon as an edge fails, so it reaches larger targets than the
+    full product of hom_count_oracle.
+    """
+    if motif.k != h.k:
+        raise ValueError(f"uniformity mismatch: motif {motif.k}, target {h.k}")
+    if motif.n > 10:
+        raise ValueError("motif too large (at most 10 vertices)")
+    k = h.k
+    target = h.edges
+    # edges become checkable once their last vertex (in assignment order) lands
+    checks = [[] for _ in range(motif.n)]
+    for e in motif.edges:
+        verts = sorted(e)
+        checks[verts[-1]].append(tuple(verts))
+    assign = [0] * motif.n
+    n = h.n
+
+    def descend(level):
+        if level == motif.n:
+            return 1
+        total = 0
+        todo = checks[level]
+        for v in range(n):
+            assign[level] = v
+            for e in todo:
+                img = frozenset(assign[u] for u in e)
+                if len(img) != k or img not in target:
+                    break
+            else:
+                total += descend(level + 1)
+        return total
+
+    return descend(0)
+
+
 def triforce_weighted_oracle(kernel):
     """Six nested loops over the cells, no factoring."""
     g = kernel.g

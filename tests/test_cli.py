@@ -256,6 +256,23 @@ def test_homs_and_triforce_counts(tmp_path, capsys):
     assert json.loads(stdout)["triforce"] == "1/8"
 
 
+@pytest.mark.parametrize("motif", ["kforceX", "kforce", "edge", "edge3x", "kforce-3", "tri"])
+def test_homs_unknown_motif_exits_1(tmp_path, capsys, motif):
+    hg = tmp_path / "h.hg"
+    hg.write_text("3 3 1\n0 1 2\n")
+    code, _, stderr = run(capsys, "count", "homs", "--motif", motif, "--hypergraph", str(hg))
+    assert code == 1
+    assert stderr.strip() == f"error: unknown motif {motif!r}; use triforce, kforceK, or edgeK"
+
+
+def test_homs_oversized_target_exits_1(tmp_path, capsys):
+    hg = tmp_path / "big.hg"
+    hg.write_text("3 100000 1\n0 1 2\n")
+    code, stdout, stderr = run(capsys, "count", "homs", "--motif", "triforce", "--hypergraph", str(hg))
+    assert code == 1 and not stdout
+    assert stderr.strip() == "error: adjacency tensor of 100000^3 cells exceeds the 6250000-cell limit (MAX_CELLS // 64)"
+
+
 def test_spec_spelled_invocation(tmp_path, capsys):
     # --L alias and positional set path
     out = tmp_path / "lam.set"

@@ -1,4 +1,5 @@
 import io
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cornerforge.behrend import behrend_sum_free
-from cornerforge.diamond import diamond_free_from_ap_free
+from cornerforge.diamond import TripartiteGraph, diamond_free_from_ap_free
 from cornerforge.formats import (
     ParseError,
     read_grid_set,
@@ -313,6 +314,92 @@ def test_hypergraph_round_trip_and_checks():
         read_hypergraph(io.StringIO("3 6 2\n0 1 2\n"))  # promised 2 edges
     with pytest.raises(ParseError):
         read_hypergraph(io.StringIO("3 6 1\n0 1 1\n"))  # repeated vertex
+
+
+# (text, line, column, message) for malformed hypergraph files
+MALFORMED_HYPERGRAPHS = [
+    ("", 1, 1, "empty file"),
+    ("3 5\n", 1, 1, "expected header 'k n m'"),
+    ("3 x 1\n", 1, 3, "expected an integer, got 'x'"),
+    ("1 5 0\n", 1, 1, "uniformity must be at least 2, got 1"),
+    ("# c\n 0 5 0\n", 2, 2, "uniformity must be at least 2, got 0"),
+    ("3 0 0\n", 1, 3, "vertex count must be positive, got 0"),
+    ("3  -2 0\n", 1, 4, "vertex count must be positive, got -2"),
+    ("3 5 -1\n", 1, 5, "edge count must be nonnegative, got -1"),
+    ("3 5 1\n0 1\n", 2, 1, "expected 3 vertices"),
+    ("3 5 1\n0 1 y\n", 2, 5, "expected an integer, got 'y'"),
+    ("3 5 1\n0 1 1\n", 2, 1, "edge vertices must be distinct"),
+    ("3 5 1\n0 1 5\n", 2, 5, "edge vertex 5 outside [0, 5)"),
+    ("3 5 1\n-1 1 2\n", 2, 1, "edge vertex -1 outside [0, 5)"),
+    ("2 3 2\n0 1\n  1  30\n", 3, 6, "edge vertex 30 outside [0, 3)"),
+    ("3 5 2\n0 1 2\n2 1 0\n", 3, 1, "edge [0, 1, 2] repeats line 2"),
+    ("# c\n3 5 3\n0 1 2\n1 2 3\n\n  2 0 1\n", 6, 3, "edge [0, 1, 2] repeats line 3"),
+    ("3 5 2\n0 1 2\n", 2, 1, "header promised 2 edges, found 1"),
+    ("3 5 0\n0 1 2\n", 2, 1, "header promised 0 edges, found 1"),
+]
+
+
+@pytest.mark.parametrize("text,line,column,message", MALFORMED_HYPERGRAPHS)
+def test_hypergraph_parse_error_positions(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        read_hypergraph(io.StringIO(text), "h.hg")
+    assert str(err.value) == f"h.hg:{line}:{column}: {message}"
+
+
+@st.composite
+def hypergraphs(draw):
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 7))
+    cells = [frozenset(e) for e in itertools.combinations(range(n), k)]
+    return Hypergraph(k, n, frozenset(draw(st.sets(st.sampled_from(cells)))) if cells else frozenset())
+
+
+@settings(max_examples=100, deadline=None)
+@given(hypergraphs())
+def test_hypergraph_write_read_round_trip(h):
+    buf = io.StringIO()
+    write_hypergraph(buf, h)
+    # header, then one sorted edge per line in sorted order
+    edges = sorted(sorted(e) for e in h.edges)
+    assert buf.getvalue() == f"{h.k} {h.n} {len(edges)}\n" + "".join(" ".join(map(str, e)) + "\n" for e in edges)
+    buf.seek(0)
+    assert read_hypergraph(buf) == h
+
+
+@st.composite
+def step_kernels(draw):
+    g = draw(st.integers(1, 3))
+    value = st.fractions(min_value=0, max_value=1, max_denominator=1000)
+    return StepKernel(g, [[[draw(value) for _ in range(g)] for _ in range(g)] for _ in range(g)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_kernels())
+def test_kernel_write_read_round_trip(w):
+    assert round_trip(write_kernel, read_kernel, w) == w
+
+
+@st.composite
+def tripartite_graphs(draw):
+    side = draw(st.integers(1, 5))
+    pairs = st.sets(st.tuples(st.integers(0, side - 1), st.integers(0, side - 1)), max_size=12)
+    return TripartiteGraph(side, frozenset(draw(pairs)), frozenset(draw(pairs)), frozenset(draw(pairs)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tripartite_graphs())
+def test_tripartite_write_read_round_trip(graph):
+    assert round_trip(write_tripartite, read_tripartite, graph) == graph
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 300).flatmap(lambda length: st.tuples(st.sets(st.integers(0, length - 1)), st.just(length))))
+def test_residue_write_read_round_trip(case):
+    members, length = case
+    buf = io.StringIO()
+    write_residues(buf, members, length)
+    buf.seek(0)
+    assert read_residues(buf) == (frozenset(members), length)
 
 
 def test_kernel_round_trip_order():

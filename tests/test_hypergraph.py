@@ -1,9 +1,14 @@
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cornerforge import hypergraph, patterns
 from cornerforge.hypergraph import (
     Hypergraph,
     StepKernel,
@@ -16,7 +21,7 @@ from cornerforge.hypergraph import (
     triforce_motif,
     triforce_weighted,
 )
-from oracles import hom_count_oracle, prune_oracle, triforce_weighted_oracle
+from oracles import hom_count_dfs_oracle, hom_count_oracle, prune_oracle, triforce_weighted_oracle
 
 SINGLE_TRIPLE = Hypergraph(3, 3, frozenset({frozenset({0, 1, 2})}))
 
@@ -52,6 +57,79 @@ def test_hom_count_examples():
     assert hom_count_oracle(kforce_motif(4), four) == 24
     with pytest.raises(ValueError):
         hom_count(kforce_motif(3), four)
+
+
+@st.composite
+def motif_and_target(draw):
+    """A k-uniform motif (edges drawn from few vertices, so they share some;
+    vertices beyond the edges stay isolated) and a random target, n < k and
+    n = 0 included."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    span = draw(st.integers(0, 5))
+    pool = [frozenset(e) for e in itertools.combinations(range(span), k)]
+    motif_edges = draw(st.sets(st.sampled_from(pool), max_size=4)) if pool else set()
+    isolated = draw(st.integers(0, 6 - span))
+    motif = Hypergraph(k, span + isolated, frozenset(motif_edges))
+    n = draw(st.integers(0, 5))
+    cells = [frozenset(e) for e in itertools.combinations(range(n), k)]
+    target = Hypergraph(k, n, frozenset(draw(st.sets(st.sampled_from(cells)))) if cells else frozenset())
+    return motif, target
+
+
+TRIPLE_OF_FIVE = Hypergraph(3, 5, frozenset({frozenset({0, 1, 2}), frozenset({1, 2, 4})}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(motif_and_target())
+@example((triforce_motif(), TRIPLE_OF_FIVE))
+@example((Hypergraph(3, 5, frozenset({frozenset({0, 1, 2})})), TRIPLE_OF_FIVE))  # two isolated vertices
+@example((Hypergraph(3, 4, frozenset()), TRIPLE_OF_FIVE))  # no edges: every map counts
+@example((Hypergraph(2, 3, frozenset()), Hypergraph(2, 0, frozenset())))
+@example((Hypergraph(2, 0, frozenset()), Hypergraph(2, 0, frozenset())))  # the empty map
+@example((single_edge_motif(4), Hypergraph(4, 3, frozenset())))  # n < k
+@example((kforce_motif(2), Hypergraph.complete(2, 4)))
+def test_hom_count_matches_dfs_oracle(case):
+    motif, target = case
+    assert hom_count(motif, target) == hom_count_dfs_oracle(motif, target)
+
+
+def test_hom_count_exact_past_int64():
+    # 200 * 199^9 is about 1.0e23 > 2^63: the contraction runs on Python ints
+    path = Hypergraph(2, 10, frozenset(frozenset({i, i + 1}) for i in range(9)))
+    assert hom_count(path, Hypergraph.complete(2, 200)) == 200 * 199**9
+
+
+def test_hom_count_on_the_benchmark_graph():
+    # the triforce chain's 3-graph (variant 0 of its relabelings), counted by
+    # the contraction alone: the DFS oracle needs about 3 s on it
+    n, m = 30, 150
+    base = random.Random("triforce:graph").sample(list(itertools.combinations(range(n), 3)), m)
+    label = random.Random("triforce:0").sample(range(n), n)
+    h = Hypergraph(3, n, frozenset(frozenset(label[v] for v in e) for e in base))
+    count = hom_count(triforce_motif(), h)
+    assert count == 29_208
+    assert count == kforce_density(h) * n**6
+
+
+def test_hom_count_refuses_an_oversized_target():
+    limit = patterns.MAX_CELLS // 64
+    with pytest.raises(ValueError, match=f"200\\^3 cells exceeds the {limit}-cell limit"):
+        hom_count(triforce_motif(), Hypergraph(3, 200, frozenset()))  # T alone: 8.0e6 cells
+    assert hom_count(single_edge_motif(2), Hypergraph(2, 2000, frozenset({frozenset({0, 1})}))) == 2
+    assert hom_count(Hypergraph(3, 2, frozenset()), Hypergraph(3, 200, frozenset())) == 200**2  # no T needed
+
+
+def test_hypergraph_module_loads_without_numpy():
+    # loaded on its own, outside the package __init__, in a fresh interpreter
+    code = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('cornerforge_hypergraph', {hypergraph.__file__!r})\n"
+        "module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(module)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_edge_density_equals_single_edge_homs():
