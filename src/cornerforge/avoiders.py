@@ -274,10 +274,16 @@ class CornerAvoider(_AvoiderBase):
         coords = np.arange(1, n + 1, dtype=np.int64)
         xs = coords[None, :]  # x varies fastest
         ys = coords[:, None]
-        cube = np.empty((n, n, n), dtype=bool)  # [z, y, x], as GridSet.cells
-        for z in range(1, n + 1):
-            cube[z - 1] = lookup[(xs - ys) * (xs + ys - 2 * z) + vmax]
-        self._grid = GridSet.from_cells(cube)
+        diff = xs - ys
+        base = diff * (xs + ys) + vmax  # (x - y)(x + y - 2z) + vmax at z = 0
+        blocks = []
+        # 8 z-slabs are 8n^2 bits, whole bytes, so the packed blocks join
+        # end to end into the mask without an n^3 bool cube
+        for z0 in range(1, n + 1, 8):
+            zs = np.arange(z0, min(z0 + 8, n + 1), dtype=np.int64)[:, None, None]
+            slabs = lookup[base - 2 * zs * diff]  # [z, y, x], as GridSet.cells
+            blocks.append(np.packbits(slabs, axis=None, bitorder="little").tobytes())
+        self._grid = GridSet.from_mask(3, n, int.from_bytes(b"".join(blocks), "little"))
         return self._grid
 
 

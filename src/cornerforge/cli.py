@@ -47,6 +47,7 @@ from .formats import (
     write_group_set,
     write_residues,
     write_spectrum_csv,
+    write_spectrum_json,
 )
 from .hypergraph import (
     edge_density,
@@ -277,17 +278,7 @@ def _cmd_count_spectrum(args):
         if args.format == "csv":
             write_spectrum_csv(fh, spec)
         else:
-            best = spec.max_entry()
-            json.dump(
-                {
-                    "counts": {key: count for key, count in spec.rows()},
-                    "total": spec.total(),
-                    "max_d": None if best is None else str(best[0]),
-                    "max_count": None if best is None else best[1],
-                },
-                fh,
-                indent=2,
-            )
+            write_spectrum_json(fh, spec)
             fh.write("\n")
     return EXIT_OK
 

@@ -7,28 +7,33 @@ All formats are line-oriented with a one-line header:
                elements per line; vector-group elements are comma-joined
   hypergraph   ``<k> <n> <m>``        then m lines of k distinct vertex indices
                in [0, n), no edge on two lines; k >= 2, n >= 1
-  kernel       ``<g>``                then g^3 rationals p/q, x fastest
+  kernel       ``<g>``                then g^3 rationals p/q, x fastest; g >= 1
   graph        ``tripartite <N>``     then lines ``XY x y`` / ``YZ y z`` /
-               ``XZ x z``
+               ``XZ x z``; N >= 1
 
 Residue sets in {0..L-1} (the solution-free constructions) use the 1-based
 grid format with side L by storing value+1; translation-invariant relations
 are unaffected by the shift, and loaders undo it.  Parse errors carry
 line/column positions.
+
+Grid and group sets in the canonical form the writers emit are parsed in
+bulk with numpy; text in any other spelling goes through the per-line
+reader, which yields the same set and gives every diagnostic.
 """
 
 from __future__ import annotations
 
 import csv
 from fractions import Fraction
-from typing import Iterable, TextIO
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
 from .diamond import TripartiteGraph
 from .hypergraph import Hypergraph, StepKernel
 from .contfrac import _is_prime
-from .patterns import MAX_CELLS, GridSet, Group, GroupSet, Spectrum, _iter_flats, _mask_from_flats
+from .patterns import MAX_CELLS, GridSet, Group, GroupSet, Spectrum, _iter_flats, _member_columns
 
 __all__ = [
     "ParseError",
@@ -45,6 +50,7 @@ __all__ = [
     "read_tripartite",
     "write_tripartite",
     "write_spectrum_csv",
+    "write_spectrum_json",
 ]
 
 
@@ -54,8 +60,16 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line}:{column}: {message}")
 
 
-# coordinate values up to this many get a name table in read_grid_set
-_NAMED_COORDS = 1 << 12
+# characters of set text parsed at a time: small, so the bulk parser's
+# scratch arrays stay far below the mask they fill
+_CHUNK_CHARS = 1 << 13
+
+# the least value of each digit count with no leading zero (a lone 0 has none)
+_LEAST = np.array([0, 0] + [10**k for k in range(1, 18)], dtype=np.int64)
+_BITS = np.array([1 << b for b in range(8)], dtype=np.uint8)
+
+# members named and written at a time by write_grid_set
+_WRITE_ROWS = 1 << 16
 
 
 def _tokens(line: str) -> list[tuple[int, str]]:
@@ -94,6 +108,84 @@ def _data_lines(fh: TextIO):
             yield lineno, line
 
 
+def _line_chunks(fh: TextIO) -> Iterator[str]:
+    """The rest of `fh` in pieces of about _CHUNK_CHARS characters, each
+    ending in '\\n'; a last line without one gets it."""
+    tail: list[str] = []
+    while piece := fh.read(_CHUNK_CHARS):
+        cut = piece.rfind("\n") + 1
+        if cut:
+            yield "".join(tail) + piece[:cut]
+            tail = [piece[cut:]]
+        else:
+            tail.append(piece)
+    if rest := "".join(tail):
+        yield rest + "\n"
+
+
+def _strict_flats(text: str, seps: bytes, low: int, high: int, weights: list[int]) -> Optional[np.ndarray]:
+    """Flat indices of the lines of `text` if all of it is in strict form,
+    else None.
+
+    Strict form is what the writers emit: ASCII digits and separators only,
+    the separators of every line exactly `seps` (ending in '\\n'), no empty
+    token, no sign, no leading zero and every value in [low, high].  Token j
+    of a line adds (value - low) * weights[j] to its flat index.
+    """
+    try:
+        raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+    ends = np.flatnonzero((raw < 48) | (raw > 57))  # the separator after each token
+    per_line = len(seps)
+    if ends.size % per_line or not (raw[ends].reshape(-1, per_line) == np.frombuffer(seps, np.uint8)).all():
+        return None
+    length = np.diff(ends, prepend=-1) - 1
+    width = len(str(high))
+    if length.min() < 1 or length.max() > width:
+        return None
+    values = np.zeros(ends.size, dtype=np.int64)
+    for place in range(width):  # digit `place` from the right of every token
+        digit = raw.take(ends - 1 - place, mode="clip").astype(np.int64) - 48
+        values += np.where(length > place, digit, 0) * 10**place
+    # a leading zero leaves a value below the least one of its digit count
+    if values.min() < low or values.max() > high or not (values >= _LEAST[length]).all():
+        return None
+    rows = values.reshape(-1, per_line) - low
+    flats = rows[:, 0] * weights[0]
+    for j in range(1, per_line):
+        flats += rows[:, j] * weights[j]
+    return flats
+
+
+def _read_mask(
+    fh: TextIO,
+    lineno: int,
+    nbits: int,
+    seps: bytes,
+    low: int,
+    high: int,
+    weights: list[int],
+    flat_of_line: Callable[[int, str], int],
+) -> int:
+    """The packed mask of the set lines after the header, which is line
+    `lineno`.  Chunks in strict form are parsed in bulk; any other chunk goes
+    line by line through flat_of_line(lineno, line), which raises the
+    ParseError of a bad line, so every input reads as the per-line reader
+    alone would read it."""
+    buf = np.zeros((nbits + 7) // 8, dtype=np.uint8)
+    for text in _line_chunks(fh):
+        flats = _strict_flats(text, seps, low, high, weights)
+        if flats is None:
+            lines = enumerate(text.split("\n")[:-1], start=lineno + 1)
+            flats = np.array([flat_of_line(n, line) for n, line in lines if _is_data(line)], dtype=np.int64)
+        np.bitwise_or.at(buf, flats >> 3, _BITS[flats & 7])
+        lineno += text.count("\n")
+    data = buf.tobytes()
+    del buf  # so the int is built beside one copy of the bytes, not two
+    return int.from_bytes(data, "little")
+
+
 def _grid_point(path: str, lineno: int, line: str, dim: int, side: int) -> tuple[int, ...]:
     """The point on a grid-set data line, with every check at its position."""
     toks = _tokens(line)
@@ -123,46 +215,27 @@ def read_grid_set(fh: TextIO, path: str = "<grid set>") -> GridSet:
     _check_cells(path, lineno, toks[3][0], side, dim, f"side {side} in dim {dim}")
 
     weights = [side**j for j in range(dim)]
-    # canonical coordinate names, so most tokens skip int(); bounded so a
-    # 1-d header with a huge side does not cost a dict entry per cell
-    known = {str(c): c - 1 for c in range(1, min(side, _NAMED_COORDS) + 1)}.get
-    buf = bytearray((side**dim + 7) // 8)
+
+    def flat_of_line(lineno: int, line: str) -> int:
+        return sum((c - 1) * w for c, w in zip(_grid_point(path, lineno, line, dim, side), weights))
+
     # the header came from `lines`, which has read nothing past it
-    for lineno, line in enumerate(fh, start=lineno + 1):
-        # fast path: exactly `dim` single-space-separated in-range integers,
-        # which is never a blank or comment line
-        fields = line.rstrip("\n").split(" ")
-        flat = 0
-        try:
-            if len(fields) != dim:
-                raise ValueError
-            for token, weight in zip(fields, weights):
-                c = known(token)
-                if c is None:
-                    c = int(token) - 1
-                    if not 0 <= c < side:
-                        raise ValueError
-                flat += c * weight
-        except ValueError:
-            if not _is_data(line):
-                continue
-            # anything else gets the full checks: the same point, or a ParseError
-            flat = sum((c - 1) * w for c, w in zip(_grid_point(path, lineno, line, dim, side), weights))
-        buf[flat >> 3] |= 1 << (flat & 7)
-    return GridSet.from_mask(dim, side, int.from_bytes(buf, "little"))
+    seps = b" " * (dim - 1) + b"\n"
+    mask = _read_mask(fh, lineno, side**dim, seps, 1, side, weights, flat_of_line)
+    return GridSet.from_mask(dim, side, mask)
 
 
 def write_grid_set(fh: TextIO, grid: GridSet) -> None:
-    n = grid.side
-    fh.write(f"dim {grid.dim} side {n}\n")
-    flats = np.flatnonzero(grid.cells())
-    columns = []
-    for j in range(grid.dim):
-        # name each distinct coordinate once, then index the names
-        values, where = np.unique(flats // n**j % n, return_inverse=True)
-        names = np.array([str(v + 1) for v in values.tolist()], dtype=object)
-        columns.append(names[where].tolist())
-    fh.writelines(" ".join(point) + "\n" for point in zip(*columns))
+    fh.write(f"dim {grid.dim} side {grid.side}\n")
+    columns = _member_columns(grid.packed(), grid.side, grid.dim)
+    for start in range(0, columns[0].size, _WRITE_ROWS):
+        named = []
+        for column in columns:
+            # name each distinct coordinate once, then index the names
+            values, where = np.unique(column[start : start + _WRITE_ROWS], return_inverse=True)
+            names = np.array([str(v + 1) for v in values.tolist()], dtype=object)
+            named.append(names[where].tolist())
+        fh.writelines(" ".join(point) + "\n" for point in zip(*named))
 
 
 def read_residues(fh: TextIO, path: str = "<residue set>") -> tuple[frozenset, int]:
@@ -207,27 +280,29 @@ def read_group_set(fh: TextIO, path: str = "<group set>") -> GroupSet:
         raise ParseError(path, lineno, toks[1][0] if len(toks) > 1 else 1, "unknown group kind")
 
     order = group.order
-    index = {group.format_element(e): i for i, e in enumerate(group.elements())}
 
     def element_index(lineno: int, col: int, token: str) -> int:
-        i = index.get(token)
-        if i is not None:
-            return i
-        # not a canonical name: `-1`, `4,0` and the like still parse
         try:
             return group.index(group.parse_element(token))
         except ValueError:
             raise ParseError(path, lineno, col, f"bad group element {token!r}") from None
 
-    def flats():
-        for lineno, line in lines:
-            toks = _tokens(line)
-            if len(toks) != 2:
-                raise ParseError(path, lineno, toks[0][0] if toks else 1, "expected two elements")
-            (cx, x), (cy, y) = toks
-            yield element_index(lineno, cx, x) * order + element_index(lineno, cy, y)
+    def flat_of_line(lineno: int, line: str) -> int:
+        toks = _tokens(line)
+        if len(toks) != 2:
+            raise ParseError(path, lineno, toks[0][0] if toks else 1, "expected two elements")
+        (cx, x), (cy, y) = toks
+        return element_index(lineno, cx, x) * order + element_index(lineno, cy, y)
 
-    return GroupSet.from_mask(group, _mask_from_flats(flats(), order * order))
+    if group.kind == "zN":
+        seps, high, weights = b" \n", order - 1, [order, 1]
+    else:  # digits least significant first, x's then y's
+        p, n = group.params
+        digits = b"," * (n - 1)
+        seps, high = digits + b" " + digits + b"\n", p - 1
+        weights = [p ** (n + j) for j in range(n)] + [p**j for j in range(n)]
+    # the header came from `lines`, which has read nothing past it
+    return GroupSet.from_mask(group, _read_mask(fh, lineno, order * order, seps, 0, high, weights, flat_of_line))
 
 
 def write_group_set(fh: TextIO, pairs: GroupSet) -> None:
@@ -299,6 +374,8 @@ def read_kernel(fh: TextIO, path: str = "<kernel>") -> StepKernel:
     if len(toks) != 1:
         raise ParseError(path, lineno, 1, "expected header '<g>'")
     g = _int(path, lineno, toks[0][0], toks[0][1])
+    if g < 1:
+        raise ParseError(path, lineno, toks[0][0], f"grid resolution must be positive, got {g}")
     flat = []
     for lineno, line in lines:
         for col, token in _tokens(line):
@@ -335,6 +412,8 @@ def read_tripartite(fh: TextIO, path: str = "<graph>") -> TripartiteGraph:
     if len(toks) != 2 or toks[0][1] != "tripartite":
         raise ParseError(path, lineno, 1, "expected header 'tripartite N'")
     side = _int(path, lineno, toks[1][0], toks[1][1])
+    if side < 1:
+        raise ParseError(path, lineno, toks[1][0], f"side must be positive, got {side}")
     families: dict[str, list] = {"XY": [], "YZ": [], "XZ": []}
     for lineno, line in lines:
         toks = _tokens(line)
@@ -363,3 +442,17 @@ def write_spectrum_csv(fh: TextIO, spec: Spectrum) -> None:
     for key, count in spec.rows():
         writer.writerow([key, count])
 
+
+def write_spectrum_json(fh: TextIO, spec: Spectrum) -> None:
+    """The bytes `json.dump` writes with indent=2 for {"counts": {key:
+    count}, "total", "max_d", "max_count"}, written a row at a time."""
+    best = spec.max_entry()
+    fh.write('{\n  "counts": {')
+    lead = "\n    "
+    for key, count in spec.rows():
+        fh.write(f"{lead}{encode_basestring_ascii(key)}: {count}")
+        lead = ",\n    "
+    fh.write("}" if lead == "\n    " else "\n  }")
+    max_d = "null" if best is None else encode_basestring_ascii(str(best[0]))
+    max_count = "null" if best is None else best[1]
+    fh.write(f',\n  "total": {spec.total()},\n  "max_d": {max_d},\n  "max_count": {max_count}\n}}')

@@ -234,12 +234,15 @@ class GridSet:
     def mask(self) -> int:
         return self._mask
 
+    def packed(self) -> np.ndarray:
+        """The mask as little-endian bytes: bit f of the array is cell f."""
+        return np.frombuffer(self._mask.to_bytes((self.side**self.dim + 7) // 8, "little"), dtype=np.uint8)
+
     def cells(self) -> np.ndarray:
         """The set as a fresh bool array with axes [x_k .. x_1] (first
         coordinate fastest), one byte per cell."""
         n, k = self.side, self.dim
-        raw = np.frombuffer(self._mask.to_bytes((n**k + 7) // 8, "little"), dtype=np.uint8)
-        return np.unpackbits(raw, count=n**k, bitorder="little").view(bool).reshape((n,) * k)
+        return np.unpackbits(self.packed(), count=n**k, bitorder="little").view(bool).reshape((n,) * k)
 
     def _checked_flat(self, p: tuple[int, ...]) -> int:
         p = tuple(int(c) for c in p)
@@ -301,7 +304,8 @@ def _member_columns(raw: np.ndarray, side: int, dim: int) -> list[np.ndarray]:
     chunks = [np.zeros(0, dtype=np.int64)]
     for start in range(0, raw.size, _UNPACK_CHUNK):
         bits = np.unpackbits(raw[start : start + _UNPACK_CHUNK], bitorder="little")
-        chunks.append(np.flatnonzero(bits) + 8 * start)
+        # flatnonzero is several times faster on bool than on uint8
+        chunks.append(np.flatnonzero(bits.view(bool)) + 8 * start)
     flats = np.concatenate(chunks)
     return [(flats // side**j % side).astype(np.int32) for j in range(dim)]
 
@@ -338,7 +342,7 @@ def _grid_hits(
     for i in reversed(range(len(ds))):  # the first position of d wins
         if abs(ds[i]) <= reach:
             slot_of[ds[i] + reach] = i
-    raw = np.frombuffer(grid.mask.to_bytes((n**k + 7) // 8, "little"), dtype=np.uint8)
+    raw = grid.packed()
     cols = _member_columns(raw, n, k)
     t0 = pattern.points[0]
     offsets = [tuple(t[j] - t0[j] for j in range(k)) for t in pattern.points[1:]]

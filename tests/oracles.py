@@ -327,3 +327,23 @@ def lift_oracle(pattern_points, base_members, base_dim, base_side):
     side = max(max(img[r] for img in images) - lows[r] + 1 for r in range(k))
     return side, {tuple(img[r] - lows[r] + 1 for r in range(k)) for img in images}
 
+
+
+def set_text_oracle(text):
+    """The members of a grid-set or group-set text, read line by line with
+    int(): 1-based point tuples for a grid set, (x, y) pairs of residues or
+    of digit tuples mod p for a group set.  Blank and '#' lines are skipped;
+    the text is assumed well formed."""
+    lines = [line for line in text.split("\n") if line.strip() and not line.lstrip().startswith("#")]
+    head = lines[0].split()
+    members = set()
+    for line in lines[1:]:
+        tokens = [t for t in line.split(" ") if t]
+        if head[0] == "dim":
+            members.add(tuple(int(t) for t in tokens))
+        elif head[1] == "zN":
+            members.add(tuple(int(t) % int(head[2]) for t in tokens))
+        else:
+            p = int(head[2])
+            members.add(tuple(tuple(int(c) % p for c in t.split(",")) for t in tokens))
+    return members

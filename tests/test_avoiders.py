@@ -87,6 +87,16 @@ def test_corner_avoider_small_pipeline():
         assert (point in grid) == (point in avoider)
 
 
+def test_corner_materialize_matches_membership_on_every_cell():
+    # side 37 is no multiple of 8, so the last block of packed z-slabs is short
+    avoider = build_corner_avoider(0.25, length=8, q_max=40)
+    grid = avoider.materialize()
+    n = grid.side
+    assert n % 8 and len(grid)
+    for point in itertools.product(range(1, n + 1), repeat=3):
+        assert (point in grid) == (point in avoider)
+
+
 def test_corner_avoider_full_lambda_reduces_to_measure_one_ninth():
     # no avoidance: every slot used, membership is a plain fractional test
     avoider = build_corner_avoider(0.25, length=8, q_max=128)

@@ -287,3 +287,11 @@ def test_unknown_subcommand_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["construct", "nonsense"])
     assert exc.value.code == 1
+
+
+def test_kernel_with_no_cells_exits_1_with_position(tmp_path, capsys):
+    kern = tmp_path / "zero.kern"
+    kern.write_text("0\n")
+    code, stdout, stderr = run(capsys, "count", "triforce", "--kernel", str(kern))
+    assert code == 1 and not stdout
+    assert stderr.strip() == f"error: {kern}:1:1: grid resolution must be positive, got 0"

@@ -1,11 +1,14 @@
 import io
 import itertools
+import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cornerforge import formats
 from cornerforge.behrend import behrend_sum_free
 from cornerforge.diamond import TripartiteGraph, diamond_free_from_ap_free
 from cornerforge.formats import (
@@ -21,10 +24,12 @@ from cornerforge.formats import (
     write_hypergraph,
     write_kernel,
     write_residues,
+    write_spectrum_json,
     write_tripartite,
 )
 from cornerforge.hypergraph import Hypergraph, StepKernel
-from cornerforge.patterns import GridSet, Group, GroupSet
+from cornerforge.patterns import GridSet, Group, GroupSet, Spectrum
+from oracles import set_text_oracle
 
 
 def round_trip(write, read, value):
@@ -109,6 +114,10 @@ BAD_HEADERS = [
     (read_group_set, "group fp 4 2\n0,0 0,0\n", 1, 10, "p must be prime, got 4"),
     (read_group_set, "group fp 91 1\n", 1, 10, "p must be prime, got 91"),
     (read_group_set, "\ngroup fp 3 0\n", 2, 12, "exponent must be positive, got 0"),
+    (read_tripartite, "tripartite 0\n", 1, 12, "side must be positive, got 0"),
+    (read_tripartite, "tripartite -2\nXY 0 1\n", 1, 12, "side must be positive, got -2"),
+    (read_kernel, "0\n", 1, 1, "grid resolution must be positive, got 0"),
+    (read_kernel, "# w\n  -3\n", 2, 3, "grid resolution must be positive, got -3"),
 ]
 
 
@@ -449,3 +458,129 @@ def test_tripartite_round_trip():
     assert again == g
     with pytest.raises(ParseError):
         read_tripartite(io.StringIO("tripartite 2\nXW 0 1\n"))
+
+
+# (text, seps, low, high, weights, flats or None): the strict form the bulk
+# parser takes, and spellings it must leave to the per-line reader
+STRICT_CHUNKS = [
+    ("1 2\n", b" \n", 1, 12, [1, 12], [12]),
+    ("12 12\n3 1\n", b" \n", 1, 12, [1, 12], [143, 2]),
+    ("7\n10\n", b"\n", 1, 10, [1], [6, 9]),
+    ("0 9\n", b" \n", 0, 9, [10, 1], [9]),
+    ("1,2 0,1\n", b", ,\n", 0, 2, [9, 27, 1, 3], [66]),
+    ("01 2\n", b" \n", 1, 12, [1, 12], None),
+    ("00 1\n", b" \n", 0, 9, [10, 1], None),
+    ("0 2\n", b" \n", 1, 12, [1, 12], None),
+    ("13 1\n", b" \n", 1, 12, [1, 12], None),
+    ("10 1\n", b" \n", 0, 9, [10, 1], None),
+    ("100 1\n", b" \n", 1, 12, [1, 12], None),
+    ("+1 2\n", b" \n", 1, 12, [1, 12], None),
+    ("1  2\n", b" \n", 1, 12, [1, 12], None),
+    ("1 2 \n", b" \n", 1, 12, [1, 12], None),
+    (" 1 2\n", b" \n", 1, 12, [1, 12], None),
+    ("1\t2\n", b" \n", 1, 12, [1, 12], None),
+    ("1 2\r\n", b" \n", 1, 12, [1, 12], None),
+    ("1 2\n\n", b" \n", 1, 12, [1, 12], None),
+    ("1 2\n3\n", b" \n", 1, 12, [1, 12], None),
+    ("# c\n", b" \n", 1, 12, [1, 12], None),
+    ("1 \u0661\n", b" \n", 1, 12, [1, 12], None),
+    ("1,2,0 0,1\n", b", ,\n", 0, 2, [9, 27, 1, 3], None),
+    ("1,2 0 1\n", b", ,\n", 0, 2, [9, 27, 1, 3], None),
+]
+
+
+@pytest.mark.parametrize("text,seps,low,high,weights,flats", STRICT_CHUNKS)
+def test_strict_form(text, seps, low, high, weights, flats):
+    got = formats._strict_flats(text, seps, low, high, weights)
+    assert (got is None) if flats is None else got.tolist() == flats
+
+
+@st.composite
+def set_texts(draw):
+    """A grid-set or group-set text whose lines are canonical in any order,
+    with repeats, sometimes a blank, comment or zero-padded line among them
+    and sometimes no final line end; with the chunk size to read it in."""
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 3))
+        side = draw(st.sampled_from([1, 2, 9, 10, 11, 257, 1000] if dim < 3 else [1, 2, 5, 12]))
+        points = draw(st.lists(st.tuples(*[st.integers(1, side)] * dim), max_size=50))
+        header, lines = f"dim {dim} side {side}\n", [" ".join(map(str, p)) for p in points]
+    else:
+        group = draw(st.sampled_from(IO_GROUPS + [Group.zmod(10), Group.zmod(101), Group.vector(11, 2)]))
+        names = st.sampled_from([group.format_element(e) for e in group.elements()])
+        pairs = draw(st.lists(st.tuples(names, names), max_size=50))
+        header, lines = f"group {group.label()}\n", [f"{x} {y}" for x, y in pairs]
+    padded = [f"0{line}" for line in lines]
+    for _ in range(draw(st.integers(0, 2))):
+        odd = draw(st.sampled_from(["", "  ", "# note", "  # 1 1"] + padded))
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    end = draw(st.sampled_from(["\n", ""])) if lines else ""
+    return header + "\n".join(lines) + end, draw(st.sampled_from([1, 7, 13, 64, formats._CHUNK_CHARS]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(set_texts())
+def test_readers_agree_with_line_oracle(case):
+    text, chunk = case
+    read = read_grid_set if text.startswith("dim") else read_group_set
+    with mock.patch.object(formats, "_CHUNK_CHARS", chunk):
+        got = read(io.StringIO(text))
+    assert set(got) == set_text_oracle(text)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 13])
+def test_lines_straddling_chunk_edges(chunk, monkeypatch):
+    grid = GridSet(3, 12, [(x, y, (x * y) % 12 + 1) for x in range(1, 13) for y in range(1, 13, 3)])
+    vset = GroupSet(Group.vector(3, 3), [((a, b, 0), (b, 0, a)) for a in range(3) for b in range(3)])
+    texts = []
+    for write, value in ((write_grid_set, grid), (write_group_set, vset)):
+        buf = io.StringIO()
+        write(buf, value)
+        texts.append(buf.getvalue())
+    monkeypatch.setattr(formats, "_CHUNK_CHARS", chunk)
+    assert read_grid_set(io.StringIO(texts[0])) == grid
+    assert read_grid_set(io.StringIO(texts[0].rstrip("\n"))) == grid
+    assert read_group_set(io.StringIO(texts[1])).mask == vset.mask
+    with pytest.raises(ParseError) as err:
+        read_grid_set(io.StringIO(texts[0] + "# c\n1 1 x\n"), "g.set")
+    assert str(err.value) == f"g.set:{len(grid) + 3}:5: expected an integer, got 'x'"
+
+
+def test_bad_token_after_many_strict_chunks():
+    # strict for several chunks, then a comment, more strict lines and a bad
+    # token: the set read so far and the error position are the per-line ones
+    grid = GridSet(2, 300, [(x, y) for x in range(1, 301, 7) for y in range(1, 301)])
+    buf = io.StringIO()
+    write_grid_set(buf, grid)
+    body = buf.getvalue()
+    assert len(body) > 4 * formats._CHUNK_CHARS
+    tail = "# a comment\n5 5\n300 1\n"
+    text = body + tail
+    assert set(read_grid_set(io.StringIO(text))) == set_text_oracle(text) == set(grid) | {(5, 5), (300, 1)}
+    with pytest.raises(ParseError) as err:
+        read_grid_set(io.StringIO(text + "3 301\n"), "big.set")
+    assert str(err.value) == f"big.set:{len(grid) + 5}:1: point (3, 301) outside [1, 300]^2"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        # grid and zN spectra are keyed by integers, fp spectra by digit tuples
+        st.dictionaries(st.integers(-300, 300).filter(bool), st.integers(0, 10**12)),
+        st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(0, 5)),
+        st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3), st.integers(0, 999)),
+    )
+)
+@example({})
+def test_spectrum_json_matches_json_dump(counts):
+    spec = Spectrum(counts)
+    best = spec.max_entry()
+    expected = {
+        "counts": dict(spec.rows()),
+        "total": spec.total(),
+        "max_d": None if best is None else str(best[0]),
+        "max_count": None if best is None else best[1],
+    }
+    buf = io.StringIO()
+    write_spectrum_json(buf, spec)
+    assert buf.getvalue() == json.dumps(expected, indent=2)
