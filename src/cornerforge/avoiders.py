@@ -13,9 +13,17 @@ The recipe shared by both headline constructions:
    of them into a single interval and makes the difference's fractional
    rotation tiny -- so few residues can host occurrences at all.
 
-Membership is never decided by a float: every fractional-part test runs on
-an exact rational enclosure of alpha and deepens the enclosure (later
-convergents) whenever the verdict would straddle an interval endpoint.
+Membership is never decided by a float.  Every question about the circle
+is a reading of one exact primitive, `contfrac.frac_floors`, which gives
+k = floor(den * frac(v*alpha)) for a batch of values v (going one
+convergent deeper on the rare value whose position would tie):
+
+* v*alpha lies in B iff, at den = Theta1^2 L, Theta1 divides k and
+  k / Theta1 is in Lambda;
+* the circle norm of v*alpha is below a/b iff, at den = b, the floor of v
+  or of -v is below a.
+
+Both readings hold for every real alpha, rational ties included.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .behrend import QCSystem, behrend_qc_free, behrend_sum_free, qc_coefficients
-from .contfrac import AlphaSequence, build_alpha_hard, verify_alpha
+from .contfrac import AlphaSequence, build_alpha_hard, frac_floors, verify_alpha
 from .patterns import MAX_CELLS, GridSet, Pattern, _grid_hits, _replicate
 
 __all__ = [
@@ -51,9 +59,6 @@ __all__ = [
     "verify_corner_avoidance",
     "AvoidanceReport",
 ]
-
-MATERIALIZE_CAP = 2000  # hard per-axis cap; memory limits practical sizes well below
-
 
 def f_quad(x: int, y: int, z: int) -> int:
     """The corner statistic (x - y)(x + y - 2z).
@@ -108,56 +113,16 @@ class IntervalSystem:
     def measure(self) -> Fraction:
         return len(self.lam) * self.interval_width
 
-    def contains_fraction(self, value: Fraction) -> bool:
-        """Exact membership of a rational point (mod 1) in B."""
-        f = value - math.floor(value)
-        slot = math.floor(f / self.slot_width)
-        return slot in self.lam and f - slot * self.slot_width < self.interval_width
+    def decide_values(self, alpha: Union[AlphaSequence, Fraction], values: Sequence[int]) -> list[bool]:
+        """Exact membership of frac(v * alpha) in B, one entry per value.
 
-    def contains_multiple(self, alpha: AlphaSequence, n: int, *, depth: Optional[int] = None) -> bool:
-        """Exact membership of frac(n * alpha) in B.
-
-        Uses one convergent p/q deep enough that |n*alpha - n*p/q| is below
-        an eighth of the scale unit; the scaled position n*p mod q is then
-        an integer whose distance to every interval boundary is either zero
-        (deepen: the boundary is rational, n*alpha is not, so this resolves)
-        or at least a full unit, which decides membership in pure integer
-        arithmetic.
+        Scaled by Theta1^2 L, slot j starts at j * Theta1 and its interval
+        is the unit after it, so v * alpha is in B iff the floor k of its
+        scaled position has k = j * Theta1 with j in Lambda.
         """
-        if n == 0:
-            return self.contains_fraction(Fraction(0))
-        scale = self.theta1**2 * self.length
-        level = depth if depth is not None else self._default_depth(abs(n), alpha)
-        for _ in range(200):
-            p, q = alpha.convergent(level)
-            q_next = alpha.convergent(level + 1)[1]
-            if q_next <= 8 * abs(n) * scale:
-                level += 1
-                continue
-            t = n * p % q
-            pos = t * scale  # circle scaled to q * theta1^2 * L units
-            unit = self.theta1 * q  # slot width in scaled units
-            off = pos % unit
-            if off == 0 or off == q:  # sitting on a slot start / interval end
-                level += 1
-                continue
-            return (pos // unit) in self.lam and off < q
-        raise ArithmeticError("enclosure failed to separate from an interval boundary")
-
-    def _default_depth(self, magnitude: int, alpha: AlphaSequence) -> int:
-        target = 8 * magnitude * self.theta1**2 * self.length
-        level = 1
-        while alpha.convergent(level + 1)[1] <= target:
-            level += 1
-        return level
-
-    def decide_values(self, alpha: AlphaSequence, values: Iterable[int]) -> dict[int, bool]:
-        """Batch membership of frac(v * alpha) for many integers v."""
-        values = list(values)
-        if not values:
-            return {}
-        depth = self._default_depth(max(1, max(abs(v) for v in values)), alpha)
-        return {v: self.contains_multiple(alpha, v, depth=depth) for v in values}
+        theta1, lam = self.theta1, self.lam
+        floors = frac_floors(alpha, values, theta1 * theta1 * self.length)
+        return [k % theta1 == 0 and k // theta1 in lam for k in floors]
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +189,7 @@ class _AvoiderBase:
         raise NotImplementedError
 
     def __contains__(self, point) -> bool:
-        return self.system.contains_multiple(self.alpha, self.statistic(point))
+        return self.system.decide_values(self.alpha, [self.statistic(point)])[0]
 
     def density_report(self) -> dict:
         target = self.params.target_density()
@@ -261,16 +226,10 @@ class CornerAvoider(_AvoiderBase):
         if self._grid is not None:
             return self._grid
         n = self.side
-        if n > MATERIALIZE_CAP:
-            raise ValueError(f"refusing to materialize side {n} > {MATERIALIZE_CAP}")
         if n**3 > MAX_CELLS:
             raise ValueError(f"side {n} needs {n ** 3} cells; use the membership predicate")
         vmax = f_quad(n, 1, 1)  # largest attainable |statistic|
-        table_vals = range(-vmax, vmax + 1)
-        decisions = self.system.decide_values(self.alpha, table_vals)
-        lookup = np.zeros(2 * vmax + 1, dtype=bool)
-        for v, ok in decisions.items():
-            lookup[v + vmax] = ok
+        lookup = np.array(self.system.decide_values(self.alpha, range(-vmax, vmax + 1)), dtype=bool)
         coords = np.arange(1, n + 1, dtype=np.int64)
         xs = coords[None, :]  # x varies fastest
         ys = coords[:, None]
@@ -303,9 +262,8 @@ class FivePointAvoider(_AvoiderBase):
         n = self.side
         if n > 4_000_000:
             raise ValueError("side too large to materialize")
-        decisions = self.system.decide_values(self.alpha, [x * x for x in range(1, n + 1)])
-        cells = np.fromiter((decisions[x * x] for x in range(1, n + 1)), dtype=bool, count=n)
-        self._grid = GridSet.from_cells(cells)
+        cells = self.system.decide_values(self.alpha, [x * x for x in range(1, n + 1)])
+        self._grid = GridSet.from_cells(np.array(cells, dtype=bool))
         return self._grid
 
 
@@ -423,7 +381,7 @@ def build_corner_avoider(
         side=q,
     )
     avoider = CornerAvoider(system, seq, params)
-    if materialize and q <= MATERIALIZE_CAP:
+    if materialize and q**3 <= MAX_CELLS:
         avoider.materialize()
     return avoider
 
@@ -493,36 +451,17 @@ def build_five_point_avoider(
 # ---------------------------------------------------------------------------
 
 
-def _norm_of_multiple(alpha: Union[AlphaSequence, Fraction], value: int, bound: Fraction) -> bool:
-    """Whether the circle norm of value * alpha is strictly below `bound`,
-    decided exactly (deepening convergents for irrational alpha).
+def _norm_below(alpha: Union[AlphaSequence, Fraction], values: Sequence[int], bound: Fraction) -> list[bool]:
+    """Whether the circle norm of v * alpha is strictly below `bound` = a/b,
+    one entry per value, exactly.
 
-    The norm is 1-Lipschitz on the circle, so with t = value * p mod q the
-    true norm lies within 1/(8q) of min(t, q - t)/q once the next
-    denominator exceeds 8|value|; the comparison against the rational bound
-    is then settled in integers unless the margin straddles it, which
-    deepening resolves (value * alpha is irrational, the bound is not).
+    The norm is min(frac(v*alpha), frac(-v*alpha)), and frac(x) < a/b iff
+    floor(b * frac(x)) < a, since a is an integer.
     """
-    if isinstance(alpha, Fraction):
-        return norm_to_nearest_int(value * alpha) < bound
-    if value == 0:
-        return Fraction(0) < bound
-    level = 1
-    for _ in range(200):
-        p, q = alpha.convergent(level)
-        q_next = alpha.convergent(level + 1)[1]
-        if q_next <= 8 * abs(value):
-            level += 1
-            continue
-        t = value * p % q
-        m = min(t, q - t)
-        # true norm in ((8m - 1)/(8q), (8m + 1)/(8q))
-        if (8 * m + 1) * bound.denominator <= 8 * bound.numerator * q:
-            return True
-        if (8 * m - 1) * bound.denominator >= 8 * bound.numerator * q:
-            return False
-        level += 1
-    raise ArithmeticError("enclosure failed to decide the norm bound")
+    a, b = bound.numerator, bound.denominator
+    ups = frac_floors(alpha, values, b)
+    downs = frac_floors(alpha, [-v for v in values], b)
+    return [up < a or down < a for up, down in zip(ups, downs)]
 
 
 def check_corner_transfer(
@@ -545,16 +484,10 @@ def check_corner_transfer(
         f_quad(n1, n2 + d, n3),
         f_quad(n1, n2, n3 + d),
     ]
-    for v in vals:
-        inside = (
-            system.contains_fraction(v * alpha)
-            if isinstance(alpha, Fraction)
-            else system.contains_multiple(alpha, v)
-        )
+    for v, inside in zip(vals, system.decide_values(alpha, vals)):
         if not inside:
             raise ValueError(f"precondition failed: statistic {v} is not in B")
-    bound = Fraction(1, 9 * system.length)
-    return _norm_of_multiple(alpha, 2 * (n1 - n2) * d, bound)
+    return _norm_below(alpha, [2 * (n1 - n2) * d], Fraction(1, 9 * system.length))[0]
 
 
 def check_five_point_transfer(
@@ -575,16 +508,11 @@ def check_five_point_transfer(
     theta1, theta2, theta3 = theta_constants(a, sys)
     if theta1 != system.theta1:
         raise ValueError("interval system was built for a different pattern")
-    for ai in a:
-        v = (anchor + ai * d) ** 2
-        inside = (
-            system.contains_fraction(v * alpha)
-            if isinstance(alpha, Fraction)
-            else system.contains_multiple(alpha, v)
-        )
+    vals = [(anchor + ai * d) ** 2 for ai in a]
+    for v, inside in zip(vals, system.decide_values(alpha, vals)):
         if not inside:
             raise ValueError(f"precondition failed: statistic {v} is not in B")
-    return _norm_of_multiple(alpha, theta2 * anchor * d, Fraction(theta3, system.length))
+    return _norm_below(alpha, [theta2 * anchor * d], Fraction(theta3, system.length))[0]
 
 
 @dataclass
@@ -626,11 +554,6 @@ def verify_corner_avoidance(avoider: CornerAvoider, *, d_values: Optional[Iterab
     length = avoider.params.length
     p, q = avoider.params.p, avoider.params.q
     ds = list(d_values) if d_values is not None else [s * m for m in range(1, n) for s in (1, -1)]
-    transfer_cache: dict[int, bool] = {}
-    rational_cache: dict[int, bool] = {}
-    alpha = avoider.alpha
-    bound_transfer = Fraction(1, 9 * length)
-    bound_rational = Fraction(3, length)
     # distinct (slot, n1 - n2) classes over all corners, coded slot * 2n + n1 - n2 + n
     counts = np.zeros(len(ds), dtype=np.int64)
     classes = [np.zeros(0, dtype=np.int64)]
@@ -638,22 +561,22 @@ def verify_corner_avoidance(avoider: CornerAvoider, *, d_values: Optional[Iterab
         counts += np.bincount(slots, minlength=len(ds))
         classes.append(np.unique(slots * 2 * n + anchors[:, 0] - anchors[:, 1] + n))
     slot_classes, diffs = np.divmod(np.unique(np.concatenate(classes)), 2 * n)
-    bounds = np.searchsorted(slot_classes, np.arange(len(ds) + 1))
+    # each class's value 2(n1 - n2)d, checked once per distinct value; an
+    # object array keeps the Python ints of d_values exact
+    values, which = np.unique(2 * (diffs - n) * np.array(ds, dtype=object)[slot_classes], return_inverse=True)
+    values = values.tolist()
+    transfer = np.array(_norm_below(avoider.alpha, values, Fraction(1, 9 * length)), dtype=bool)
+    rational = np.array([norm_to_nearest_int(Fraction(v * p, q)) <= Fraction(3, length) for v in values], dtype=bool)
+    # classes failing each check, per slot
+    bad_transfer = np.bincount(slot_classes[~transfer[which]], minlength=len(ds))
+    bad_rational = np.bincount(slot_classes[~rational[which]], minlength=len(ds))
     rows = []
     ceiling = Fraction(14 * n**3, length)
     first: dict[int, int] = {}
     for i, d in enumerate(ds):
         slot = first.setdefault(d, i)
         count = int(counts[slot])
-        ok_transfer = ok_rational = True
-        for diff in diffs[bounds[slot] : bounds[slot + 1]]:
-            v = 2 * (int(diff) - n) * d
-            if v not in transfer_cache:
-                transfer_cache[v] = _norm_of_multiple(alpha, v, bound_transfer)
-                rational_cache[v] = norm_to_nearest_int(Fraction(v * p, q)) <= bound_rational
-            ok_transfer &= transfer_cache[v]
-            ok_rational &= rational_cache[v]
-        rows.append((d, count, ceiling, Fraction(count) <= ceiling, ok_transfer, ok_rational))
+        rows.append((d, count, ceiling, Fraction(count) <= ceiling, not bad_transfer[slot], not bad_rational[slot]))
     return AvoidanceReport(n, length, rows)
 
 

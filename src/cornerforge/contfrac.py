@@ -18,6 +18,11 @@ an irrational whose convergent denominators q_i eventually
 The tail of the quotient stream is the constant a; the head is produced by
 running Euclid backwards from a pair of large primes, which pins two
 consecutive denominators and hence the residues of all later ones mod a.
+
+Every question about where a multiple v*alpha falls on the circle -- in an
+interval, or within a norm bound -- is answered by one primitive,
+`frac_floors`, which returns floor(den * frac(v*alpha)) exactly for a batch
+of integers v, for a rational or a sequence-given alpha.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ __all__ = [
     "AlphaCheck",
     "build_alpha_hard",
     "verify_alpha",
+    "frac_floors",
 ]
 
 
@@ -374,3 +380,38 @@ def verify_alpha(seq: AlphaSequence, i: int) -> AlphaCheck:
         interval_ok=interval,
         approx_ok=approx,
     )
+
+
+# ---------------------------------------------------------------------------
+# exact positions on the circle
+# ---------------------------------------------------------------------------
+
+
+def frac_floors(alpha: AlphaSequence | Fraction, values: Sequence[int], den: int) -> list[int]:
+    """floor(den * frac(v * alpha)) for each integer v, exactly.
+
+    A rational alpha = P/Q is read off directly.  An irrational one is read
+    at one convergent p/q for the whole batch: the least level n whose next
+    denominator exceeds 8 * den * max|v|.  With t = v*p mod q the true
+    position den*frac(v*alpha) lies within 1/(8q) of t*den/q, which is at
+    least 1/q from every integer unless q divides t*den, so the floor of
+    t*den/q is exact.  On that tie (v != 0) the next convergent decides:
+    its denominator exceeds |v|*den and is coprime to its numerator, so it
+    cannot divide v*den, and its own error is below 1/q_{n+1}.
+    """
+    if isinstance(alpha, Fraction):
+        big_p, big_q = alpha.numerator, alpha.denominator
+        return [v * big_p % big_q * den // big_q for v in values]
+    target = 8 * den * max(map(abs, values), default=0)
+    n = 0
+    while alpha.convergent(n + 1)[1] <= target:
+        n += 1
+    p, q = alpha.convergent(n)
+    p_next, q_next = alpha.convergent(n + 1)
+    out = []
+    for v in values:
+        k, tie = divmod(v * p % q * den, q)
+        if tie == 0 and v:
+            k = v * p_next % q_next * den // q_next
+        out.append(k)
+    return out

@@ -33,7 +33,7 @@ import numpy as np
 from .diamond import TripartiteGraph
 from .hypergraph import Hypergraph, StepKernel
 from .contfrac import _is_prime
-from .patterns import MAX_CELLS, GridSet, Group, GroupSet, Spectrum, _iter_flats, _member_columns
+from .patterns import MAX_CELLS, GridSet, Group, GroupSet, Spectrum, _member_columns
 
 __all__ = [
     "ParseError",
@@ -308,9 +308,12 @@ def read_group_set(fh: TextIO, path: str = "<group set>") -> GroupSet:
 def write_group_set(fh: TextIO, pairs: GroupSet) -> None:
     group = pairs.group
     order = group.order
-    names = [group.format_element(e) for e in group.elements()]
+    names = np.array([group.format_element(e) for e in group.elements()], dtype=object)
     fh.write(f"group {group.label()}\n")
-    fh.writelines(f"{names[f // order]} {names[f % order]}\n" for f in _iter_flats(pairs.mask, order * order))
+    ys, xs = _member_columns(pairs.packed(), order, 2)
+    for start in range(0, xs.size, _WRITE_ROWS):
+        block = slice(start, start + _WRITE_ROWS)
+        fh.writelines(f"{x} {y}\n" for x, y in zip(names[xs[block]].tolist(), names[ys[block]].tolist()))
 
 
 def read_hypergraph(fh: TextIO, path: str = "<hypergraph>") -> Hypergraph:

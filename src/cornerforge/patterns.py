@@ -50,25 +50,11 @@ MAX_CELLS = 400_000_000
 # bit-array helpers
 # ---------------------------------------------------------------------------
 
-# set bits of every byte value, used to decode packed masks without shifting
-# a huge int once per member
-_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
-
-
 def _mask_from_flats(flats: Iterable[int], nbits: int) -> int:
     buf = bytearray((nbits + 7) // 8)
     for f in flats:
         buf[f >> 3] |= 1 << (f & 7)
     return int.from_bytes(buf, "little")
-
-
-def _iter_flats(mask: int, nbits: int) -> Iterator[int]:
-    data = mask.to_bytes((nbits + 7) // 8, "little")
-    for byte_index, b in enumerate(data):
-        if b:
-            base = byte_index << 3
-            for bit in _BYTE_BITS[b]:
-                yield base + bit
 
 
 def _replicate(unit: int, block: int, count: int) -> int:
@@ -258,13 +244,6 @@ class GridSet:
             f = f * self.side + (c - 1)
         return f
 
-    def _unflat(self, f: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.dim):
-            f, r = divmod(f, self.side)
-            out.append(r + 1)
-        return tuple(out)
-
     def __contains__(self, p: tuple[int, ...]) -> bool:
         if len(p) != self.dim or not all(1 <= c <= self.side for c in p):
             return False
@@ -274,8 +253,8 @@ class GridSet:
         return self._mask.bit_count()
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        for f in _iter_flats(self._mask, self.side**self.dim):
-            yield self._unflat(f)
+        columns = _member_columns(self.packed(), self.side, self.dim)
+        return zip(*((column + 1).tolist() for column in columns))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -293,21 +272,28 @@ class GridSet:
 
 # bytes of the packed mask unpacked at a time while reading the members, and
 # member pairs tested at a time; both bound the kernel's scratch arrays
-_UNPACK_CHUNK = 1 << 16
+_UNPACK_CHUNK = 1 << 13
 _PAIR_CHUNK = 1 << 15
 
 
 def _member_columns(raw: np.ndarray, side: int, dim: int) -> list[np.ndarray]:
     """0-based int32 coordinate columns (first coordinate first) of the
     members of the packed mask `raw`, in flat-index order.  The mask is
-    unpacked a chunk of bytes at a time, never as a whole bool grid."""
-    chunks = [np.zeros(0, dtype=np.int64)]
+    unpacked a chunk of bytes at a time, never as a whole bool grid, and
+    each chunk's members are written straight into the columns."""
+    columns = np.empty((dim, int.from_bytes(raw, "little").bit_count()), dtype=np.int32)
+    end = 0
     for start in range(0, raw.size, _UNPACK_CHUNK):
         bits = np.unpackbits(raw[start : start + _UNPACK_CHUNK], bitorder="little")
         # flatnonzero is several times faster on bool than on uint8
-        chunks.append(np.flatnonzero(bits.view(bool)) + 8 * start)
-    flats = np.concatenate(chunks)
-    return [(flats // side**j % side).astype(np.int32) for j in range(dim)]
+        flats = np.flatnonzero(bits.view(bool))
+        flats += 8 * start
+        here = slice(end, end + flats.size)
+        end += flats.size
+        for column in columns:
+            column[here] = flats % side
+            flats //= side
+    return list(columns)
 
 
 def _grid_hits(
@@ -470,18 +456,6 @@ class Group:
             raise ValueError(f"element {e} has wrong length (expected {n})")
         return e
 
-    def add(self, a, b):
-        if self.kind == "zN":
-            return (a + b) % self.params[0]
-        p = self.params[0]
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def neg(self, a):
-        if self.kind == "zN":
-            return (-a) % self.params[0]
-        p = self.params[0]
-        return tuple((-x) % p for x in a)
-
     def index(self, e) -> int:
         if self.kind == "zN":
             return e
@@ -552,6 +526,11 @@ class GroupSet:
     def mask(self) -> int:
         return self._mask
 
+    def packed(self) -> np.ndarray:
+        """The mask as little-endian bytes: bit f of the array is pair f."""
+        w = self.group.order
+        return np.frombuffer(self._mask.to_bytes((w * w + 7) // 8, "little"), dtype=np.uint8)
+
     def __contains__(self, pair) -> bool:
         x, y = pair
         g = self.group
@@ -562,19 +541,13 @@ class GroupSet:
         return self._mask.bit_count()
 
     def __iter__(self) -> Iterator[tuple]:
-        g = self.group
-        w = g.order
-        elems = list(g.elements())
-        for f in _iter_flats(self._mask, w * w):
-            yield (elems[f // w], elems[f % w])
+        elems = list(self.group.elements())
+        # flat index x * |G| + y: the first column is y's
+        ys, xs = _member_columns(self.packed(), self.group.order, 2)
+        return ((elems[x], elems[y]) for x, y in zip(xs.tolist(), ys.tolist()))
 
     def __repr__(self) -> str:
         return f"GroupSet({self.group.label()}, size={len(self)})"
-
-    def translate(self, u, v) -> "GroupSet":
-        g = self.group
-        u, v = g.canon(u), g.canon(v)
-        return GroupSet(g, ((g.add(x, u), g.add(y, v)) for x, y in self))
 
 
 def _shift_first(gs: GroupSet, d, masks: RotationMasks) -> int:

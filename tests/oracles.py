@@ -6,6 +6,7 @@ tuples, sharing no code with the library kernels it checks.
 
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 from math import prod
 
@@ -54,41 +55,34 @@ def corner3_transfer_classes(members, ds):
     }
 
 
+def _group_by_hand(kind, params):
+    """(elements, zero, add) of Z/N (kind "zN") or F_p^n (kind "fp"):
+    residues, or digit tuples added componentwise."""
+    if kind == "zN":
+        (modulus,) = params
+        return list(range(modulus)), 0, lambda a, b: (a + b) % modulus
+    p, n = params
+    elements = list(itertools.product(range(p), repeat=n))
+    return elements, (0,) * n, lambda a, b: tuple((x + y) % p for x, y in zip(a, b))
+
+
 def corner_count_oracle(members, group, d):
     """Triple-membership loop over all of G x G."""
+    elements, _, add = _group_by_hand(group.kind, group.params)
     members = set(members)
     count = 0
-    for x in group.elements():
-        for y in group.elements():
-            if (
-                (x, y) in members
-                and (group.add(x, d), y) in members
-                and (x, group.add(y, d)) in members
-            ):
+    for x in elements:
+        for y in elements:
+            if (x, y) in members and (add(x, d), y) in members and (x, add(y, d)) in members:
                 count += 1
     return count
 
 
 def group_corner_oracle(members, kind, params):
     """{d: corner count} for every nonzero d of Z/N (kind "zN") or F_p^n
-    (kind "fp"), with the group written out by hand: residues or digit
-    tuples added componentwise, every (x, y) of G x G tried."""
-    if kind == "zN":
-        (modulus,) = params
-        elements = list(range(modulus))
-        zero = 0
-
-        def add(a, b):
-            return (a + b) % modulus
-
-    else:
-        p, n = params
-        elements = list(itertools.product(range(p), repeat=n))
-        zero = (0,) * n
-
-        def add(a, b):
-            return tuple((x + y) % p for x, y in zip(a, b))
-
+    (kind "fp"), with the group written out by hand, every (x, y) of
+    G x G tried."""
+    elements, zero, add = _group_by_hand(kind, params)
     members = set(members)
     return {
         d: sum(
@@ -347,3 +341,19 @@ def set_text_oracle(text):
             p = int(head[2])
             members.add(tuple(tuple(int(c) % p for c in t.split(",")) for t in tokens))
     return members
+
+
+def frac_floor_oracle(alpha, v, den):
+    """floor(den * frac(v * alpha)) for a sequence-given irrational alpha.
+
+    alpha lies strictly inside enclosure(n) for every n, and floor(den * x)
+    is monotone in x, so once den * v * x floors alike at both ends of the
+    enclosure it is that integer on the whole of it; the answer is the
+    integer mod den.  Deepening ends because v * alpha is irrational."""
+    n = 0
+    while True:
+        lo, hi = alpha.enclosure(n)
+        low, high = math.floor(den * v * lo), math.floor(den * v * hi)
+        if low == high:
+            return low % den
+        n += 1

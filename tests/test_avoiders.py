@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from cornerforge.avoiders import (
 )
 from cornerforge.behrend import qc_coefficients
 from cornerforge.contfrac import build_alpha_hard
-from cornerforge.patterns import GridSet, Pattern, count_pattern, spectrum
+from cornerforge.patterns import MAX_CELLS, GridSet, Pattern, count_pattern, spectrum
 from cornerforge import avoiders
 from oracles import corner3_count_oracle, corner3_transfer_classes, lift_oracle
 
@@ -39,12 +40,31 @@ def test_f_quad_values_and_identity():
 def test_interval_system_geometry():
     system = IntervalSystem(4, 3, frozenset({0, 2}))
     assert system.measure() == Fraction(2, 36)
-    assert system.contains_fraction(Fraction(0))
-    assert system.contains_fraction(Fraction(1, 36) - Fraction(1, 1000))
-    assert not system.contains_fraction(Fraction(1, 36))
-    assert system.contains_fraction(Fraction(2, 12))
-    assert not system.contains_fraction(Fraction(1, 12))
-    assert not system.contains_fraction(Fraction(11, 12))
+    # a rational point x is the multiple 1 * x
+    points = [Fraction(0), Fraction(1, 36) - Fraction(1, 1000), Fraction(1, 36), Fraction(2, 12)]
+    points += [Fraction(1, 12), Fraction(11, 12)]
+    assert [system.decide_values(x, [1])[0] for x in points] == [True, True, False, True, False, False]
+
+
+def test_circle_readings_match_fraction_arithmetic_for_rational_alpha():
+    # every P/Q in [0, 1) with Q <= 24, every |v| <= 40, boundaries
+    # included: the membership and norm readings of the floor primitive
+    # against the definitions of B and of the circle norm, in Fractions
+    system = IntervalSystem(4, 3, frozenset({0, 2, 3}))
+    bounds = [Fraction(0), Fraction(1, 36), Fraction(1, 12), Fraction(5, 12), Fraction(1, 2)]
+    values = list(range(-40, 41))
+    for big_q in range(1, 25):
+        for big_p in range(big_q):
+            alpha = Fraction(big_p, big_q)
+            expected = []
+            for v in values:
+                f = v * alpha - math.floor(v * alpha)
+                slot = math.floor(f / system.slot_width)
+                expected.append(slot in system.lam and f - slot * system.slot_width < system.interval_width)
+            assert system.decide_values(alpha, values) == expected
+            for bound in bounds:
+                norms = [norm_to_nearest_int(v * alpha) < bound for v in values]
+                assert avoiders._norm_below(alpha, values, bound) == norms
 
 
 def test_interval_membership_by_enclosure_matches_rational_shadow():
@@ -53,11 +73,11 @@ def test_interval_membership_by_enclosure_matches_rational_shadow():
     alpha = build_alpha_hard(8, 4)
     p, q = alpha.p_q(alpha.start_index + 2)
     rng = random.Random(6)
-    for _ in range(200):
-        v = rng.randint(-5000, 5000)
-        exact = system.contains_multiple(alpha, v)
-        # the shadow can disagree only within 1/(q_next) of a boundary
-        shadow = system.contains_fraction(Fraction(v * p, q))
+    values = [rng.randint(-5000, 5000) for _ in range(200)]
+    exacts = system.decide_values(alpha, values)
+    # the shadow can disagree only within 1/(q_next) of a boundary
+    shadows = system.decide_values(Fraction(p, q), values)
+    for v, exact, shadow in zip(values, exacts, shadows):
         if exact != shadow:
             pos = Fraction(v * p % q, q)
             slot = pos / system.slot_width
@@ -68,7 +88,7 @@ def test_interval_membership_by_enclosure_matches_rational_shadow():
                 abs(frac_part - system.slot_width),
             )
             assert near < Fraction(abs(v), q)
-    assert system.contains_multiple(alpha, 0) == (0 in system.lam)
+    assert system.decide_values(alpha, [0]) == [0 in system.lam]
 
 
 def test_corner_avoider_small_pipeline():
@@ -153,7 +173,7 @@ def test_transfer_conclusion_fails_without_solution_free_lambda():
             f_quad(x, y + d, z),
             f_quad(x, y, z + d),
         ]
-        if all(system.contains_fraction(v * alpha) for v in vals):
+        if all(system.decide_values(alpha, vals)):
             if norm_to_nearest_int(2 * (x - y) * d * alpha) >= Fraction(1, 9 * length):
                 hit = (x, y, z, d)
                 break
@@ -181,13 +201,13 @@ def test_verify_consults_exactly_the_transfer_classes(monkeypatch):
     avoider = build_corner_avoider(0.25, length=8, q_max=128)
     grid = avoider.materialize()
     asked = set()
-    norm = avoiders._norm_of_multiple
+    norm = avoiders._norm_below
 
-    def recording(alpha, value, bound):
-        asked.add(value)
-        return norm(alpha, value, bound)
+    def recording(alpha, values, bound):
+        asked.update(values)
+        return norm(alpha, values, bound)
 
-    monkeypatch.setattr(avoiders, "_norm_of_multiple", recording)
+    monkeypatch.setattr(avoiders, "_norm_below", recording)
     report = verify_corner_avoidance(avoider)
     classes = corner3_transfer_classes(grid, [r[0] for r in report.rows])
     expected = {2 * diff * d for d, diffs in classes.items() for diff in diffs}
@@ -244,10 +264,10 @@ def test_five_point_avoider_members_and_transfer():
     # members satisfy the exact predicate, non-members fail it
     rng = random.Random(27)
     for x in list(grid)[:30]:
-        assert avoider.system.contains_multiple(avoider.alpha, x[0] * x[0])
+        assert avoider.system.decide_values(avoider.alpha, [x[0] * x[0]])[0]
     for _ in range(30):
         x = rng.randint(1, n)
-        assert ((x,) in grid) == avoider.system.contains_multiple(avoider.alpha, x * x)
+        assert ((x,) in grid) == avoider.system.decide_values(avoider.alpha, [x * x])[0]
     # any full pattern occurrence obeys the transfer bound
     found = 0
     for d in range(1, (n - 1) // 4 + 1):
@@ -423,6 +443,19 @@ def test_lift_rejects_unsupported_patterns():
         lift_avoider(Pattern(2, ((0, 0), (1, 0), (0, 1))), GridSet(3, 3, []))
     with pytest.raises(ValueError):
         pattern_projection(Pattern(1, ((0,), (1,))))
+
+
+def test_builder_materializes_iff_the_cube_fits_the_cell_limit():
+    small = build_corner_avoider(0.25, length=8, q_max=40)
+    assert small.density_report()["measured"] is not None
+    # sides 973 and 2735 both need more than MAX_CELLS cells: the builder
+    # leaves them to the membership predicate, and materializing refuses
+    for q_max, side in ((1000, 973), (3000, 2735)):
+        avoider = build_corner_avoider(0.25, q_max=q_max)
+        assert avoider.side == side and side**3 > MAX_CELLS
+        assert avoider.density_report()["measured"] is None
+        with pytest.raises(ValueError, match=f"side {side} needs {side**3} cells"):
+            avoider.materialize()
 
 
 def test_builder_argument_validation():

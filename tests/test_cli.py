@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from cornerforge import avoiders
+from cornerforge.behrend import is_qc, qc_coefficients
 from cornerforge.cli import main
-from cornerforge.formats import read_grid_set, write_grid_set
+from cornerforge.formats import read_grid_set, read_residues, write_grid_set, write_residues
 from cornerforge.patterns import GridSet
 from oracles import corner3_count_oracle
 
@@ -43,6 +44,24 @@ def test_qcfree_construct_and_verify(tmp_path, capsys):
     assert code == 0
     code, stdout, _ = run(capsys, "verify", "qcfree", "--a", "0,1,2,3,4", "--set", str(out))
     assert code == 0
+
+
+def test_verify_qcfree_fails_on_an_added_residue(tmp_path, capsys):
+    out = tmp_path / "qc.set"
+    code, _, _ = run(capsys, "construct", "qcfree", "--a", "0,1,2,3,4", "--length", "1024", "-o", str(out))
+    assert code == 0
+    with open(out) as fh:
+        members, length = read_residues(fh)
+    assert members == {1, 32}
+    # 31(x - 2)^2 + 1 takes the values 125, 32, 1, 32, 125 at x = 0..4
+    with open(out, "w") as fh:
+        write_residues(fh, members | {125}, length)
+    code, stdout, _ = run(capsys, "verify", "qcfree", "--a", "0,1,2,3,4", "--set", str(out))
+    assert code == 2
+    payload = json.loads(stdout)
+    assert payload["verified"] is False
+    witness = payload["witness"]
+    assert set(witness) <= {1, 32, 125} and is_qc(qc_coefficients((0, 1, 2, 3, 4)), witness)
 
 
 def test_spectrum_csv_full_grid(tmp_path, capsys):
@@ -152,6 +171,24 @@ def test_alpha_construct_and_verify(tmp_path, capsys):
     assert len(checks) == 5 and all(c["smooth"] for c in checks)
 
 
+def test_verify_alpha_fails_on_a_changed_scale(tmp_path, capsys):
+    out = tmp_path / "alpha.json"
+    code, _, _ = run(capsys, "construct", "alpha", "--m", "5", "--r", "2", "-o", str(out))
+    assert code == 0
+    record = json.loads(out.read_text())
+    assert record["r"] == "2"
+    # the quotient stream still matches x and y, but its denominators now
+    # miss the growth interval r * b^i < q < 2 r * b^i for r = 3
+    record["r"] = "3"
+    out.write_text(json.dumps(record))
+    code, stdout, _ = run(capsys, "verify", "alpha", "--alpha", str(out))
+    assert code == 2
+    payload = json.loads(stdout.strip().splitlines()[-1])
+    assert payload["verified"] is False
+    rows = payload["witness"]
+    assert rows and all(row["guaranteed"] and row["interval"] is False for row in rows)
+
+
 def test_corner3d_construct_then_verify_avoidance(tmp_path, capsys):
     out = tmp_path / "A.set"
     params = tmp_path / "A.params.json"
@@ -198,7 +235,7 @@ def test_verify_avoidance_fails_on_an_inserted_corner(tmp_path, capsys):
         p
         for p in itertools.product(range(1 - d, n + 1), repeat=3)
         if not all(q in grid for q in corner(*p))
-        and not avoiders._norm_of_multiple(avoider.alpha, 2 * (p[0] - p[1]) * d, bound)
+        and not avoiders._norm_below(avoider.alpha, [2 * (p[0] - p[1]) * d], bound)[0]
     )
     mutated = GridSet(3, n, list(grid) + corner(*anchor))
     with open(out, "w") as fh:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -9,9 +10,11 @@ from cornerforge.contfrac import (
     _is_prime,
     approximants,
     build_alpha_hard,
+    frac_floors,
     quotients_from_pair,
     verify_alpha,
 )
+from oracles import frac_floor_oracle
 
 
 def test_fibonacci_style_convergents():
@@ -142,3 +145,49 @@ def test_primality_matches_trial_division_and_strong_pseudoprimes():
     assert _is_prime(2**31 - 1) and _is_prime(2**61 - 1)
     with pytest.raises(ValueError):
         _is_prime(3_317_044_064_679_887_385_961_981)
+
+
+def test_frac_floors_of_rational_alpha_match_fraction_arithmetic():
+    values = list(range(-30, 31))
+    for big_q in range(1, 17):
+        for big_p in range(-big_q, big_q + 1):
+            alpha = Fraction(big_p, big_q)
+            for den in (1, 2, 3, 7, 36):
+                expected = [math.floor(den * (v * alpha - math.floor(v * alpha))) for v in values]
+                assert frac_floors(alpha, values, den) == expected
+
+
+ALPHAS = [
+    build_alpha_hard(2, 1),
+    build_alpha_hard(5, Fraction(3, 2)),
+    build_alpha_hard(8, 4),
+    AlphaSequence(m=3, r=Fraction(1), a=6, prefix=(0,), tail=1),  # golden ratio - 1
+    AlphaSequence(m=2, r=Fraction(1), a=2, prefix=(1, 3, 1, 40, 2), tail=7),
+]
+
+
+@pytest.mark.parametrize("alpha", ALPHAS, ids=range(len(ALPHAS)))
+def test_frac_floors_of_irrational_alpha_match_the_enclosure_oracle(alpha):
+    rng = random.Random(29)
+    batches = [list(range(-150, 151)), [rng.randint(-10**6, 10**6) for _ in range(150)]]
+    for values in batches:
+        for den in (1, 9, 72, 576, 1000):
+            assert frac_floors(alpha, values, den) == [frac_floor_oracle(alpha, v, den) for v in values]
+    assert frac_floors(alpha, [], 5) == []
+    assert frac_floors(alpha, [0], 5) == [0]
+
+
+def test_frac_floors_tie_goes_one_convergent_deeper():
+    # with a = 840 > 8 * 72, every tail level n is the one chosen for the
+    # batch [q_n, -q_n] at den 72, and v = +-q_n puts t = v * p_n mod q_n at
+    # 0: both values tie.  q_n * alpha sits just off the integer p_n, so one
+    # of the two true floors is den - 1, not the tied reading 0.
+    alpha = build_alpha_hard(8, 4)
+    den = 72
+    for n in range(len(alpha.prefix), len(alpha.prefix) + 4):
+        q = alpha.convergent(n)[1]
+        assert alpha.convergent(n + 1)[1] > 8 * den * q >= alpha.convergent(n)[1]
+        values = [q, -q]
+        floors = frac_floors(alpha, values, den)
+        assert floors == [frac_floor_oracle(alpha, v, den) for v in values]
+        assert den - 1 in floors

@@ -60,7 +60,7 @@ def test_inclusion_marginals_match_cell_values():
                 cell = (
                     labels[a][0],
                     labels[b][1],
-                    labels[group.neg(group.add(a, b))][2],
+                    labels[tuple((-x - y) % 3 for x, y in zip(a, b))][2],
                 )
                 totals[cell] = totals.get(cell, 0) + 1
                 if (a, b) in pairs:

@@ -169,11 +169,16 @@ def test_translation_invariance():
     rng = random.Random(11)
     group = Group.vector(3, 2)
     pairs = random_group_set(rng, group, 0.4)
+
+    def shift(e, s):
+        return tuple((a + b) % 3 for a, b in zip(e, s))
+
     for _ in range(5):
         u = tuple(rng.randrange(3) for _ in range(2))
         v = tuple(rng.randrange(3) for _ in range(2))
         d = (1, 2)
-        assert corner_count_group(pairs, d) == corner_count_group(pairs.translate(u, v), d)
+        translated = GroupSet(group, [(shift(x, u), shift(y, v)) for x, y in pairs])
+        assert corner_count_group(pairs, d) == corner_count_group(translated, d)
 
 
 # -- spectra -----------------------------------------------------------------
