@@ -33,7 +33,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -173,10 +173,13 @@ class AvoiderParams:
 
 class _AvoiderBase:
     """Shared plumbing: membership through the interval system, density
-    reporting, optional materialization.  Subclasses set `dim`, the
-    dimension of the grid they materialize into."""
+    reporting and materialization.  Subclasses set `dim`, the dimension of
+    the grid they materialize into, `form`, the tag of their parameter
+    record, `statistic`, the integer whose multiple of alpha decides a
+    point, and `_fill`, the packed bytes of every cell's membership."""
 
     dim: int
+    form: str
 
     def __init__(self, system: IntervalSystem, alpha: AlphaSequence, params: AvoiderParams):
         self.system = system
@@ -185,11 +188,21 @@ class _AvoiderBase:
         self.side = params.side
         self._grid: Optional[GridSet] = None
 
-    def statistic(self, point) -> int:
-        raise NotImplementedError
-
     def __contains__(self, point) -> bool:
         return self.system.decide_values(self.alpha, [self.statistic(point)])[0]
+
+    def _fits(self) -> bool:
+        """The one rule for materializing: side**dim cells within MAX_CELLS."""
+        return self.side**self.dim <= MAX_CELLS
+
+    def materialize(self) -> GridSet:
+        """The whole set, one exact interval decision per statistic value;
+        a grid past MAX_CELLS is refused before anything is decided."""
+        if self._grid is None:
+            if not self._fits():
+                raise ValueError(f"side {self.side} needs {self.side**self.dim} cells; use the membership predicate")
+            self._grid = GridSet.from_mask(self.dim, self.side, int.from_bytes(self._fill(), "little"))
+        return self._grid
 
     def density_report(self) -> dict:
         target = self.params.target_density()
@@ -215,19 +228,14 @@ class CornerAvoider(_AvoiderBase):
     """A subset of [N]^3 whose corner counts stay small for every nonzero d."""
 
     dim = 3
+    form = "corner3d"
 
     def statistic(self, point) -> int:
         x, y, z = point
         return f_quad(x, y, z)
 
-    def materialize(self) -> GridSet:
-        """Enumerate membership over the whole cube with one exact interval
-        decision per attained statistic value."""
-        if self._grid is not None:
-            return self._grid
+    def _fill(self) -> bytes:
         n = self.side
-        if n**3 > MAX_CELLS:
-            raise ValueError(f"side {n} needs {n ** 3} cells; use the membership predicate")
         vmax = f_quad(n, 1, 1)  # largest attainable |statistic|
         lookup = np.array(self.system.decide_values(self.alpha, range(-vmax, vmax + 1)), dtype=bool)
         coords = np.arange(1, n + 1, dtype=np.int64)
@@ -242,8 +250,12 @@ class CornerAvoider(_AvoiderBase):
             zs = np.arange(z0, min(z0 + 8, n + 1), dtype=np.int64)[:, None, None]
             slabs = lookup[base - 2 * zs * diff]  # [z, y, x], as GridSet.cells
             blocks.append(np.packbits(slabs, axis=None, bitorder="little").tobytes())
-        self._grid = GridSet.from_mask(3, n, int.from_bytes(b"".join(blocks), "little"))
-        return self._grid
+        return b"".join(blocks)
+
+
+# values of x decided and packed at a time by FivePointAvoider; a multiple of
+# 8, so the packed chunks are whole bytes
+_X_CHUNK = 1 << 15
 
 
 class FivePointAvoider(_AvoiderBase):
@@ -251,20 +263,19 @@ class FivePointAvoider(_AvoiderBase):
     five-point pattern; membership keys on frac(alpha * x^2)."""
 
     dim = 1
+    form = "x2"
 
     def statistic(self, point) -> int:
         (x,) = point if isinstance(point, tuple) else (point,)
         return x * x
 
-    def materialize(self) -> GridSet:
-        if self._grid is not None:
-            return self._grid
+    def _fill(self) -> bytes:
         n = self.side
-        if n > 4_000_000:
-            raise ValueError("side too large to materialize")
-        cells = self.system.decide_values(self.alpha, [x * x for x in range(1, n + 1)])
-        self._grid = GridSet.from_cells(np.array(cells, dtype=bool))
-        return self._grid
+        blocks = []
+        for x0 in range(1, n + 1, _X_CHUNK):
+            inside = self.system.decide_values(self.alpha, [x * x for x in range(x0, min(x0 + _X_CHUNK, n + 1))])
+            blocks.append(np.packbits(np.array(inside, dtype=bool), bitorder="little").tobytes())
+        return b"".join(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +304,11 @@ def load_avoider(params_json: str, grid: Optional[GridSet] = None):
         side=obj["N"],
         a_vector=tuple(obj["a"]) if obj.get("a") else None,
     )
+    kinds = {cls.form: cls for cls in (CornerAvoider, FivePointAvoider)}
+    if params.form not in kinds:
+        raise ValueError(f"unknown avoider form {params.form!r}; expected one of {sorted(kinds)}")
     system = IntervalSystem(params.length, params.theta[0], frozenset(params.lam))
-    avoider = (
-        CornerAvoider(system, alpha, params)
-        if params.form == "corner3d"
-        else FivePointAvoider(system, alpha, params)
-    )
+    avoider = kinds[params.form](system, alpha, params)
     if grid is not None:
         avoider.attach_grid(grid)
     return avoider
@@ -308,12 +318,7 @@ def _length_from(delta: float, c: float) -> int:
     return max(1, math.ceil(math.exp(c * math.log(1 / delta) ** 2)))
 
 
-def _select_approximant(
-    length: int,
-    q_max: int,
-    q_min: int = 2,
-    alpha_builder=build_alpha_hard,
-) -> tuple[AlphaSequence, int, int]:
+def _select_approximant(length: int, q_max: int, q_min: int = 2) -> tuple[AlphaSequence, int, int]:
     """Scan scales r = 2^j, j = 1..2L+1, for the largest verified denominator
     q in [q_min, q_max]; returns (sequence, j, i).
 
@@ -322,7 +327,7 @@ def _select_approximant(
     """
     best = None
     for j in range(1, 2 * length + 2):
-        seq = alpha_builder(length, Fraction(2) ** j)
+        seq = build_alpha_hard(length, Fraction(2) ** j)
         i = seq.start_index
         while True:
             _, q = seq.p_q(i)
@@ -339,6 +344,38 @@ def _select_approximant(
     return best[0], best[1], best[2]
 
 
+def _build(
+    kind: type, solution_free: Callable[[int], Iterable[int]], theta: tuple[int, int, int],
+    a_vector: Optional[tuple[int, ...]], delta: float, c: float, *,
+    length: Optional[int], q_max: int, q_min: int, n_target: Optional[int],
+) -> _AvoiderBase:
+    """The recipe of both constructions: Lambda = solution_free(L) marks the
+    intervals of B, and N is a verified rough denominator q of alpha.
+
+    L defaults to ceil(exp(c * ln(1/delta)^2)) but may be pinned directly
+    with `length`.  q is the largest verified denominator in [q_min, q_max],
+    or within a factor of 4 of n_target when that is given.  The set is
+    materialized iff its N**dim cells are within MAX_CELLS.
+    """
+    if not 0 < delta < 0.5:
+        raise ValueError("need 0 < delta < 1/2")
+    length = length or _length_from(delta, c)
+    lam = tuple(sorted(solution_free(length)))
+    system = IntervalSystem(length, theta[0], frozenset(lam))
+    if n_target is not None:
+        q_min, q_max = max(2, n_target // 4), n_target * 4
+    seq, j, i = _select_approximant(length, q_max, q_min)
+    p, q = seq.p_q(i)
+    params = AvoiderParams(
+        delta=delta, c=c, length=length, form=kind.form, theta=theta, lam=lam,
+        j=j, i=i, p=p, q=q, side=q, a_vector=a_vector,
+    )
+    avoider = kind(system, seq, params)
+    if avoider._fits():
+        avoider.materialize()
+    return avoider
+
+
 def build_corner_avoider(
     delta: float,
     c: float = DEFAULT_C,
@@ -347,43 +384,17 @@ def build_corner_avoider(
     q_max: int = 600,
     q_min: int = 2,
     n_target: Optional[int] = None,
-    alpha_builder=build_alpha_hard,
-    materialize: bool = True,
 ) -> CornerAvoider:
-    """Build the corner-avoiding subset of [N]^3.
+    """Build the corner-avoiding subset of [N]^3 from a sum-free Lambda.
 
-    L defaults to ceil(exp(c * ln(1/delta)^2)) but may be pinned directly
-    with `length`.  The modulus N is chosen as the largest verified
-    denominator at most q_max (or within a factor of 4 of n_target).  The
-    achieved density is reported against the target |Lambda| / (9 L); at
-    desk scales it may fall short of 2*delta, which is reported, not fatal.
+    The achieved density is reported against the target |Lambda| / (9 L);
+    at desk scales it may fall short of 2*delta, which is reported, not
+    fatal.
     """
-    if not 0 < delta < 0.5:
-        raise ValueError("need 0 < delta < 1/2")
-    length = length or _length_from(delta, c)
-    lam = behrend_sum_free(length)
-    system = IntervalSystem(length, 3, frozenset(lam.members))
-    if n_target is not None:
-        q_min, q_max = max(2, n_target // 4), n_target * 4
-    seq, j, i = _select_approximant(length, q_max, q_min, alpha_builder)
-    p, q = seq.p_q(i)
-    params = AvoiderParams(
-        delta=delta,
-        c=c,
-        length=length,
-        form="corner3d",
-        theta=(3, 0, 0),
-        lam=tuple(sorted(lam.members)),
-        j=j,
-        i=i,
-        p=p,
-        q=q,
-        side=q,
+    return _build(
+        CornerAvoider, lambda length: behrend_sum_free(length).members, (3, 0, 0), None, delta, c,
+        length=length, q_max=q_max, q_min=q_min, n_target=n_target,
     )
-    avoider = CornerAvoider(system, seq, params)
-    if materialize and q**3 <= MAX_CELLS:
-        avoider.materialize()
-    return avoider
 
 
 def theta_constants(a: Sequence[int], sys: QCSystem) -> tuple[int, int, int]:
@@ -409,41 +420,15 @@ def build_five_point_avoider(
     q_max: int = 5000,
     q_min: int = 2,
     n_target: Optional[int] = None,
-    alpha_builder=build_alpha_hard,
-    materialize: bool = True,
 ) -> FivePointAvoider:
     """Build the subset of [N] avoiding popular differences of the pattern
-    x + a_i * d for five fixed distinct integers a_i."""
+    x + a_i * d for five fixed distinct integers a_i, from a QC-free
+    Lambda."""
     a = tuple(int(v) for v in a)
-    if not 0 < delta < 0.5:
-        raise ValueError("need 0 < delta < 1/2")
-    length = length or _length_from(delta, c)
-    lam = behrend_qc_free(a, length)
-    sys = qc_coefficients(a)
-    theta = theta_constants(a, sys)
-    system = IntervalSystem(length, theta[0], frozenset(lam.members))
-    if n_target is not None:
-        q_min, q_max = max(2, n_target // 4), n_target * 4
-    seq, j, i = _select_approximant(length, q_max, q_min, alpha_builder)
-    p, q = seq.p_q(i)
-    params = AvoiderParams(
-        delta=delta,
-        c=c,
-        length=length,
-        form="x2",
-        theta=theta,
-        lam=tuple(sorted(lam.members)),
-        j=j,
-        i=i,
-        p=p,
-        q=q,
-        side=q,
-        a_vector=a,
+    return _build(
+        FivePointAvoider, lambda length: behrend_qc_free(a, length).members, theta_constants(a, qc_coefficients(a)), a,
+        delta, c, length=length, q_max=q_max, q_min=q_min, n_target=n_target,
     )
-    avoider = FivePointAvoider(system, seq, params)
-    if materialize:
-        avoider.materialize()
-    return avoider
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +447,14 @@ def _norm_below(alpha: Union[AlphaSequence, Fraction], values: Sequence[int], bo
     ups = frac_floors(alpha, values, b)
     downs = frac_floors(alpha, [-v for v in values], b)
     return [up < a or down < a for up, down in zip(ups, downs)]
+
+
+def _require_in_b(system: IntervalSystem, alpha: Union[AlphaSequence, Fraction], values: Sequence[int]) -> None:
+    """The transfer checks' shared precondition: every statistic value of
+    the occurrence lands in B mod 1."""
+    for v, inside in zip(values, system.decide_values(alpha, values)):
+        if not inside:
+            raise ValueError(f"precondition failed: statistic {v} is not in B")
 
 
 def check_corner_transfer(
@@ -484,9 +477,7 @@ def check_corner_transfer(
         f_quad(n1, n2 + d, n3),
         f_quad(n1, n2, n3 + d),
     ]
-    for v, inside in zip(vals, system.decide_values(alpha, vals)):
-        if not inside:
-            raise ValueError(f"precondition failed: statistic {v} is not in B")
+    _require_in_b(system, alpha, vals)
     return _norm_below(alpha, [2 * (n1 - n2) * d], Fraction(1, 9 * system.length))[0]
 
 
@@ -509,9 +500,7 @@ def check_five_point_transfer(
     if theta1 != system.theta1:
         raise ValueError("interval system was built for a different pattern")
     vals = [(anchor + ai * d) ** 2 for ai in a]
-    for v, inside in zip(vals, system.decide_values(alpha, vals)):
-        if not inside:
-            raise ValueError(f"precondition failed: statistic {v} is not in B")
+    _require_in_b(system, alpha, vals)
     return _norm_below(alpha, [theta2 * anchor * d], Fraction(theta3, system.length))[0]
 
 

@@ -36,7 +36,6 @@ from .behrend import (
 from .contfrac import AlphaSequence, build_alpha_hard, verify_alpha
 from .diamond import verify_diamond_free
 from .formats import (
-    ParseError,
     read_grid_set,
     read_group_set,
     read_hypergraph,
@@ -134,6 +133,20 @@ def _open_out(args):
     if getattr(args, "output", None):
         return open(args.output, "w")
     return contextlib.nullcontext(sys.stdout)
+
+
+def _load_record(path: str, loader):
+    """`loader` applied to the text of the JSON record at `path`; a record
+    of the wrong shape (not an object, a missing field, a bad value) is
+    malformed input named by its path."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return loader(text)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed record: {exc}") from None
 
 
 def _sniff_set(path: str):
@@ -389,9 +402,11 @@ def _cmd_verify_qcfree(args):
 
 
 def _cmd_verify_alpha(args):
-    with open(args.alpha) as fh:
-        seq = AlphaSequence.from_json(fh.read())
+    seq = _load_record(args.alpha, AlphaSequence.from_json)
     indices = _parse_ints(args.indices) if args.indices else range(seq.start_index, seq.start_index + 5)
+    for i in indices:
+        if i + seq.offset < 0:
+            raise ValueError(f"{args.alpha}: index {i} precedes the quotient stream (least index {-seq.offset})")
     rows = []
     failed = False
     for i in indices:
@@ -417,8 +432,7 @@ def _cmd_verify_alpha(args):
 def _cmd_verify_avoidance(args):
     with open(args.set) as fh:
         grid = read_grid_set(fh, args.set)
-    with open(args.params) as fh:
-        avoider = load_avoider(fh.read(), grid)
+    avoider = _load_record(args.params, lambda text: load_avoider(text, grid))
     report = verify_corner_avoidance(avoider)
     with _open_out(args) as fh:
         report.write_csv(fh)
@@ -570,13 +584,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, FileNotFoundError) as exc:  # a ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except VerificationFailure as exc:

@@ -33,7 +33,7 @@ import numpy as np
 from .diamond import TripartiteGraph
 from .hypergraph import Hypergraph, StepKernel
 from .contfrac import _is_prime
-from .patterns import MAX_CELLS, GridSet, Group, GroupSet, Spectrum, _member_columns
+from .patterns import MAX_CELLS, GridSet, Group, GroupSet, Spectrum, _member_columns, _past_cell_limit
 
 __all__ = [
     "ParseError",
@@ -93,7 +93,7 @@ def _int(path: str, lineno: int, col: int, token: str) -> int:
 def _check_cells(path: str, lineno: int, col: int, base: int, exp: int, what: str) -> None:
     """Refuse a header whose carrier, base**exp cells, exceeds MAX_CELLS,
     before anything is allocated; a huge exponent is refused unevaluated."""
-    if base > 1 and (exp >= MAX_CELLS.bit_length() or base**exp > MAX_CELLS):
+    if _past_cell_limit(base, exp):
         raise ParseError(path, lineno, col, f"{what} exceeds the {MAX_CELLS}-cell limit")
 
 

@@ -19,8 +19,8 @@ import itertools
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-from typing import Iterable, NamedTuple
+from math import factorial
+from typing import NamedTuple
 
 __all__ = [
     "Hypergraph",
@@ -154,50 +154,34 @@ def kforce_density(h: Hypergraph) -> Fraction:
 
     Evaluated through codegree products: for a base tuple (x_1..x_k) the
     number of valid primed completions at slot i is the number of vertices
-    extending {x_j : j != i} to an edge, and the completions multiply.
-    Tuples sharing a coordinate contribute nothing for k >= 3, so the sum
-    collapses to k! times a sum over k-subsets.
+    extending {x_j : j != i} to an edge, and the completions multiply.  At
+    k = 2 the two slots are independent vertices, so the sum is (2|E|)^2.
+    For k >= 3 tuples sharing a coordinate contribute nothing, so the sum
+    collapses to k! times a sum over k-sets, and only k-sets whose every
+    (k-1)-subset has positive codegree contribute.  Each is found once, as
+    a (k-1)-set S of positive codegree extended by a vertex v > max S lying
+    in the link of every (k-2)-subset of S; at k = 3 these are the
+    triangles of the codegree support graph.
     """
     if h.n == 0:
         raise ValueError("density of an empty vertex set is undefined")
     k, n = h.k, h.n
-    if not h.edges:
-        return Fraction(0)
-    codeg = _codegrees(h)
-    total = 0
     if k == 2:
-        # coordinate collisions can survive at k = 2; keep the raw tuple sum
-        for tup in itertools.product(range(n), repeat=2):
-            total += codeg.get(frozenset({tup[1]}), 0) * codeg.get(frozenset({tup[0]}), 0)
-        return Fraction(total, n ** (2 * k))
-    if comb(n, k) <= 200_000:
-        subsets: Iterable = itertools.combinations(range(n), k)
-    elif k == 3:
-        # sparse path: only triples whose three pairs all have positive
-        # codegree can contribute, i.e. triangles of the codegree support
-        adj = defaultdict(set)
-        for pair in codeg:
-            u, v = sorted(pair)
-            adj[u].add(v)
-            adj[v].add(u)
-        subsets = (
-            (u, v, w)
-            for u in sorted(adj)
-            for v in sorted(adj[u])
-            if v > u
-            for w in sorted(adj[u] & adj[v])
-            if w > v
-        )
-    else:
-        subsets = itertools.combinations(range(n), k)
-    for sub in subsets:
-        s = frozenset(sub)
-        prod = 1
-        for v in sub:
-            prod *= codeg.get(s - {v}, 0)
-            if not prod:
-                break
-        total += prod
+        return Fraction((2 * len(h.edges)) ** 2, n**4)
+    codeg = _codegrees(h)
+    link = defaultdict(set)  # (k-2)-set R -> {v : R + v has positive codegree}
+    for s in codeg:
+        for v in s:
+            link[s - {v}].add(v)
+    total = 0
+    for s in codeg:
+        top = max(s)
+        for v in set.intersection(*(link[s - {u}] for u in s)):
+            if v > top:
+                prod = codeg[s]
+                for u in s:
+                    prod *= codeg[(s - {u}) | {v}]
+                total += prod
     return Fraction(factorial(k) * total, n ** (2 * k))
 
 

@@ -32,7 +32,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .hypergraph import StepKernel, triforce_weighted
-from .patterns import Group, GroupSet, RotationMasks, corner_count_group
+from .patterns import MAX_CELLS, Group, GroupSet, RotationMasks, _past_cell_limit, corner_count_group
 
 __all__ = ["sample_mandache", "mandache_report", "MandacheReport", "kernel_fingerprint"]
 
@@ -62,11 +62,20 @@ def _neg_sum_rows(group: Group) -> Iterator[np.ndarray]:
     so negated sums are digitwise arithmetic on the index arrays; a row costs
     O(|G|) memory where the whole table would cost O(|G|^2).
     """
-    p, n = (group.order, 1) if group.kind == "zN" else group.params
+    p, n = group.radix
     weights = p ** np.arange(n)
     digits = np.arange(group.order)[:, None] // weights % p
     for row in digits:
         yield ((-(row + digits)) % p) @ weights
+
+
+def _check_pairs(group: Group) -> None:
+    """Refuse a group whose |G|^2 pairs exceed MAX_CELLS, before |G| is
+    evaluated or any element is named."""
+    base, digits = group.radix
+    if _past_cell_limit(base, 2 * digits):
+        label = group.label()
+        raise ValueError(f"{label} x {label} exceeds the {MAX_CELLS}-cell limit")
 
 
 def sample_mandache(w: StepKernel, group: Group, seed: int) -> GroupSet:
@@ -77,6 +86,7 @@ def sample_mandache(w: StepKernel, group: Group, seed: int) -> GroupSet:
     a * |G| + b of the mask -- reads its kernel cell through the -(a+b)
     table, so only the inclusion coin is hashed per pair.
     """
+    _check_pairs(group)
     g = w.g
     order = group.order
     names = [group.format_element(e) for e in group.elements()]
@@ -165,6 +175,7 @@ def mandache_report(w: StepKernel, group: Group, seeds: Sequence[int]) -> Mandac
     seeds = tuple(int(s) for s in seeds)
     if len(seeds) < 2:
         raise ValueError("need at least 2 seeds for a spread estimate")
+    _check_pairs(group)
     order = group.order
     norm = Fraction(1, order * order)
     masks = RotationMasks(group)  # shared by every seed: they depend only on the group

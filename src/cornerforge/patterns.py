@@ -46,6 +46,12 @@ __all__ = [
 MAX_CELLS = 400_000_000
 
 
+def _past_cell_limit(base: int, exp: int) -> bool:
+    """Whether a carrier of base**exp cells exceeds MAX_CELLS; a huge
+    exponent is judged without evaluating the power."""
+    return base > 1 and (exp >= MAX_CELLS.bit_length() or base**exp > MAX_CELLS)
+
+
 # ---------------------------------------------------------------------------
 # bit-array helpers
 # ---------------------------------------------------------------------------
@@ -85,9 +91,10 @@ class RotationMasks:
     counts of an fp spectrum -- where each (digit, value) rotation recurs
     for many d -- or of many sets on one fp group builds each pair once.
     Caching stops once the cached masks would hold more than MAX_CELLS
-    bits; later pairs are built per call.  A zN group caches nothing: its
-    counts never repeat a key within a set, and across sets the reuse
-    measured no faster while a zN:500 cache held 46 MB.
+    bits; later pairs are built per call.  Only a group of more than one
+    digit caches: with one digit (Z/N, or F_p^1) no key repeats within a
+    set, and across sets the reuse measured no faster while a zN:500 cache
+    held 46 MB.
     """
 
     __slots__ = ("_pairs", "_bits", "_cache")
@@ -95,7 +102,7 @@ class RotationMasks:
     def __init__(self, group: Group) -> None:
         self._pairs: dict[tuple[int, int, int], tuple[int, int]] = {}
         self._bits = 0
-        self._cache = group.kind == "fp"
+        self._cache = group.radix[1] > 1
 
     def get(self, nbits: int, block: int, amount: int) -> tuple[int, int]:
         key = (nbits, block, amount)
@@ -444,6 +451,11 @@ class Group:
         return p**n
 
     @property
+    def radix(self) -> tuple[int, int]:
+        """(base, digit count) of element indices; Z/N is one digit of base N."""
+        return (self.params[0], 1) if self.kind == "zN" else self.params
+
+    @property
     def identity(self):
         return 0 if self.kind == "zN" else (0,) * self.params[1]
 
@@ -550,37 +562,22 @@ class GroupSet:
         return f"GroupSet({self.group.label()}, size={len(self)})"
 
 
-def _shift_first(gs: GroupSet, d, masks: RotationMasks) -> int:
-    """Mask whose bit at (x, y) is the membership bit of (x + d, y)."""
-    g = gs.group
-    w = g.order
-    nbits = w * w
-    if g.kind == "zN":
-        return _rotate_blocks(gs.mask, nbits, nbits, (d % w) * w, masks)
-    p, _ = g.params
-    mask = gs.mask
-    unit = w
-    for dj in d:
-        if dj:
-            mask = _rotate_blocks(mask, nbits, unit * p, dj * unit, masks)
-        unit *= p
-    return mask
+def _shift(gs: GroupSet, d, unit: int, masks: RotationMasks) -> int:
+    """Mask whose bit at (x, y) is the membership bit of (x + d, y) for
+    unit = |G|, or of (x, y + d) for unit = 1.
 
-
-def _shift_second(gs: GroupSet, d, masks: RotationMasks) -> int:
-    """Mask whose bit at (x, y) is the membership bit of (x, y + d)."""
+    Index digit j of a coordinate sits at place value unit * base^j of the
+    flat index, so adding d_j to it rotates every aligned block of
+    unit * base bits by d_j * unit.
+    """
     g = gs.group
-    w = g.order
-    nbits = w * w
-    if g.kind == "zN":
-        return _rotate_blocks(gs.mask, nbits, w, d % w, masks)
-    p, _ = g.params
+    base, _ = g.radix
+    nbits = g.order**2
     mask = gs.mask
-    unit = 1
-    for dj in d:
+    for dj in (d,) if g.kind == "zN" else d:
         if dj:
-            mask = _rotate_blocks(mask, nbits, unit * p, dj * unit, masks)
-        unit *= p
+            mask = _rotate_blocks(mask, nbits, unit * base, dj * unit, masks)
+        unit *= base
     return mask
 
 
@@ -596,7 +593,7 @@ def corner_count_group(pairs: GroupSet, d, masks: Optional[RotationMasks] = None
         raise ValueError("difference d must not be the identity")
     if masks is None:
         masks = RotationMasks(g)
-    acc = pairs.mask & _shift_first(pairs, d, masks) & _shift_second(pairs, d, masks)
+    acc = pairs.mask & _shift(pairs, d, g.order, masks) & _shift(pairs, d, 1, masks)
     return acc.bit_count()
 
 

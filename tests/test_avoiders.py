@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cornerforge.avoiders import (
+    FivePointAvoider,
     IntervalSystem,
     build_corner_avoider,
     build_five_point_avoider,
@@ -445,9 +446,30 @@ def test_lift_rejects_unsupported_patterns():
         pattern_projection(Pattern(1, ((0,), (1,))))
 
 
-def test_builder_materializes_iff_the_cube_fits_the_cell_limit():
-    small = build_corner_avoider(0.25, length=8, q_max=40)
+BUILDERS = {
+    "corner": lambda q_max: build_corner_avoider(0.25, length=8, q_max=q_max),
+    "fivepoint": lambda q_max: build_five_point_avoider((0, 1, 2, 3, 4), 0.25, length=8, q_max=q_max),
+}
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_builder_materializes_iff_the_cube_fits_the_cell_limit(name, monkeypatch):
+    # one rule for both avoiders, read at call time: side**dim <= MAX_CELLS
+    build = BUILDERS[name]
+    small = build(200)
+    cells = small.side**small.dim
     assert small.density_report()["measured"] is not None
+    monkeypatch.setattr(avoiders, "MAX_CELLS", cells)
+    assert build(200).density_report()["measured"] is not None
+    monkeypatch.setattr(avoiders, "MAX_CELLS", cells - 1)
+    avoider = build(200)
+    assert avoider.side == small.side
+    assert avoider.density_report()["measured"] is None
+    with pytest.raises(ValueError, match=f"side {small.side} needs {cells} cells"):
+        avoider.materialize()
+
+
+def test_corner_builder_leaves_cubes_past_the_cell_limit_unmaterialized():
     # sides 973 and 2735 both need more than MAX_CELLS cells: the builder
     # leaves them to the membership predicate, and materializing refuses
     for q_max, side in ((1000, 973), (3000, 2735)):
@@ -456,6 +478,37 @@ def test_builder_materializes_iff_the_cube_fits_the_cell_limit():
         assert avoider.density_report()["measured"] is None
         with pytest.raises(ValueError, match=f"side {side} needs {side**3} cells"):
             avoider.materialize()
+
+
+def test_five_point_materialize_packs_chunks_that_do_not_divide_n(monkeypatch):
+    # a dense interval system over the built alpha, so the packed chunks
+    # hold members; 16 does not divide N = 2053, so the last chunk is short,
+    # and x = N is a member, so a chunk that drops its last value shows
+    built = build_five_point_avoider((0, 1, 2, 3, 4), 0.25, length=8, q_max=3000)
+    n = built.side
+    dense = FivePointAvoider(IntervalSystem(4, 2, frozenset(range(4))), built.alpha, built.params)
+    monkeypatch.setattr(avoiders, "_X_CHUNK", 16)
+    assert n == 2053 and n in dense
+    grid = dense.materialize()
+    expected = dense.system.decide_values(dense.alpha, [x * x for x in range(1, n + 1)])
+    assert grid.cells().tolist() == expected
+    assert 0 < len(grid) < n
+    assert all(((x,) in grid) == (x in dense) for x in range(1, n + 1))
+
+
+def test_corner_ceiling_binds_at_length_16():
+    # at L = 8 the ceiling 14 N^3 / L exceeds N^3 and cannot fail; at L = 16
+    # and N = 67 it is 263,167.6 < 67^3, so the count gate can fail
+    avoider = build_corner_avoider(0.25, length=16, q_max=100)
+    n = avoider.side
+    assert n == 67 and Fraction(14 * n**3, 16) < n**3
+    assert verify_corner_avoidance(avoider).all_ok()
+    avoider.attach_grid(GridSet.full(3, n))
+    report = verify_corner_avoidance(avoider, d_values=[1, -1])
+    for d, count, ceiling, ok_count, _, _ in report.rows:
+        assert count == 66**3 == 287_496 and count > ceiling
+        assert ok_count is False
+    assert not report.all_ok()
 
 
 def test_builder_argument_validation():

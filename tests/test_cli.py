@@ -1,4 +1,5 @@
 import itertools
+import time
 import json
 from fractions import Fraction
 
@@ -332,3 +333,72 @@ def test_kernel_with_no_cells_exits_1_with_position(tmp_path, capsys):
     code, stdout, stderr = run(capsys, "count", "triforce", "--kernel", str(kern))
     assert code == 1 and not stdout
     assert stderr.strip() == f"error: {kern}:1:1: grid resolution must be positive, got 0"
+
+
+BAD_RECORDS = [
+    # (command, record text, extra arguments, message after "error: <path>: ")
+    ("alpha", "{}", [], "missing field 'm'"),
+    ("alpha", '{"m": 16}', [], "missing field 'a'"),
+    ("alpha", "[1, 2]", [], "malformed record: "),
+    ("alpha", "{", [], "malformed record: "),
+    ("alpha", None, ["--indices=-100"], "index -100 precedes the quotient stream"),
+    ("avoidance", "{}", [], "missing field 'alpha'"),
+    ("avoidance", "[1, 2]", [], "malformed record: "),
+    ("avoidance", None, [], "malformed record: unknown avoider form 'x3'"),
+]
+
+
+@pytest.mark.parametrize("command, text, extra, message", BAD_RECORDS)
+def test_malformed_json_record_exits_1_with_its_path(tmp_path, capsys, command, text, extra, message):
+    record = tmp_path / "record.json"
+    if command == "alpha":
+        if text is None:  # a well-formed sequence, asked for an index before its stream
+            assert run(capsys, "construct", "alpha", "--m", "5", "--r", "2", "-o", str(record))[0] == 0
+        else:
+            record.write_text(text)
+        argv = ["verify", "alpha", "--alpha", str(record), *extra]
+    else:
+        grid = tmp_path / "A.set"
+        grid.write_text("dim 3 side 2\n")
+        if text is None:  # a constructed record whose form no avoider has
+            params = tmp_path / "built.json"
+            built = tmp_path / "built.set"
+            argv = ["construct", "corner3d", "--delta", "0.25", "--length", "8", "--q-max", "40"]
+            assert run(capsys, *argv, "-o", str(built), "--params-out", str(params))[0] == 0
+            record.write_text(params.read_text().replace('"form": "corner3d"', '"form": "x3"'))
+        else:
+            record.write_text(text)
+        argv = ["verify", "avoidance", "--set", str(grid), "--params", str(record), *extra]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert stderr.startswith(f"error: {record}: {message}")
+    assert "Traceback" not in stderr
+
+
+def test_internal_index_errors_still_surface(tmp_path, capsys, monkeypatch):
+    from cornerforge import cli
+
+    record = tmp_path / "alpha.json"
+    assert run(capsys, "construct", "alpha", "--m", "5", "--r", "2", "-o", str(record))[0] == 0
+
+    def broken(seq, i):
+        raise IndexError("internal")
+
+    monkeypatch.setattr(cli, "verify_alpha", broken)
+    with pytest.raises(IndexError, match="internal"):
+        main(["verify", "alpha", "--alpha", str(record)])
+
+
+@pytest.mark.parametrize("group, label", [("zN:30000", "zN 30000"), ("fp:3:1000000000", "fp 3 1000000000")])
+@pytest.mark.parametrize("command", ["construct", "report"])
+def test_mandache_refuses_groups_past_the_cell_limit_at_once(tmp_path, capsys, group, label, command):
+    kern = tmp_path / "w.kern"
+    kern.write_text("1\n1/2\n")
+    out = tmp_path / "out"
+    extra = ["--seeds", "0:2"] if command == "report" else []
+    start = time.perf_counter()
+    code, _, stderr = run(capsys, command, "mandache", "--kernel", str(kern), "--group", group, *extra, "-o", str(out))
+    assert time.perf_counter() - start < 5  # refused before any element is named
+    assert code == 1
+    assert stderr.strip() == f"error: {label} x {label} exceeds the 400000000-cell limit"
+    assert not out.exists()

@@ -146,18 +146,31 @@ def test_kforce_density_examples():
     assert kforce_density(Hypergraph(3, 6, frozenset())) == 0
 
 
-def test_kforce_density_matches_hom_count():
-    rng = random.Random(4)
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_kforce_density_matches_hom_count(k):
+    rng = random.Random(4 + k)
     for _ in range(12):
-        k = rng.choice([3, 4])
-        n = rng.randint(k, 6)
-        h = random_hypergraph(rng, k, n, density=0.5)
+        n = rng.randint(k, 7)
+        h = random_hypergraph(rng, k, n, density=rng.choice([0.2, 0.5, 0.9]))
         assert kforce_density(h) == Fraction(hom_count(kforce_motif(k), h), n ** (2 * k))
 
 
+def test_kforce_density_matches_hom_count_on_a_sparse_target():
+    # 300 random triples on 120 vertices: 847 of the 7,140 pairs have
+    # positive codegree, and 522 of the 822 triangles they form are not
+    # edges, so the count is more than the 6 per edge
+    rng = random.Random(11)
+    triples = rng.sample(list(itertools.combinations(range(120), 3)), 300)
+    h = Hypergraph(3, 120, frozenset(map(frozenset, triples)))
+    count = hom_count(triforce_motif(), h)
+    assert count > 6 * 300
+    assert kforce_density(h) == Fraction(count, 120**6)
+
+
 def test_kforce_sparse_path_agrees_with_subset_oracle():
-    # comb(110, 3) exceeds the dense-path cutoff, forcing the sparse route;
-    # the oracle walks support triples with its own codegree bookkeeping
+    # 110 vertices, edges on the first 7 only: the enumeration must find
+    # every support triple; the oracle walks them with its own codegree
+    # bookkeeping
     rng = random.Random(6)
     small = random_hypergraph(rng, 3, 7, density=0.4)
     shifted = Hypergraph(3, 110, small.edges)
