@@ -39,7 +39,7 @@ import numpy as np
 
 from .behrend import QCSystem, behrend_qc_free, behrend_sum_free, qc_coefficients
 from .contfrac import AlphaSequence, build_alpha_hard, frac_floors, verify_alpha
-from .patterns import MAX_CELLS, GridSet, Pattern, _grid_hits, _replicate
+from .patterns import MAX_CELLS, GridSet, Pattern, _grid_hits, _member_columns, _pack
 
 __all__ = [
     "f_quad",
@@ -201,7 +201,7 @@ class _AvoiderBase:
         if self._grid is None:
             if not self._fits():
                 raise ValueError(f"side {self.side} needs {self.side**self.dim} cells; use the membership predicate")
-            self._grid = GridSet.from_mask(self.dim, self.side, int.from_bytes(self._fill(), "little"))
+            self._grid = GridSet.from_packed(self.dim, self.side, np.frombuffer(self._fill(), dtype=np.uint8))
         return self._grid
 
     def density_report(self) -> dict:
@@ -592,34 +592,23 @@ def pattern_projection(pattern: Pattern) -> tuple[int, tuple[int, ...], Pattern]
     return c, phi, Pattern(pattern.dim, five)
 
 
-def _affine_rank(points: Sequence[tuple[int, ...]]) -> int:
-    if len(points) < 2:
-        return 0
-    base = points[0]
-    rows = [[Fraction(p[j] - base[j]) for j in range(len(base))] for p in points[1:]]
+def _rank(vectors: Sequence[Sequence[int]]) -> int:
+    """Exact rank of integer vectors, by elimination over the rationals."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
     rank = 0
-    cols = len(base)
-    pivot_col = 0
-    for row_idx in range(len(rows)):
-        while pivot_col < cols:
-            pivot = next((r for r in range(rank, len(rows)) if rows[r][pivot_col]), None)
-            if pivot is None:
-                pivot_col += 1
-                continue
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is not None:
             rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            lead = rows[rank][pivot_col]
-            for r in range(len(rows)):
-                if r != rank and rows[r][pivot_col]:
-                    factor = rows[r][pivot_col] / lead
-                    rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+            for r in range(rank + 1, len(rows)):
+                factor = rows[r][col] / rows[rank][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
             rank += 1
-            pivot_col += 1
-            break
     return rank
 
 
-def _linear_rank(vectors: Sequence[tuple[int, ...]]) -> int:
-    return _affine_rank([(0,) * len(vectors[0])] + [tuple(v) for v in vectors])
+def _affine_rank(points: Sequence[tuple[int, ...]]) -> int:
+    return _rank([[a - b for a, b in zip(p, points[0])] for p in points[1:]])
 
 
 def lift_avoider(pattern: Pattern, base: GridSet) -> GridSet:
@@ -668,41 +657,49 @@ def lift_avoider(pattern: Pattern, base: GridSet) -> GridSet:
     n = base.side
     _check_lift_cells(n, k)
     # base x [N]^(k-3): the base's N^3 bits repeat once per trailing point
-    padded = GridSet.from_mask(k, n, _replicate(base.mask, n**3, n ** (k - 3)))
+    padded = base if k == 3 else GridSet.from_packed(k, n, _tile_bits(base.packed(), n**3, n ** (k - 3)))
     corner3 = {(0,) * k} | {tuple(1 if j == i else 0 for j in range(k)) for i in range(3)}
     if set(pattern.points) >= corner3:
         return padded
     # general position: send the first three axes to a spanning triple of
-    # pattern differences, completed to a full-rank integer map
-    columns: Optional[list[tuple[int, ...]]] = None
-    for combo in itertools.combinations(pattern.points, 4):
-        if _affine_rank(combo) == 3:
-            columns = [
-                tuple(combo[i + 1][j] - combo[0][j] for j in range(k)) for i in range(3)
-            ]
-            break
-    if columns is None:
-        raise ValueError("no spanning quadruple found")
+    # pattern differences (the affine rank is 3, so some 4 points span),
+    # completed by unit vectors to a full-rank integer map
+    quad = next(combo for combo in itertools.combinations(pattern.points, 4) if _affine_rank(combo) == 3)
+    columns = [[a - b for a, b in zip(q, quad[0])] for q in quad[1:]]
     for axis in range(k):
-        if len(columns) == k:
-            break
-        unit = tuple(1 if j == axis else 0 for j in range(k))
-        if _linear_rank(columns + [unit]) == len(columns) + 1:
+        unit = [1 if j == axis else 0 for j in range(k)]
+        if _rank(columns + [unit]) == len(columns) + 1:
             columns.append(unit)
-    if len(columns) != k:
-        raise ArithmeticError("failed to complete the difference triple to a basis")
-    images = [
-        tuple(sum(columns[c][r] * point[c] for c in range(k)) for r in range(k))
-        for point in padded
-    ]
-    if not images:
+    matrix = np.array(columns, dtype=np.int64).T  # image = matrix @ point
+    members = _member_columns(padded.packed(), n, k)
+    if not members[0].size:
         raise ValueError("cannot place the image of an empty base set")
-    lows = [min(img[r] for img in images) for r in range(k)]
-    highs = [max(img[r] for img in images) for r in range(k)]
-    side = max(h - l + 1 for h, l in zip(highs, lows))
+
+    def images():
+        """The images of the 1-based members, _LIFT_ROWS columns at a time."""
+        for start in range(0, members[0].size, _LIFT_ROWS):
+            yield matrix @ (np.stack([m[start : start + _LIFT_ROWS] for m in members]).astype(np.int64) + 1)
+
+    # two passes: the image's bounding box, then its bits in that box
+    bounds = np.array([(img.min(axis=1), img.max(axis=1)) for img in images()])
+    lows, highs = bounds[:, 0].min(axis=0), bounds[:, 1].max(axis=0)
+    side = int((highs - lows).max()) + 1
     _check_lift_cells(side, k)
-    shifted = [tuple(img[r] - lows[r] + 1 for r in range(k)) for img in images]
-    return GridSet(k, side, shifted)
+    weights = side ** np.arange(k, dtype=np.int64)
+    return GridSet.from_packed(k, side, _pack((weights @ (img - lows[:, None]) for img in images()), side**k))
+
+
+# members mapped at a time by the general-position lift
+_LIFT_ROWS = 1 << 16
+
+
+def _tile_bits(raw: np.ndarray, nbits: int, count: int) -> np.ndarray:
+    """`count` copies of the first `nbits` bits of the packed array `raw`,
+    end to end, packed.  Eight copies are 8 * nbits bits, whole bytes, so
+    the output is that block repeated, then the copies left over."""
+    bits = np.unpackbits(raw, count=nbits, bitorder="little")
+    eight = np.packbits(np.tile(bits, 8), bitorder="little")
+    return np.concatenate([np.tile(eight, count // 8), np.packbits(np.tile(bits, count % 8), bitorder="little")])
 
 
 def _check_lift_cells(side: int, k: int) -> None:

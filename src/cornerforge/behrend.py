@@ -22,7 +22,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, log, prod, sqrt
+from math import lcm, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
@@ -103,16 +103,38 @@ class SphereSet:
 
 
 def _sphere_dimensions(length: int, headroom: int) -> tuple[int, int]:
-    """dim = floor(sqrt(ln length)) and base = floor(length^(1/dim)).
+    """dim = floor(sqrt(ln length)), at least 1, and base =
+    floor(length^(1/dim)); d^2 <= ln length is decided exactly, as
+    e^(d^2) < length.
 
     The dimension is lowered when needed so the base stays at least the
     headroom divisor (only relevant at small lengths; asymptotically the
     base dwarfs the headroom).
     """
-    dim = max(1, int(sqrt(log(length))))
+    dim = 1
+    while _exp_below((dim + 1) ** 2, length):
+        dim += 1
     while dim > 1 and _int_root(length, dim) < headroom:
         dim -= 1
     return dim, _int_root(length, dim)
+
+
+def _exp_below(x: int, bound: int) -> bool:
+    """Whether e^x < bound, exactly, for integers x >= 1 and bound >= 1.
+
+    The partial sum s of the first k terms of the series of e^x is below
+    it, and once the next term t = x^k / k! has k >= 2x the rest is below
+    2t, so s < e^x < s + 2t.  e^x is irrational, so some k separates it
+    from the integer bound.
+    """
+    total, term, k = 0, Fraction(1), 0
+    while total < bound:
+        if k >= 2 * x and total + 2 * term < bound:
+            return True
+        total += term
+        k += 1
+        term = term * x / k
+    return False
 
 
 def _int_root(x: int, d: int) -> int:

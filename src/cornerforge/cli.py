@@ -298,10 +298,7 @@ def _cmd_count_spectrum(args):
 
 def _cmd_count_density(args):
     carrier = _sniff_set(args.set)
-    if isinstance(carrier, GridSet):
-        total = carrier.side**carrier.dim
-    else:
-        total = carrier.group.order ** 2
+    total = carrier.side**carrier.dim if isinstance(carrier, GridSet) else carrier.group.order**2
     density = Fraction(len(carrier), total)
     print(json.dumps({"members": len(carrier), "cells": total, "density": str(density), "density_float": float(density)}))
     return EXIT_OK
@@ -404,9 +401,12 @@ def _cmd_verify_qcfree(args):
 def _cmd_verify_alpha(args):
     seq = _load_record(args.alpha, AlphaSequence.from_json)
     indices = _parse_ints(args.indices) if args.indices else range(seq.start_index, seq.start_index + 5)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (or none in this Python)
     for i in indices:
         if i + seq.offset < 0:
             raise ValueError(f"{args.alpha}: index {i} precedes the quotient stream (least index {-seq.offset})")
+        if limit and (digits := seq.digit_bound(i + seq.offset)) > limit:
+            raise ValueError(f"{args.alpha}: index {i} has a denominator of up to {digits} digits (limit {limit})")
     rows = []
     failed = False
     for i in indices:

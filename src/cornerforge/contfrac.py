@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import floor, gcd, lcm, log10
 from typing import Optional, Sequence
 
 __all__ = [
@@ -198,8 +198,7 @@ class AlphaSequence:
     def __post_init__(self) -> None:
         self.r = Fraction(self.r)
         self.prefix = tuple(int(c) for c in self.prefix)
-        self._p: list[int] = []
-        self._q: list[int] = []
+        self._p, self._q = [0, 1], [1, 0]  # P_{n-2}, Q_{n-2} at position n
 
     # -- quotient / convergent access ------------------------------------
 
@@ -209,23 +208,24 @@ class AlphaSequence:
     def convergent(self, n: int) -> tuple[int, int]:
         if n < 0:
             raise IndexError("convergent index must be nonnegative")
-        if len(self._p) <= n:
-            if len(self._p) >= 2:
-                p2, p1 = self._p[-2], self._p[-1]
-                q2, q1 = self._q[-2], self._q[-1]
-            elif len(self._p) == 1:
-                p2, p1 = 1, self._p[0]
-                q2, q1 = 0, self._q[0]
-            else:
-                p2, p1 = 0, 1  # P_{-2}, P_{-1}
-                q2, q1 = 1, 0  # Q_{-2}, Q_{-1}
-            for k in range(len(self._p), n + 1):
-                c = self.quotient(k)
-                p2, p1 = p1, c * p1 + p2
-                q2, q1 = q1, c * q1 + q2
-                self._p.append(p1)
-                self._q.append(q1)
-        return self._p[n], self._q[n]
+        p, q = self._p, self._q
+        while len(p) < n + 3:
+            c = self.quotient(len(p) - 2)
+            p.append(c * p[-1] + p[-2])
+            q.append(c * q[-1] + q[-2])
+        return p[n + 2], q[n + 2]
+
+    def digit_bound(self, n: int) -> int:
+        """An upper bound on the decimal digits of Q_n, read from the
+        quotient stream without computing a convergent.
+
+        Q_n = c_n Q_{n-1} + Q_{n-2} <= (c_n + 1) Q_{n-1}, so Q_n is at most
+        the product of c_k + 1 over k = 1..n; its log is summed in floats,
+        whose rounding is far below the product's slack.
+        """
+        head = self.prefix[1 : n + 1]
+        logs = sum(log10(c + 1) for c in head) + (n - len(head)) * log10(self.tail + 1)
+        return floor(logs) + 1
 
     # -- lemma-facing accessors ------------------------------------------
 

@@ -33,7 +33,7 @@ import numpy as np
 from .diamond import TripartiteGraph
 from .hypergraph import Hypergraph, StepKernel
 from .contfrac import _is_prime
-from .patterns import MAX_CELLS, GridSet, Group, GroupSet, Spectrum, _member_columns, _past_cell_limit
+from .patterns import MAX_CELLS, GridSet, Group, GroupSet, Spectrum, _member_columns, _pack, _past_cell_limit
 
 __all__ = [
     "ParseError",
@@ -66,7 +66,6 @@ _CHUNK_CHARS = 1 << 13
 
 # the least value of each digit count with no leading zero (a lone 0 has none)
 _LEAST = np.array([0, 0] + [10**k for k in range(1, 18)], dtype=np.int64)
-_BITS = np.array([1 << b for b in range(8)], dtype=np.uint8)
 
 # members named and written at a time by write_grid_set
 _WRITE_ROWS = 1 << 16
@@ -102,10 +101,16 @@ def _is_data(line: str) -> bool:
     return bool(line.strip()) and not line.lstrip().startswith("#")
 
 
-def _data_lines(fh: TextIO):
-    for lineno, line in enumerate(fh, start=1):
-        if _is_data(line):
-            yield lineno, line
+def _header(fh: TextIO, path: str) -> tuple[int, list[tuple[int, str]], Iterator[tuple[int, str]]]:
+    """(line number, tokens) of the first data line, and the data lines
+    after it; a file with no data line is refused as empty.  The lines are
+    read lazily, so `fh` itself has read nothing past the header."""
+    lines = ((lineno, line) for lineno, line in enumerate(fh, start=1) if _is_data(line))
+    try:
+        lineno, header = next(lines)
+    except StopIteration:
+        raise ParseError(path, 1, 1, "empty file") from None
+    return lineno, _tokens(header), lines
 
 
 def _line_chunks(fh: TextIO) -> Iterator[str]:
@@ -158,32 +163,27 @@ def _strict_flats(text: str, seps: bytes, low: int, high: int, weights: list[int
     return flats
 
 
-def _read_mask(
+def _read_flats(
     fh: TextIO,
     lineno: int,
-    nbits: int,
     seps: bytes,
     low: int,
     high: int,
     weights: list[int],
     flat_of_line: Callable[[int, str], int],
-) -> int:
-    """The packed mask of the set lines after the header, which is line
-    `lineno`.  Chunks in strict form are parsed in bulk; any other chunk goes
-    line by line through flat_of_line(lineno, line), which raises the
-    ParseError of a bad line, so every input reads as the per-line reader
-    alone would read it."""
-    buf = np.zeros((nbits + 7) // 8, dtype=np.uint8)
+) -> Iterator[np.ndarray]:
+    """The flat indices of the set lines after the header, which is line
+    `lineno`, one array per chunk.  Chunks in strict form are parsed in
+    bulk; any other chunk goes line by line through flat_of_line(lineno,
+    line), which raises the ParseError of a bad line, so every input reads
+    as the per-line reader alone would read it."""
     for text in _line_chunks(fh):
         flats = _strict_flats(text, seps, low, high, weights)
         if flats is None:
             lines = enumerate(text.split("\n")[:-1], start=lineno + 1)
             flats = np.array([flat_of_line(n, line) for n, line in lines if _is_data(line)], dtype=np.int64)
-        np.bitwise_or.at(buf, flats >> 3, _BITS[flats & 7])
+        yield flats
         lineno += text.count("\n")
-    data = buf.tobytes()
-    del buf  # so the int is built beside one copy of the bytes, not two
-    return int.from_bytes(data, "little")
 
 
 def _grid_point(path: str, lineno: int, line: str, dim: int, side: int) -> tuple[int, ...]:
@@ -198,12 +198,7 @@ def _grid_point(path: str, lineno: int, line: str, dim: int, side: int) -> tuple
 
 
 def read_grid_set(fh: TextIO, path: str = "<grid set>") -> GridSet:
-    lines = _data_lines(fh)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ParseError(path, 1, 1, "empty file") from None
-    toks = _tokens(header)
+    lineno, toks, _ = _header(fh, path)
     if len(toks) != 4 or toks[0][1] != "dim" or toks[2][1] != "side":
         raise ParseError(path, lineno, toks[0][0] if toks else 1, "expected header 'dim k side N'")
     dim = _int(path, lineno, toks[1][0], toks[1][1])
@@ -219,10 +214,9 @@ def read_grid_set(fh: TextIO, path: str = "<grid set>") -> GridSet:
     def flat_of_line(lineno: int, line: str) -> int:
         return sum((c - 1) * w for c, w in zip(_grid_point(path, lineno, line, dim, side), weights))
 
-    # the header came from `lines`, which has read nothing past it
     seps = b" " * (dim - 1) + b"\n"
-    mask = _read_mask(fh, lineno, side**dim, seps, 1, side, weights, flat_of_line)
-    return GridSet.from_mask(dim, side, mask)
+    flats = _read_flats(fh, lineno, seps, 1, side, weights, flat_of_line)
+    return GridSet.from_packed(dim, side, _pack(flats, side**dim))
 
 
 def write_grid_set(fh: TextIO, grid: GridSet) -> None:
@@ -248,17 +242,11 @@ def read_residues(fh: TextIO, path: str = "<residue set>") -> tuple[frozenset, i
 
 
 def write_residues(fh: TextIO, members: Iterable[int], length: int) -> None:
-    shifted = GridSet(1, length, [(int(v) + 1,) for v in members])
-    write_grid_set(fh, shifted)
+    write_grid_set(fh, GridSet(1, length, [(int(v) + 1,) for v in members]))
 
 
 def read_group_set(fh: TextIO, path: str = "<group set>") -> GroupSet:
-    lines = _data_lines(fh)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ParseError(path, 1, 1, "empty file") from None
-    toks = _tokens(header)
+    lineno, toks, _ = _header(fh, path)
     if not toks or toks[0][1] != "group":
         raise ParseError(path, lineno, 1, "expected header 'group zN <N>' or 'group fp <p> <n>'")
     if len(toks) == 3 and toks[1][1] == "zN":
@@ -301,8 +289,8 @@ def read_group_set(fh: TextIO, path: str = "<group set>") -> GroupSet:
         digits = b"," * (n - 1)
         seps, high = digits + b" " + digits + b"\n", p - 1
         weights = [p ** (n + j) for j in range(n)] + [p**j for j in range(n)]
-    # the header came from `lines`, which has read nothing past it
-    return GroupSet.from_mask(group, _read_mask(fh, lineno, order * order, seps, 0, high, weights, flat_of_line))
+    flats = _read_flats(fh, lineno, seps, 0, high, weights, flat_of_line)
+    return GroupSet.from_packed(group, _pack(flats, order * order))
 
 
 def write_group_set(fh: TextIO, pairs: GroupSet) -> None:
@@ -317,12 +305,7 @@ def write_group_set(fh: TextIO, pairs: GroupSet) -> None:
 
 
 def read_hypergraph(fh: TextIO, path: str = "<hypergraph>") -> Hypergraph:
-    lines = _data_lines(fh)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ParseError(path, 1, 1, "empty file") from None
-    toks = _tokens(header)
+    lineno, toks, lines = _header(fh, path)
     if len(toks) != 3:
         raise ParseError(path, lineno, 1, "expected header 'k n m'")
     (ck, k), (cn, n), (cm, m) = ((c, _int(path, lineno, c, t)) for c, t in toks)
@@ -368,12 +351,7 @@ def _fraction(path: str, lineno: int, col: int, token: str) -> Fraction:
 
 
 def read_kernel(fh: TextIO, path: str = "<kernel>") -> StepKernel:
-    lines = _data_lines(fh)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ParseError(path, 1, 1, "empty file") from None
-    toks = _tokens(header)
+    lineno, toks, lines = _header(fh, path)
     if len(toks) != 1:
         raise ParseError(path, lineno, 1, "expected header '<g>'")
     g = _int(path, lineno, toks[0][0], toks[0][1])
@@ -388,14 +366,8 @@ def read_kernel(fh: TextIO, path: str = "<kernel>") -> StepKernel:
             flat.append(value)
     if len(flat) != g**3:
         raise ParseError(path, lineno if flat else 1, 1, f"expected {g ** 3} values, found {len(flat)}")
-    values = [[[Fraction(0)] * g for _ in range(g)] for _ in range(g)]
-    pos = 0
-    for z in range(g):  # x varies fastest
-        for y in range(g):
-            for x in range(g):
-                values[x][y][z] = flat[pos]
-                pos += 1
-    return StepKernel(g, values)
+    # x varies fastest in the file
+    return StepKernel(g, [[[flat[x + g * (y + g * z)] for z in range(g)] for y in range(g)] for x in range(g)])
 
 
 def write_kernel(fh: TextIO, w: StepKernel) -> None:
@@ -406,12 +378,7 @@ def write_kernel(fh: TextIO, w: StepKernel) -> None:
 
 
 def read_tripartite(fh: TextIO, path: str = "<graph>") -> TripartiteGraph:
-    lines = _data_lines(fh)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ParseError(path, 1, 1, "empty file") from None
-    toks = _tokens(header)
+    lineno, toks, lines = _header(fh, path)
     if len(toks) != 2 or toks[0][1] != "tripartite":
         raise ParseError(path, lineno, 1, "expected header 'tripartite N'")
     side = _int(path, lineno, toks[1][0], toks[1][1])

@@ -226,10 +226,6 @@ class StepKernel:
         vals[x][y][z] = Fraction(1)
         return StepKernel(g, vals)
 
-    def __getitem__(self, cell: tuple[int, int, int]) -> Fraction:
-        x, y, z = cell
-        return self.values[x][y][z]
-
     def mean(self) -> Fraction:
         return sum(v for plane in self.values for row in plane for v in row) / self.g**3
 

@@ -114,7 +114,7 @@ def sample_mandache(w: StepKernel, group: Group, seed: int) -> GroupSet:
                 if coin * den < num * _SCALE:
                     buf[flat >> 3] |= 1 << (flat & 7)
             flat += 1
-    return GroupSet.from_mask(group, int.from_bytes(buf, "little"))
+    return GroupSet.from_packed(group, np.frombuffer(buf, dtype=np.uint8))
 
 
 @dataclass

@@ -8,18 +8,21 @@ Two kinds of carrier set are supported:
   (``Z/N`` or a vector group ``F_p^n``), counted against corners
   ``(x,y), (x+d,y), (x,y+d)`` with group arithmetic (wraparound).
 
-Both are stored as packed bit arrays (one Python int holds the whole set).
+A grid set is stored as its packed bits, a read-only little-endian uint8
+array; every grid consumer (the kernel, the writers, the readers, the
+avoiders' materializers and the lift) reads or fills those bytes directly.
 Grid patterns are counted from the members: every copy x + d*T holds two
 members on one line parallel to t_1 - t_0, so the grid kernel pairs up
 members line by line and tests the other pattern points by bit lookups in
-the packed mask.  Group corners are counted by rotating the packed mask
-itself.  The spectrum over all admissible differences d is the statistic
-of interest: its maximum entry is the best "popular difference" of the
-set.
+the packed bytes.  A group set is one Python int, and group corners are
+counted by rotating that int.  The spectrum over all admissible
+differences d is the statistic of interest: its maximum entry is the best
+"popular difference" of the set.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -56,11 +59,35 @@ def _past_cell_limit(base: int, exp: int) -> bool:
 # bit-array helpers
 # ---------------------------------------------------------------------------
 
-def _mask_from_flats(flats: Iterable[int], nbits: int) -> int:
-    buf = bytearray((nbits + 7) // 8)
-    for f in flats:
-        buf[f >> 3] |= 1 << (f & 7)
-    return int.from_bytes(buf, "little")
+_BITS = np.array([1 << b for b in range(8)], dtype=np.uint8)
+
+
+def _pack(flats: Iterable[np.ndarray], nbits: int) -> np.ndarray:
+    """The read-only little-endian packed array of `nbits` bits with bit f
+    set for every f in every array of `flats` (each in [0, nbits))."""
+    buf = np.zeros((nbits + 7) // 8, dtype=np.uint8)
+    for chunk in flats:
+        np.bitwise_or.at(buf, chunk >> 3, _BITS[chunk & 7])
+    buf.flags.writeable = False
+    return buf
+
+
+def _popcount(raw: np.ndarray) -> int:
+    """Set bits of a packed array, unpacked a chunk of bytes at a time."""
+    chunks = (raw[start : start + _UNPACK_CHUNK] for start in range(0, raw.size, _UNPACK_CHUNK))
+    return sum(int(np.count_nonzero(np.unpackbits(chunk))) for chunk in chunks)
+
+
+def _checked_packed(raw: np.ndarray, nbits: int) -> np.ndarray:
+    """`raw` frozen read-only, once it is uint8 bytes of exactly `nbits`
+    bits with zero tail bits."""
+    raw = np.asarray(raw)
+    if raw.dtype != np.uint8 or raw.shape != ((nbits + 7) // 8,):
+        raise ValueError(f"packed set must be {(nbits + 7) // 8} uint8 bytes, got {raw.dtype} of shape {raw.shape}")
+    if nbits % 8 and raw[-1] >> (nbits % 8):
+        raise ValueError(f"packed set has bits past its {nbits} cells")
+    raw.flags.writeable = False
+    return raw
 
 
 def _replicate(unit: int, block: int, count: int) -> int:
@@ -182,37 +209,37 @@ class Pattern:
 
 
 class GridSet:
-    """Subset of [N]^k with 1-based coordinates, stored as a packed bit array.
+    """Subset of [N]^k with 1-based coordinates, stored as its packed bits.
 
-    The flat index of a point p is sum_j (p_j - 1) * N^j (first coordinate
-    fastest); conversion between 1-based tuples and flat bits happens only at
-    this boundary.
+    The one stored form is a read-only little-endian uint8 array whose bit
+    f is the cell with flat index f = sum_j (p_j - 1) * N^j (first
+    coordinate fastest); the bits past N^k are zero.  Conversion between
+    1-based tuples and flat bits happens only at this boundary.
     """
 
-    __slots__ = ("dim", "side", "_mask")
+    __slots__ = ("dim", "side", "_packed")
 
     def __init__(self, dim: int, side: int, members: Iterable[tuple[int, ...]] = ()):
         if dim < 1 or side < 1:
             raise ValueError("dim and side must be positive")
         self.dim = dim
         self.side = side
-        self._mask = _mask_from_flats(map(self._checked_flat, members), side**dim)
+        self._packed = _pack([np.fromiter(map(self._checked_flat, members), dtype=np.int64)], side**dim)
 
     @classmethod
-    def from_mask(cls, dim: int, side: int, mask: int) -> "GridSet":
-        if mask < 0 or mask >> (side**dim):
-            raise ValueError("mask has bits outside the grid")
+    def from_packed(cls, dim: int, side: int, packed: np.ndarray) -> "GridSet":
+        """The set whose cell f is bit f of `packed`, taken over and frozen."""
         obj = cls.__new__(cls)
-        obj.dim, obj.side, obj._mask = dim, side, mask
+        obj.dim, obj.side, obj._packed = dim, side, _checked_packed(packed, side**dim)
         return obj
 
     @classmethod
     def full(cls, dim: int, side: int) -> "GridSet":
-        return cls.from_mask(dim, side, (1 << side**dim) - 1)
+        return cls.from_cells(np.ones((side,) * dim, dtype=bool))
 
     @classmethod
     def empty(cls, dim: int, side: int) -> "GridSet":
-        return cls.from_mask(dim, side, 0)
+        return cls(dim, side)
 
     @classmethod
     def from_cells(cls, cells: np.ndarray) -> "GridSet":
@@ -220,22 +247,17 @@ class GridSet:
         [x_k .. x_1] (first coordinate fastest, as in the flat index)."""
         if len(set(cells.shape)) != 1:  # also refuses a 0-d array
             raise ValueError(f"cells must be a cube, got shape {cells.shape}")
-        bits = np.packbits(cells.reshape(-1), bitorder="little")
-        return cls.from_mask(cells.ndim, cells.shape[0], int.from_bytes(bits.tobytes(), "little"))
-
-    @property
-    def mask(self) -> int:
-        return self._mask
+        return cls.from_packed(cells.ndim, cells.shape[0], np.packbits(cells.reshape(-1), bitorder="little"))
 
     def packed(self) -> np.ndarray:
-        """The mask as little-endian bytes: bit f of the array is cell f."""
-        return np.frombuffer(self._mask.to_bytes((self.side**self.dim + 7) // 8, "little"), dtype=np.uint8)
+        """The stored read-only bytes, not a copy: bit f is cell f."""
+        return self._packed
 
     def cells(self) -> np.ndarray:
         """The set as a fresh bool array with axes [x_k .. x_1] (first
         coordinate fastest), one byte per cell."""
         n, k = self.side, self.dim
-        return np.unpackbits(self.packed(), count=n**k, bitorder="little").view(bool).reshape((n,) * k)
+        return np.unpackbits(self._packed, count=n**k, bitorder="little").view(bool).reshape((n,) * k)
 
     def _checked_flat(self, p: tuple[int, ...]) -> int:
         p = tuple(int(c) for c in p)
@@ -254,19 +276,21 @@ class GridSet:
     def __contains__(self, p: tuple[int, ...]) -> bool:
         if len(p) != self.dim or not all(1 <= c <= self.side for c in p):
             return False
-        return bool(self._mask >> self._flat(tuple(p)) & 1)
+        f = self._flat(tuple(p))
+        return bool(self._packed[f >> 3] >> (f & 7) & 1)
 
     def __len__(self) -> int:
-        return self._mask.bit_count()
+        return _popcount(self._packed)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        columns = _member_columns(self.packed(), self.side, self.dim)
+        columns = _member_columns(self._packed, self.side, self.dim)
         return zip(*((column + 1).tolist() for column in columns))
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, GridSet)
-            and (self.dim, self.side, self._mask) == (other.dim, other.side, other._mask)
+            and (self.dim, self.side) == (other.dim, other.side)
+            and np.array_equal(self._packed, other._packed)
         )
 
     def __repr__(self) -> str:
@@ -288,7 +312,7 @@ def _member_columns(raw: np.ndarray, side: int, dim: int) -> list[np.ndarray]:
     members of the packed mask `raw`, in flat-index order.  The mask is
     unpacked a chunk of bytes at a time, never as a whole bool grid, and
     each chunk's members are written straight into the columns."""
-    columns = np.empty((dim, int.from_bytes(raw, "little").bit_count()), dtype=np.int32)
+    columns = np.empty((dim, _popcount(raw)), dtype=np.int32)
     end = 0
     for start in range(0, raw.size, _UNPACK_CHUNK):
         bits = np.unpackbits(raw[start : start + _UNPACK_CHUNK], bitorder="little")
@@ -478,16 +502,11 @@ class Group:
         return idx
 
     def elements(self) -> Iterator:
+        """Every element, in index order (first vector coordinate fastest)."""
         if self.kind == "zN":
-            yield from range(self.params[0])
-            return
+            return iter(range(self.params[0]))
         p, n = self.params
-        for idx in range(p**n):
-            out = []
-            for _ in range(n):
-                idx, r = divmod(idx, p)
-                out.append(r)
-            yield tuple(out)
+        return (e[::-1] for e in itertools.product(range(p), repeat=n))
 
     def format_element(self, e) -> str:
         return str(e) if self.kind == "zN" else ",".join(str(c) for c in e)
@@ -504,12 +523,15 @@ class Group:
 
 
 class GroupSet:
-    """Subset of G x G, stored as a packed bit array over |G|^2 positions.
+    """Subset of G x G, stored as one Python int: bit f is the pair with
+    flat index f = index(x) * |G| + index(y).
 
-    Flat index of (x, y) is index(x) * |G| + index(y), so adding d to the
-    first coordinate is a whole-word rotation (or per-digit block rotation
-    for vector groups), and adding d to the second is the same one level
-    down.
+    Adding d to the first coordinate is then a whole-word rotation (or
+    per-digit block rotation for vector groups), and adding d to the second
+    is the same one level down.  Groups keep the int, unlike grid sets,
+    because the corner kernel rotates it hundreds of times per spectrum.
+    Packed bytes cross into it only through `from_packed`, and out of it
+    only through `packed`.
     """
 
     __slots__ = ("group", "_mask")
@@ -518,28 +540,26 @@ class GroupSet:
         self.group = group
         w = group.order
         flats = (group.index(group.canon(x)) * w + group.index(group.canon(y)) for x, y in members)
-        self._mask = _mask_from_flats(flats, w * w)
+        self._mask = GroupSet.from_packed(group, _pack([np.fromiter(flats, dtype=np.int64)], w * w))._mask
 
     @classmethod
-    def from_mask(cls, group: Group, mask: int) -> "GroupSet":
-        w = group.order
-        if mask < 0 or mask >> (w * w):
-            raise ValueError("mask has bits outside G x G")
+    def from_packed(cls, group: Group, packed: np.ndarray) -> "GroupSet":
+        """The set whose pair f is bit f of the little-endian bytes `packed`."""
         obj = cls.__new__(cls)
-        obj.group, obj._mask = group, mask
+        obj.group = group
+        obj._mask = int.from_bytes(_checked_packed(packed, group.order**2), "little")
         return obj
 
     @classmethod
     def full(cls, group: Group) -> "GroupSet":
-        w = group.order
-        return cls.from_mask(group, (1 << (w * w)) - 1)
+        return cls.from_packed(group, np.packbits(np.ones(group.order**2, dtype=bool), bitorder="little"))
 
     @property
     def mask(self) -> int:
         return self._mask
 
     def packed(self) -> np.ndarray:
-        """The mask as little-endian bytes: bit f of the array is pair f."""
+        """The set as little-endian bytes: bit f of the array is pair f."""
         w = self.group.order
         return np.frombuffer(self._mask.to_bytes((w * w + 7) // 8, "little"), dtype=np.uint8)
 
@@ -610,13 +630,7 @@ class Spectrum:
 
     def max_entry(self):
         """(d, count) with the largest count; ties go to the earliest d."""
-        if not self.counts:
-            return None
-        best_d = next(iter(self.counts))
-        for d, c in self.counts.items():
-            if c > self.counts[best_d]:
-                best_d = d
-        return best_d, self.counts[best_d]
+        return max(self.counts.items(), key=lambda item: item[1], default=None)
 
     def total(self) -> int:
         return sum(self.counts.values())

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -417,6 +418,17 @@ def test_lift_of_3d_base_matches_lift_oracle(pattern, seed):
     cube = list(itertools.product(range(1, side + 1), repeat=3))
     base = GridSet(3, side, rng.sample(cube, rng.randint(1, len(cube))))
     _assert_lift_matches_oracle(pattern, base)
+
+
+def test_tile_bits_matches_tiling_the_cells():
+    # copies of a bit block that is not whole bytes, fewer and more than 8
+    rng = random.Random(5)
+    for nbits in (1, 5, 8, 27):
+        bits = np.array([rng.random() < 0.5 for _ in range(nbits)], dtype=bool)
+        raw = np.packbits(bits, bitorder="little")
+        for count in (1, 3, 8, 9, 17):
+            want = np.packbits(np.tile(bits, count), bitorder="little")
+            assert avoiders._tile_bits(raw, nbits, count).tolist() == want.tolist(), (nbits, count)
 
 
 def test_lift_refuses_grids_past_the_cell_limit(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -7,6 +8,7 @@ from cornerforge.behrend import (
     RELATION_SUM3,
     QCSystem,
     _int_root,
+    _sphere_dimensions,
     behrend_3ap_free,
     behrend_qc_free,
     behrend_sum_free,
@@ -194,3 +196,26 @@ def test_int_root_beyond_float_range():
     assert _int_root(2**3000, 3) == 2**1000
     with pytest.raises(ValueError):
         _int_root(-1, 2)
+
+
+def _sphere_dimension_oracle(length: int) -> int:
+    """The largest d >= 1 with d^2 <= ln(length), in 60-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ln = Decimal(length).ln()
+        d = 1
+        while (d + 1) ** 2 <= ln:
+            d += 1
+        return d
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_sphere_dimension_is_exact_on_both_sides_of_e_to_k_squared(k):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        edge = int(Decimal(k * k).exp())  # floor(e^(k^2)) < e^(k^2) < edge + 1
+    for length, want in ((edge, k - 1), (edge + 1, k)):
+        assert _sphere_dimension_oracle(length) == want
+        assert _sphere_dimensions(length, 1)[0] == want, length
+    if k == 6:  # where int(sqrt(log(L))) read 6: log(4311231547115195) rounds to 36.0
+        assert edge == 4311231547115195

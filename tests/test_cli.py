@@ -1,4 +1,5 @@
 import itertools
+import sys
 import time
 import json
 from fractions import Fraction
@@ -6,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from cornerforge import avoiders
-from cornerforge.behrend import is_qc, qc_coefficients
+from cornerforge.behrend import behrend_3ap_free, is_qc, qc_coefficients
 from cornerforge.cli import main
-from cornerforge.formats import read_grid_set, read_residues, write_grid_set, write_residues
+from cornerforge.diamond import TripartiteGraph, diamond_free_from_ap_free
+from cornerforge.formats import read_grid_set, read_residues, write_grid_set, write_residues, write_tripartite
 from cornerforge.patterns import GridSet
 from oracles import corner3_count_oracle
 
@@ -37,6 +39,47 @@ def test_relationfree_failure_exits_2(tmp_path, capsys):
     payload = json.loads(stdout)
     assert payload["verified"] is False
     assert len(payload["witness"]) == 3
+
+
+def test_verify_relationfree_fails_on_an_added_residue(tmp_path, capsys):
+    out = tmp_path / "lam.set"
+    assert run(capsys, "construct", "sumfree", "--length", "256", "-o", str(out))[0] == 0
+    assert run(capsys, "verify", "relationfree", "--relation", "1,1,1,-3", "--set", str(out))[0] == 0
+    with open(out) as fh:
+        members, length = read_residues(fh)
+    assert len(members) >= 2
+    # z = 3w - x - y completes x + y + z = 3w with members x, y and w
+    added = min(
+        z for x, y, w in itertools.product(members, repeat=3) if 0 <= (z := 3 * w - x - y) < length and z not in members
+    )
+    with open(out, "w") as fh:
+        write_residues(fh, members | {added}, length)
+    code, stdout, _ = run(capsys, "verify", "relationfree", "--relation", "1,1,1,-3", "--set", str(out))
+    assert code == 2
+    witness = json.loads(stdout)["witness"]
+    assert set(witness) <= members | {added} and len(set(witness)) > 1
+    assert sum(c * v for c, v in zip((1, 1, 1, -3), witness)) == 0
+
+
+def test_verify_diamondfree_fails_on_an_edge_closing_a_second_triangle(tmp_path, capsys):
+    ap_free = sorted(behrend_3ap_free(1024).members)
+    assert len(ap_free) >= 2
+    n = 2 * ap_free[-1] + 1  # odd, and past every integer 3-AP's wrap
+    graph = diamond_free_from_ap_free(ap_free, n)
+    path = tmp_path / "g.graph"
+    with open(path, "w") as fh:
+        write_tripartite(fh, graph)
+    assert run(capsys, "verify", "diamondfree", "--graph", str(path))[0] == 0
+    # XZ (0, a + b) closes (0, a, a + b) and (0, b, a + b): each XY and YZ
+    # edge of those lies in a second triangle, the new edge in two
+    a, b = ap_free[:2]
+    with open(path, "w") as fh:
+        write_tripartite(fh, TripartiteGraph(n, graph.xy, graph.yz, graph.xz | {(0, a + b)}))
+    code, stdout, _ = run(capsys, "verify", "diamondfree", "--graph", str(path))
+    assert code == 2
+    witness = json.loads(stdout)["witness"]
+    closed = {("xy", (0, a)), ("xy", (0, b)), ("yz", (a, a + b)), ("yz", (b, a + b)), ("xz", (0, a + b))}
+    assert (witness["family"], tuple(witness["edge"])) in closed and witness["triangles"] == 2
 
 
 def test_qcfree_construct_and_verify(tmp_path, capsys):
@@ -188,6 +231,18 @@ def test_verify_alpha_fails_on_a_changed_scale(tmp_path, capsys):
     assert payload["verified"] is False
     rows = payload["witness"]
     assert rows and all(row["guaranteed"] and row["interval"] is False for row in rows)
+
+
+@pytest.mark.parametrize("index", [4000, 10**6])
+def test_verify_alpha_refuses_an_index_past_the_integer_print_limit(tmp_path, capsys, index):
+    record = tmp_path / "alpha.json"
+    assert run(capsys, "construct", "alpha", "--m", "16", "--r", "2", "-o", str(record))[0] == 0
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, "verify", "alpha", "--alpha", str(record), "--indices", f"5,{index}")
+    assert time.perf_counter() - start < 1  # refused before any convergent is computed
+    assert code == 1 and stdout == ""
+    assert stderr.startswith(f"error: {record}: index {index} has a denominator of up to ")
+    assert stderr.rstrip().endswith(f"digits (limit {sys.get_int_max_str_digits()})")
 
 
 def test_corner3d_construct_then_verify_avoidance(tmp_path, capsys):

@@ -119,6 +119,16 @@ def test_indices_below_threshold_not_guaranteed():
     assert good.guaranteed and good.passed
 
 
+@pytest.mark.parametrize("m, r", [(2, 1), (5, Fraction(3, 2)), (16, 2)])
+def test_digit_bound_covers_every_denominator(m, r):
+    seq = build_alpha_hard(m, r)
+    for n in range(300):
+        bound = seq.digit_bound(n)
+        assert seq.convergent(n)[1] < 10**bound, n
+    if m == 16:  # a = lcm(1..16) makes (a + 1) / b tiny: within a digit
+        assert seq.convergent(299)[1] >= 10 ** (seq.digit_bound(299) - 2)
+
+
 def test_json_round_trip_regenerates_stream():
     seq = build_alpha_hard(6, Fraction(5, 4))
     again = AlphaSequence.from_json(seq.to_json())

@@ -102,6 +102,37 @@ def test_grid_set_round_trip():
     assert len(g) == 3
 
 
+def test_packed_bytes_are_the_stored_form():
+    g = GridSet(2, 3, [(1, 1), (3, 3)])  # flat indices 0 and 8 of 9 bits
+    raw = g.packed()
+    assert raw is g.packed() and not raw.flags.writeable
+    assert raw.tolist() == [1, 1]
+    given = np.array([1, 1], dtype=np.uint8)
+    assert GridSet.from_packed(2, 3, given) == g and not given.flags.writeable
+    assert GridSet.from_packed(2, 3, np.array([1, 0], dtype=np.uint8)) != g
+    assert [p in g for p in itertools.product(range(0, 5), repeat=2)] == [
+        p in {(1, 1), (3, 3)} for p in itertools.product(range(0, 5), repeat=2)
+    ]
+    assert (1, 1, 1) not in g
+    with pytest.raises(ValueError, match="bits past its 9 cells"):
+        GridSet.from_packed(2, 3, np.array([0, 2], dtype=np.uint8))
+    for bad in (np.zeros(3, dtype=np.uint8), np.zeros(2, dtype=np.int64), np.zeros((1, 2), dtype=np.uint8)):
+        with pytest.raises(ValueError, match="must be 2 uint8 bytes"):
+            GridSet.from_packed(2, 3, bad)
+    full = GridSet.full(3, 5)  # 125 bits: the last byte holds 5
+    assert len(full) == 125 and full.packed()[-1] == 0b11111 and len(GridSet.empty(3, 5)) == 0
+
+
+def test_group_set_crosses_bytes_only_through_packed():
+    group = Group.vector(3, 2)  # 81 pairs: the last byte holds one bit
+    pairs = GroupSet(group, [((0, 0), (2, 2)), ((1, 2), (0, 1))])
+    again = GroupSet.from_packed(group, pairs.packed())
+    assert again.mask == pairs.mask and set(again) == set(pairs)
+    assert GroupSet.full(group).mask == (1 << 81) - 1
+    with pytest.raises(ValueError, match="bits past its 81 cells"):
+        GroupSet.from_packed(group, np.full(11, 255, dtype=np.uint8))
+
+
 def test_cells_view_and_back():
     rng = random.Random(11)
     for dim in (1, 2, 3):
