@@ -16,49 +16,15 @@ import os
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .avoiders import (
-    build_corner_avoider,
-    build_five_point_avoider,
-    lift_avoider,
-    load_avoider,
-    verify_corner_avoidance,
-)
-from .behrend import (
-    behrend_3ap_free,
-    behrend_qc_free,
-    behrend_sum_free,
-    find_qc_witness,
-    find_relation_witness,
-    qc_coefficients,
-)
-from .contfrac import AlphaSequence, build_alpha_hard, verify_alpha
-from .diamond import verify_diamond_free
-from .formats import (
-    read_grid_set,
-    read_group_set,
-    read_hypergraph,
-    read_kernel,
-    read_residues,
-    read_tripartite,
-    write_grid_set,
-    write_group_set,
-    write_residues,
-    write_spectrum_csv,
-    write_spectrum_json,
-)
-from .hypergraph import (
-    edge_density,
-    hom_count,
-    kforce_density,
-    kforce_motif,
-    single_edge_motif,
-    triforce_motif,
-    triforce_weighted,
-)
-from .mandache import kernel_fingerprint, mandache_report, sample_mandache
-from .patterns import GridSet, Group, Pattern, spectrum
+
+# Each handler imports what it runs when it runs, so a command loads only its
+# own modules (numpy only where it computes with it), and every library name
+# is looked up when the command runs, not when this module is imported.
+if TYPE_CHECKING:
+    from .patterns import Group, Pattern
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -78,6 +44,8 @@ class VerificationFailure(Exception):
 
 
 def _parse_group(text: str) -> Group:
+    from .patterns import Group
+
     parts = text.replace(":", " ").split()
     if len(parts) == 2 and parts[0] == "zN":
         return Group.zmod(int(parts[1]))
@@ -87,6 +55,8 @@ def _parse_group(text: str) -> Group:
 
 
 def _parse_pattern(text: str) -> Pattern:
+    from .patterns import Pattern
+
     if text.startswith("corner"):
         return Pattern.corner(int(text[len("corner") :]))
     if text.startswith("ap"):
@@ -150,6 +120,8 @@ def _load_record(path: str, loader):
 
 
 def _sniff_set(path: str):
+    from .formats import read_grid_set, read_group_set
+
     with open(path) as fh:
         head = fh.readline().split()
     with open(path) as fh:
@@ -161,8 +133,11 @@ def _sniff_set(path: str):
 # -- construct ----------------------------------------------------------------
 
 
-def _cmd_construct_residue(args, builder, name):
-    out = builder(args.length)
+def _cmd_construct_residue(args, builder_name, name):
+    from . import behrend
+    from .formats import write_residues
+
+    out = getattr(behrend, builder_name)(args.length)
     with _open_out(args) as fh:
         write_residues(fh, out.members, args.length)
     _write_params(
@@ -183,6 +158,9 @@ def _cmd_construct_residue(args, builder, name):
 
 
 def _cmd_construct_qcfree(args):
+    from .behrend import behrend_qc_free, qc_coefficients
+    from .formats import write_residues
+
     a = _parse_ints(args.a)
     out = behrend_qc_free(a, args.length)
     with _open_out(args) as fh:
@@ -201,6 +179,8 @@ def _cmd_construct_qcfree(args):
 
 
 def _cmd_construct_alpha(args):
+    from .contfrac import build_alpha_hard
+
     seq = build_alpha_hard(args.m, Fraction(args.r))
     with _open_out(args) as fh:
         fh.write(seq.to_json() + "\n")
@@ -209,6 +189,9 @@ def _cmd_construct_alpha(args):
 
 
 def _cmd_construct_corner3d(args):
+    from .avoiders import build_corner_avoider
+    from .formats import write_grid_set
+
     avoider = build_corner_avoider(
         args.delta,
         args.c,
@@ -230,6 +213,9 @@ def _cmd_construct_corner3d(args):
 
 
 def _cmd_construct_fivepoint(args):
+    from .avoiders import build_five_point_avoider
+    from .formats import write_grid_set
+
     avoider = build_five_point_avoider(
         _parse_ints(args.a),
         args.delta,
@@ -246,6 +232,9 @@ def _cmd_construct_fivepoint(args):
 
 
 def _cmd_construct_lift(args):
+    from .avoiders import lift_avoider
+    from .formats import read_grid_set, write_grid_set
+
     pattern = _parse_pattern(args.pattern)
     with open(args.base) as fh:
         base = read_grid_set(fh, args.base)
@@ -260,6 +249,9 @@ def _cmd_construct_lift(args):
 
 
 def _cmd_construct_mandache(args):
+    from .formats import read_kernel, write_group_set
+    from .mandache import kernel_fingerprint, sample_mandache
+
     with open(args.kernel) as fh:
         kernel = read_kernel(fh, args.kernel)
     group = _parse_group(args.group)
@@ -284,6 +276,9 @@ def _cmd_construct_mandache(args):
 
 
 def _cmd_count_spectrum(args):
+    from .formats import write_spectrum_csv, write_spectrum_json
+    from .patterns import spectrum
+
     carrier = _sniff_set(args.set)
     pattern = _parse_pattern(args.pattern) if args.pattern else None
     spec = spectrum(carrier, pattern)
@@ -297,6 +292,8 @@ def _cmd_count_spectrum(args):
 
 
 def _cmd_count_density(args):
+    from .patterns import GridSet
+
     carrier = _sniff_set(args.set)
     total = carrier.side**carrier.dim if isinstance(carrier, GridSet) else carrier.group.order**2
     density = Fraction(len(carrier), total)
@@ -305,6 +302,9 @@ def _cmd_count_density(args):
 
 
 def _cmd_count_homs(args):
+    from .formats import read_hypergraph
+    from .hypergraph import edge_density, hom_count, kforce_density, kforce_motif, single_edge_motif, triforce_motif
+
     with open(args.hypergraph) as fh:
         h = read_hypergraph(fh, args.hypergraph)
     name = args.motif
@@ -333,6 +333,9 @@ def _cmd_count_homs(args):
 
 
 def _cmd_count_triforce(args):
+    from .formats import read_kernel
+    from .hypergraph import triforce_weighted
+
     with open(args.kernel) as fh:
         kernel = read_kernel(fh, args.kernel)
     value = triforce_weighted(kernel)
@@ -360,6 +363,9 @@ def _input_path(args, flag: str, positional: str) -> str:
 
 
 def _cmd_verify_diamondfree(args):
+    from .diamond import verify_diamond_free
+    from .formats import read_tripartite
+
     path = _input_path(args, "graph", "graph_path")
     with open(path) as fh:
         graph = read_tripartite(fh, path)
@@ -375,6 +381,9 @@ def _cmd_verify_diamondfree(args):
 
 
 def _cmd_verify_relationfree(args):
+    from .behrend import find_relation_witness
+    from .formats import read_residues
+
     relation = _parse_ints(args.relation)
     path = _input_path(args, "set", "set_path")
     with open(path) as fh:
@@ -387,6 +396,9 @@ def _cmd_verify_relationfree(args):
 
 
 def _cmd_verify_qcfree(args):
+    from .behrend import find_qc_witness, qc_coefficients
+    from .formats import read_residues
+
     a = _parse_ints(args.a)
     path = _input_path(args, "set", "set_path")
     with open(path) as fh:
@@ -399,6 +411,8 @@ def _cmd_verify_qcfree(args):
 
 
 def _cmd_verify_alpha(args):
+    from .contfrac import AlphaSequence, verify_alpha
+
     seq = _load_record(args.alpha, AlphaSequence.from_json)
     indices = _parse_ints(args.indices) if args.indices else range(seq.start_index, seq.start_index + 5)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (or none in this Python)
@@ -430,6 +444,9 @@ def _cmd_verify_alpha(args):
 
 
 def _cmd_verify_avoidance(args):
+    from .avoiders import load_avoider, verify_corner_avoidance
+    from .formats import read_grid_set
+
     with open(args.set) as fh:
         grid = read_grid_set(fh, args.set)
     avoider = _load_record(args.params, lambda text: load_avoider(text, grid))
@@ -451,6 +468,9 @@ def _cmd_verify_avoidance(args):
 
 
 def _cmd_report_mandache(args):
+    from .formats import read_kernel
+    from .mandache import mandache_report
+
     with open(args.kernel) as fh:
         kernel = read_kernel(fh, args.kernel)
     group = _parse_group(args.group)
@@ -475,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     construct = sub.add_parser("construct", help="build sets, streams, and samples").add_subparsers(
         dest="what", required=True
     )
-    for name, builder in (("behrend", behrend_3ap_free), ("sumfree", behrend_sum_free)):
+    for name, builder in (("behrend", "behrend_3ap_free"), ("sumfree", "behrend_sum_free")):
         p = construct.add_parser(name)
         p.add_argument("--length", "--L", "-L", type=int, required=True)
         _add_output(p)

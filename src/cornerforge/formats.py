@@ -18,7 +18,9 @@ line/column positions.
 
 Grid and group sets in the canonical form the writers emit are parsed in
 bulk with numpy; text in any other spelling goes through the per-line
-reader, which yields the same set and gives every diagnostic.
+reader, which yields the same set and gives every diagnostic.  Only the
+grid- and group-set readers and writers load numpy (and `patterns`); the
+residue, hypergraph, kernel, graph and spectrum formats run without it.
 """
 
 from __future__ import annotations
@@ -26,14 +28,17 @@ from __future__ import annotations
 import csv
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Iterator, Optional, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, TextIO
 
-import numpy as np
+from .limits import MAX_CELLS, _past_cell_limit
 
-from .diamond import TripartiteGraph
-from .hypergraph import Hypergraph, StepKernel
-from .contfrac import _is_prime
-from .patterns import MAX_CELLS, GridSet, Group, GroupSet, Spectrum, _member_columns, _pack, _past_cell_limit
+# each reader and writer imports what it builds when it runs (see above)
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .diamond import TripartiteGraph
+    from .hypergraph import Hypergraph, StepKernel
+    from .patterns import GridSet, GroupSet, Spectrum
 
 __all__ = [
     "ParseError",
@@ -64,10 +69,7 @@ class ParseError(ValueError):
 # scratch arrays stay far below the mask they fill
 _CHUNK_CHARS = 1 << 13
 
-# the least value of each digit count with no leading zero (a lone 0 has none)
-_LEAST = np.array([0, 0] + [10**k for k in range(1, 18)], dtype=np.int64)
-
-# members named and written at a time by write_grid_set
+# members written at a time by the grid- and group-set writers
 _WRITE_ROWS = 1 << 16
 
 
@@ -137,6 +139,8 @@ def _strict_flats(text: str, seps: bytes, low: int, high: int, weights: list[int
     token, no sign, no leading zero and every value in [low, high].  Token j
     of a line adds (value - low) * weights[j] to its flat index.
     """
+    import numpy as np
+
     try:
         raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     except UnicodeEncodeError:
@@ -153,8 +157,9 @@ def _strict_flats(text: str, seps: bytes, low: int, high: int, weights: list[int
     for place in range(width):  # digit `place` from the right of every token
         digit = raw.take(ends - 1 - place, mode="clip").astype(np.int64) - 48
         values += np.where(length > place, digit, 0) * 10**place
-    # a leading zero leaves a value below the least one of its digit count
-    if values.min() < low or values.max() > high or not (values >= _LEAST[length]).all():
+    # a leading zero leaves a value below 10**(digits - 1), the least value
+    # of its digit count (a lone 0 has no leading zero)
+    if values.min() < low or values.max() > high or not (values >= np.where(length > 1, 10 ** (length - 1), 0)).all():
         return None
     rows = values.reshape(-1, per_line) - low
     flats = rows[:, 0] * weights[0]
@@ -177,6 +182,8 @@ def _read_flats(
     bulk; any other chunk goes line by line through flat_of_line(lineno,
     line), which raises the ParseError of a bad line, so every input reads
     as the per-line reader alone would read it."""
+    import numpy as np
+
     for text in _line_chunks(fh):
         flats = _strict_flats(text, seps, low, high, weights)
         if flats is None:
@@ -197,8 +204,10 @@ def _grid_point(path: str, lineno: int, line: str, dim: int, side: int) -> tuple
     return point
 
 
-def read_grid_set(fh: TextIO, path: str = "<grid set>") -> GridSet:
-    lineno, toks, _ = _header(fh, path)
+def _grid_header(fh: TextIO, path: str) -> tuple[int, int, int, list[tuple[int, str]], Iterator[tuple[int, str]]]:
+    """(line number, dim, side, tokens) of a checked 'dim k side N' header
+    within the cell limit, then the data lines after it (see _header)."""
+    lineno, toks, lines = _header(fh, path)
     if len(toks) != 4 or toks[0][1] != "dim" or toks[2][1] != "side":
         raise ParseError(path, lineno, toks[0][0] if toks else 1, "expected header 'dim k side N'")
     dim = _int(path, lineno, toks[1][0], toks[1][1])
@@ -208,7 +217,13 @@ def read_grid_set(fh: TextIO, path: str = "<grid set>") -> GridSet:
     if side < 1:
         raise ParseError(path, lineno, toks[3][0], f"side must be positive, got {side}")
     _check_cells(path, lineno, toks[3][0], side, dim, f"side {side} in dim {dim}")
+    return lineno, dim, side, toks, lines
 
+
+def read_grid_set(fh: TextIO, path: str = "<grid set>") -> GridSet:
+    from .patterns import GridSet, _pack
+
+    lineno, dim, side, _, _ = _grid_header(fh, path)
     weights = [side**j for j in range(dim)]
 
     def flat_of_line(lineno: int, line: str) -> int:
@@ -220,32 +235,42 @@ def read_grid_set(fh: TextIO, path: str = "<grid set>") -> GridSet:
 
 
 def write_grid_set(fh: TextIO, grid: GridSet) -> None:
+    import numpy as np
+
+    from .patterns import _member_columns
+
     fh.write(f"dim {grid.dim} side {grid.side}\n")
     columns = _member_columns(grid.packed(), grid.side, grid.dim)
+    line = "%d " * (grid.dim - 1) + "%d\n"
     for start in range(0, columns[0].size, _WRITE_ROWS):
-        named = []
-        for column in columns:
-            # name each distinct coordinate once, then index the names
-            values, where = np.unique(column[start : start + _WRITE_ROWS], return_inverse=True)
-            names = np.array([str(v + 1) for v in values.tolist()], dtype=object)
-            named.append(names[where].tolist())
-        fh.writelines(" ".join(point) + "\n" for point in zip(*named))
+        block = np.stack([column[start : start + _WRITE_ROWS] for column in columns], axis=1) + 1
+        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_residues(fh: TextIO, path: str = "<residue set>") -> tuple[frozenset, int]:
     """Load a {0..L-1} residue set stored in the 1-based grid format;
-    returns (members, L)."""
-    grid = read_grid_set(fh, path)
-    if grid.dim != 1:
-        raise ParseError(path, 1, 1, "residue sets must be 1-dimensional")
-    return frozenset(p[0] - 1 for p in grid), grid.side
+    returns (members, L).  Read line by line: residue sets are small."""
+    lineno, dim, side, toks, lines = _grid_header(fh, path)
+    if dim != 1:
+        raise ParseError(path, lineno, toks[1][0], "residue sets must be 1-dimensional")
+    members = frozenset(_grid_point(path, n, line, 1, side)[0] - 1 for n, line in lines)
+    return members, side
 
 
 def write_residues(fh: TextIO, members: Iterable[int], length: int) -> None:
-    write_grid_set(fh, GridSet(1, length, [(int(v) + 1,) for v in members]))
+    """The grid-format text of the 1-d set {v + 1 : v in members} of side
+    `length`: each residue once, in increasing order."""
+    values = sorted({int(v) for v in members})
+    if length < 1 or values and (values[0] < 0 or values[-1] >= length):
+        raise ValueError(f"residues must lie in [0, {length})")
+    fh.write(f"dim 1 side {length}\n")
+    fh.writelines(f"{v + 1}\n" for v in values)
 
 
 def read_group_set(fh: TextIO, path: str = "<group set>") -> GroupSet:
+    from .contfrac import _is_prime
+    from .patterns import Group, GroupSet, _pack
+
     lineno, toks, _ = _header(fh, path)
     if not toks or toks[0][1] != "group":
         raise ParseError(path, lineno, 1, "expected header 'group zN <N>' or 'group fp <p> <n>'")
@@ -294,6 +319,10 @@ def read_group_set(fh: TextIO, path: str = "<group set>") -> GroupSet:
 
 
 def write_group_set(fh: TextIO, pairs: GroupSet) -> None:
+    import numpy as np
+
+    from .patterns import _member_columns
+
     group = pairs.group
     order = group.order
     names = np.array([group.format_element(e) for e in group.elements()], dtype=object)
@@ -305,6 +334,8 @@ def write_group_set(fh: TextIO, pairs: GroupSet) -> None:
 
 
 def read_hypergraph(fh: TextIO, path: str = "<hypergraph>") -> Hypergraph:
+    from .hypergraph import Hypergraph
+
     lineno, toks, lines = _header(fh, path)
     if len(toks) != 3:
         raise ParseError(path, lineno, 1, "expected header 'k n m'")
@@ -351,6 +382,8 @@ def _fraction(path: str, lineno: int, col: int, token: str) -> Fraction:
 
 
 def read_kernel(fh: TextIO, path: str = "<kernel>") -> StepKernel:
+    from .hypergraph import StepKernel
+
     lineno, toks, lines = _header(fh, path)
     if len(toks) != 1:
         raise ParseError(path, lineno, 1, "expected header '<g>'")
@@ -378,6 +411,8 @@ def write_kernel(fh: TextIO, w: StepKernel) -> None:
 
 
 def read_tripartite(fh: TextIO, path: str = "<graph>") -> TripartiteGraph:
+    from .diamond import TripartiteGraph
+
     lineno, toks, lines = _header(fh, path)
     if len(toks) != 2 or toks[0][1] != "tripartite":
         raise ParseError(path, lineno, 1, "expected header 'tripartite N'")

@@ -113,7 +113,7 @@ def hom_count(motif: Hypergraph, h: Hypergraph) -> int:
     """
     import numpy as np
 
-    from .patterns import MAX_CELLS
+    from .limits import MAX_CELLS
 
     if motif.k != h.k:
         raise ValueError(f"uniformity mismatch: motif {motif.k}, target {h.k}")

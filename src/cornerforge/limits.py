@@ -1,0 +1,13 @@
+"""The cell limit every reader and materializer checks, in plain integers,
+so readers that need no numpy (residues, kernels, graphs) can check it."""
+
+# Largest carrier (grid cells or |G|^2 pairs) any reader or materializer
+# will allocate.  The grid kernel needs one more copy of the packed mask
+# (N^k / 8 bytes), about 50 bytes per member and 8 bytes per difference d.
+MAX_CELLS = 400_000_000
+
+
+def _past_cell_limit(base: int, exp: int) -> bool:
+    """Whether a carrier of base**exp cells exceeds MAX_CELLS; a huge
+    exponent is judged without evaluating the power."""
+    return base > 1 and (exp >= MAX_CELLS.bit_length() or base**exp > MAX_CELLS)

@@ -32,7 +32,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .hypergraph import StepKernel, triforce_weighted
-from .patterns import MAX_CELLS, Group, GroupSet, RotationMasks, _past_cell_limit, corner_count_group
+from .limits import MAX_CELLS, _past_cell_limit
+from .patterns import Group, GroupSet, RotationMasks, corner_count_group
 
 __all__ = ["sample_mandache", "mandache_report", "MandacheReport", "kernel_fingerprint"]
 

@@ -29,6 +29,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .contfrac import _is_prime
+from .limits import MAX_CELLS, _past_cell_limit  # noqa: F401 (re-exported)
 
 __all__ = [
     "Pattern",
@@ -42,18 +43,6 @@ __all__ = [
     "RotationMasks",
     "MAX_CELLS",
 ]
-
-# Largest carrier (grid cells or |G|^2 pairs) any reader or materializer
-# will allocate.  The grid kernel needs one more copy of the packed mask
-# (N^k / 8 bytes), about 50 bytes per member and 8 bytes per difference d.
-MAX_CELLS = 400_000_000
-
-
-def _past_cell_limit(base: int, exp: int) -> bool:
-    """Whether a carrier of base**exp cells exceeds MAX_CELLS; a huge
-    exponent is judged without evaluating the power."""
-    return base > 1 and (exp >= MAX_CELLS.bit_length() or base**exp > MAX_CELLS)
-
 
 # ---------------------------------------------------------------------------
 # bit-array helpers

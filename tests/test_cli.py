@@ -155,6 +155,17 @@ def test_oversized_header_exits_1_before_allocating(tmp_path, capsys, header, co
 
 
 @pytest.mark.parametrize(
+    "argv", [["verify", "relationfree", "--relation", "1,-2,1"], ["verify", "qcfree", "--a", "0,1,2,3,4"]]
+)
+def test_oversized_residue_header_exits_1_naming_the_limit(tmp_path, capsys, argv):
+    big = tmp_path / "big.set"
+    big.write_text("dim 1 side 400000001\n1\n")
+    code, stdout, stderr = run(capsys, *argv, "--set", str(big))
+    assert code == 1 and stdout == ""
+    assert stderr.strip() == f"error: {big}:1:12: side 400000001 in dim 1 exceeds the 400000000-cell limit"
+
+
+@pytest.mark.parametrize(
     "header,column,message",
     [
         ("dim 0 side 5", 5, "dim must be positive, got 0"),
@@ -431,7 +442,7 @@ def test_malformed_json_record_exits_1_with_its_path(tmp_path, capsys, command, 
 
 
 def test_internal_index_errors_still_surface(tmp_path, capsys, monkeypatch):
-    from cornerforge import cli
+    from cornerforge import contfrac
 
     record = tmp_path / "alpha.json"
     assert run(capsys, "construct", "alpha", "--m", "5", "--r", "2", "-o", str(record))[0] == 0
@@ -439,7 +450,7 @@ def test_internal_index_errors_still_surface(tmp_path, capsys, monkeypatch):
     def broken(seq, i):
         raise IndexError("internal")
 
-    monkeypatch.setattr(cli, "verify_alpha", broken)
+    monkeypatch.setattr(contfrac, "verify_alpha", broken)  # the handler looks it up when it runs
     with pytest.raises(IndexError, match="internal"):
         main(["verify", "alpha", "--alpha", str(record)])
 

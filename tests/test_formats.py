@@ -209,6 +209,43 @@ def test_residue_round_trip_shifts_to_one_based():
     assert members == out.members and length == 64
 
 
+@pytest.mark.parametrize(
+    "members,length",
+    [((), 1), ((), 7), ([6, 0, 3, 2], 7), ([4, 4, 1, 4, 1], 5), (range(99, -1, -3), 100), ([0], 1)],
+)
+def test_residue_writer_matches_the_one_dimensional_grid_writer(members, length):
+    direct, via_grid = io.StringIO(), io.StringIO()
+    write_residues(direct, members, length)
+    write_grid_set(via_grid, GridSet(1, length, [(v + 1,) for v in members]))
+    assert direct.getvalue() == via_grid.getvalue()
+
+
+@pytest.mark.parametrize("members,length", [([5], 5), ([-1], 5), ([], 0)])
+def test_residue_writer_refuses_values_off_the_range(members, length):
+    with pytest.raises(ValueError):
+        write_residues(io.StringIO(), members, length)
+
+
+RESIDUE_ERRORS = [
+    ("dim 1 side 5\n6\n", 2, 1, "point (6,) outside [1, 5]^1"),
+    ("dim 1 side 5\n2\n\n# c\n0\n", 5, 1, "point (0,) outside [1, 5]^1"),
+    ("dim 1 side 5\n1 2\n", 2, 1, "expected 1 coordinates"),
+    ("dim 1 side 5\n  x\n", 2, 3, "expected an integer, got 'x'"),
+    ("dim 1 side x\n", 1, 12, "expected an integer, got 'x'"),
+    ("dim 1 side 0\n", 1, 12, "side must be positive, got 0"),
+    ("dim 1 side 400000001\n1\n", 1, 12, "side 400000001 in dim 1 exceeds the 400000000-cell limit"),
+    ("# c\ndim 2 side 5\n1 1\n", 2, 5, "residue sets must be 1-dimensional"),
+    ("", 1, 1, "empty file"),
+]
+
+
+@pytest.mark.parametrize("text,line,column,message", RESIDUE_ERRORS)
+def test_residue_parse_error_positions(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        read_residues(io.StringIO(text), "r.set")
+    assert str(err.value) == f"r.set:{line}:{column}: {message}"
+
+
 def test_group_set_round_trips():
     zset = GroupSet(Group.zmod(6), [(0, 3), (5, 1)])
     again = round_trip(write_group_set, read_group_set, zset)
