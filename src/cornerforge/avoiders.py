@@ -176,7 +176,7 @@ class _AvoiderBase:
     reporting and materialization.  Subclasses set `dim`, the dimension of
     the grid they materialize into, `form`, the tag of their parameter
     record, `statistic`, the integer whose multiple of alpha decides a
-    point, and `_fill`, the packed bytes of every cell's membership."""
+    point, and `_fill`, every cell's membership packed into a fresh uint8 array."""
 
     dim: int
     form: str
@@ -201,7 +201,7 @@ class _AvoiderBase:
         if self._grid is None:
             if not self._fits():
                 raise ValueError(f"side {self.side} needs {self.side**self.dim} cells; use the membership predicate")
-            self._grid = GridSet.from_packed(self.dim, self.side, np.frombuffer(self._fill(), dtype=np.uint8))
+            self._grid = GridSet.from_packed(self.dim, self.side, self._fill())
         return self._grid
 
     def density_report(self) -> dict:
@@ -224,6 +224,11 @@ class _AvoiderBase:
         self._grid = grid
 
 
+# statistic values decided at a time by both avoiders; a multiple of 8, so
+# the five-point avoider's packed chunks are whole bytes
+_DECIDE_CHUNK = 1 << 15
+
+
 class CornerAvoider(_AvoiderBase):
     """A subset of [N]^3 whose corner counts stay small for every nonzero d."""
 
@@ -234,28 +239,32 @@ class CornerAvoider(_AvoiderBase):
         x, y, z = point
         return f_quad(x, y, z)
 
-    def _fill(self) -> bytes:
+    def _fill(self) -> np.ndarray:
         n = self.side
         vmax = f_quad(n, 1, 1)  # largest attainable |statistic|
-        lookup = np.array(self.system.decide_values(self.alpha, range(-vmax, vmax + 1)), dtype=bool)
-        coords = np.arange(1, n + 1, dtype=np.int64)
+        lookup = np.empty(2 * vmax + 1, dtype=bool)  # membership of v at v + vmax
+        for start in range(0, lookup.size, _DECIDE_CHUNK):
+            values = range(start - vmax, min(start + _DECIDE_CHUNK, lookup.size) - vmax)
+            lookup[start : start + len(values)] = self.system.decide_values(self.alpha, values)
+        # every lookup index (x - y)(x + y - 2z) + vmax lies in [0, 2 * vmax],
+        # which int32 holds at any side within MAX_CELLS
+        coords = np.arange(1, n + 1, dtype=np.int32)
         xs = coords[None, :]  # x varies fastest
         ys = coords[:, None]
         diff = xs - ys
-        base = diff * (xs + ys) + vmax  # (x - y)(x + y - 2z) + vmax at z = 0
-        blocks = []
-        # 8 z-slabs are 8n^2 bits, whole bytes, so the packed blocks join
-        # end to end into the mask without an n^3 bool cube
-        for z0 in range(1, n + 1, 8):
-            zs = np.arange(z0, min(z0 + 8, n + 1), dtype=np.int64)[:, None, None]
-            slabs = lookup[base - 2 * zs * diff]  # [z, y, x], as GridSet.cells
-            blocks.append(np.packbits(slabs, axis=None, bitorder="little").tobytes())
-        return b"".join(blocks)
-
-
-# values of x decided and packed at a time by FivePointAvoider; a multiple of
-# 8, so the packed chunks are whole bytes
-_X_CHUNK = 1 << 15
+        base = diff * (xs + ys) + vmax  # the index at z = 0
+        out = np.empty((n**3 + 7) // 8, dtype=np.uint8)
+        # 8 z-slabs are 8n^2 bits, n^2 whole bytes, so the packed blocks fill
+        # the mask in order without an n^3 bool cube
+        slabs = np.empty((8, n, n), dtype=bool)  # [z, y, x], as GridSet.cells
+        for z0 in range(0, n, 8):
+            zs = range(z0 + 1, min(z0 + 9, n + 1))
+            for i, z in enumerate(zs):
+                slabs[i] = lookup[base - 2 * z * diff]
+            block = np.packbits(slabs[: len(zs)], axis=None, bitorder="little")
+            at = z0 * n * n // 8
+            out[at : at + block.size] = block
+        return out
 
 
 class FivePointAvoider(_AvoiderBase):
@@ -269,13 +278,14 @@ class FivePointAvoider(_AvoiderBase):
         (x,) = point if isinstance(point, tuple) else (point,)
         return x * x
 
-    def _fill(self) -> bytes:
+    def _fill(self) -> np.ndarray:
         n = self.side
-        blocks = []
-        for x0 in range(1, n + 1, _X_CHUNK):
-            inside = self.system.decide_values(self.alpha, [x * x for x in range(x0, min(x0 + _X_CHUNK, n + 1))])
-            blocks.append(np.packbits(np.array(inside, dtype=bool), bitorder="little").tobytes())
-        return b"".join(blocks)
+        out = np.empty((n + 7) // 8, dtype=np.uint8)
+        for x0 in range(0, n, _DECIDE_CHUNK):
+            squares = [x * x for x in range(x0 + 1, min(x0 + _DECIDE_CHUNK, n) + 1)]
+            block = np.packbits(np.array(self.system.decide_values(self.alpha, squares), dtype=bool), bitorder="little")
+            out[x0 // 8 : x0 // 8 + block.size] = block
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +332,20 @@ def _select_approximant(length: int, q_max: int, q_min: int = 2) -> tuple[AlphaS
     """Scan scales r = 2^j, j = 1..2L+1, for the largest verified denominator
     q in [q_min, q_max]; returns (sequence, j, i).
 
+    The scan stops at the first j with 2^j >= q_max, which drops no
+    candidate.  At scale r it starts at the sequence's start index K, whose
+    denominator is the prime x > r * b^K >= r, and denominators never fall
+    as the index grows (Q_{n+1} = c Q_n + Q_{n-1} with c >= 1).  So every
+    denominator at scale r exceeds r, and at r >= q_max none is at most
+    q_max; the full scan would break at once on each such scale.
+
     Every candidate is re-verified (smoothness, growth interval, and the
     1/(L q^2) approximation bound) rather than trusted.
     """
     best = None
     for j in range(1, 2 * length + 2):
+        if 2**j >= q_max:
+            break
         seq = build_alpha_hard(length, Fraction(2) ** j)
         i = seq.start_index
         while True:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, lcm, log10
+from math import floor, gcd, isqrt, lcm, log10
 from typing import Optional, Sequence
 
 __all__ = [
@@ -107,6 +107,20 @@ def _gt_linear(u: Fraction, v: Fraction, rhs: Fraction, a: int) -> bool:
     return Fraction(a * a + 4) > lhs * lhs
 
 
+def _floor_linear(u: Fraction, v: Fraction, a: int) -> int:
+    """floor(u + v*b), exactly, for v >= 0.
+
+    Over a common denominator D of u and v, 2D(u + v*b) = m + sqrt(t) with
+    integers m = 2Du + aDv and t = (Dv)^2 (a^2 + 4), and for any real s,
+    floor((m + s) / 2D) = floor((m + floor(s)) / 2D); so one isqrt gives the
+    floor, with no search.  An integer n exceeds u + v*b iff it exceeds this
+    floor.
+    """
+    den = lcm(u.denominator, v.denominator)
+    du, dv = int(u * den), int(v * den)  # exact: den clears both
+    return (2 * du + a * dv + isqrt(dv * dv * (a * a + 4))) // (2 * den)
+
+
 def _b_power(a: int, i: int) -> tuple[int, int]:
     """(u, v) with b^i = u + v*b; follows from b^2 = a*b + 1."""
     u, v = 1, 0
@@ -149,21 +163,9 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _above_linear(n: int, u: Fraction, v: Fraction, a: int) -> bool:
-    """Whether n > u + v*b, exactly (u + v*b is irrational when v != 0)."""
-    if v == 0:
-        return Fraction(n) > u
-    return not _gt_linear(u, v, Fraction(n), a)
-
-
 def _next_prime_above(lower_u: Fraction, lower_v: Fraction, a: int) -> int:
     """Smallest prime strictly greater than lower_u + lower_v * b."""
-    from math import isqrt
-
-    s = isqrt(a * a + 4)  # floor bracket for sqrt(a^2+4)
-    n = int(lower_u + lower_v * Fraction(a + s, 2))  # at or just below the bound
-    while not _above_linear(n, lower_u, lower_v, a):
-        n += 1
+    n = _floor_linear(lower_u, lower_v, a) + 1
     while not _is_prime(n):
         n += 1
     return n
@@ -363,7 +365,7 @@ def verify_alpha(seq: AlphaSequence, i: int) -> AlphaCheck:
     smooth = gcd(q, seq.a) == 1
     u, v = _b_power(seq.a, i)
     # q > r*b^i  and  2*r*b^i > q, both exact
-    interval = _above_linear(q, seq.r * u, seq.r * v, seq.a) and _gt_linear(
+    interval = q > _floor_linear(seq.r * u, seq.r * v, seq.a) and _gt_linear(
         2 * seq.r * u, 2 * seq.r * v, Fraction(q), seq.a
     )
     n = i + seq.offset

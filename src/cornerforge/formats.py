@@ -70,7 +70,7 @@ class ParseError(ValueError):
 _CHUNK_CHARS = 1 << 13
 
 # members written at a time by the grid- and group-set writers
-_WRITE_ROWS = 1 << 16
+_WRITE_ROWS = 1 << 13
 
 
 def _tokens(line: str) -> list[tuple[int, str]]:

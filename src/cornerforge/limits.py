@@ -3,7 +3,7 @@ so readers that need no numpy (residues, kernels, graphs) can check it."""
 
 # Largest carrier (grid cells or |G|^2 pairs) any reader or materializer
 # will allocate.  The grid kernel needs one more copy of the packed mask
-# (N^k / 8 bytes), about 50 bytes per member and 8 bytes per difference d.
+# (N^k / 8 bytes), about 20 bytes per member and 8 bytes per difference d.
 MAX_CELLS = 400_000_000
 
 

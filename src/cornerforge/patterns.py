@@ -297,11 +297,13 @@ _PAIR_CHUNK = 1 << 15
 
 
 def _member_columns(raw: np.ndarray, side: int, dim: int) -> list[np.ndarray]:
-    """0-based int32 coordinate columns (first coordinate first) of the
-    members of the packed mask `raw`, in flat-index order.  The mask is
-    unpacked a chunk of bytes at a time, never as a whole bool grid, and
+    """0-based coordinate columns (first coordinate first) of the members of
+    the packed mask `raw`, in flat-index order.  The columns are int16 when
+    side < 2**15 and int32 otherwise: a value is below side, so value + 1
+    still fits, but any other arithmetic on them must widen first.  The mask
+    is unpacked a chunk of bytes at a time, never as a whole bool grid, and
     each chunk's members are written straight into the columns."""
-    columns = np.empty((dim, _popcount(raw)), dtype=np.int32)
+    columns = np.empty((dim, _popcount(raw)), dtype=np.int16 if side < 1 << 15 else np.int32)
     end = 0
     for start in range(0, raw.size, _UNPACK_CHUNK):
         bits = np.unpackbits(raw[start : start + _UNPACK_CHUNK], bitorder="little")
@@ -316,6 +318,15 @@ def _member_columns(raw: np.ndarray, side: int, dim: int) -> list[np.ndarray]:
     return list(columns)
 
 
+def _line_numbers(keys: Iterable[np.ndarray], size: int) -> np.ndarray:
+    """int32 line number of each of `size` members sorted by line: 0 at the
+    first, one more wherever any key changes."""
+    line = np.zeros(size, dtype=np.int32)
+    for key in keys:
+        line[1:] |= key[1:] != key[:-1]
+    return np.cumsum(line, out=line)
+
+
 def _grid_hits(
     grid: GridSet, pattern: Pattern, ds: Sequence[int]
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -327,15 +338,21 @@ def _grid_hits(
     copy is yielded once, in no fixed order.
 
     The members are read once into coordinate columns and sorted into lines
-    parallel to v = t_1 - t_0, ordered by their position along the line.  A
-    copy with difference d holds two members y = x + d*t_0 and y + d*v on
-    one line, d positions apart, so the kernel walks same-line pairs by
-    rank gap g = 1, 2, ...: a pair at gap g has its line-mates at gap g - 1
-    too, so only the survivors of g - 1 are tried.  Each pair serves d and
-    -d at once; the other pattern points are then tested on the candidates
-    by bounds and by a bit test on the packed mask.  The work is the sum
-    over lines of c(c - 1) for c members on a line, against |T| * N^k per d
-    for scanning the grid: cheap on sparse sets, slow on dense ones.
+    parallel to v = t_1 - t_0, ordered by their position along the line.
+    When v = e_1 (as in the corner) flat order already is that order, so
+    nothing is sorted and the first column is the position.  A copy with
+    difference d holds two members y = x + d*t_0 and y + d*v on one line, d
+    positions apart, so the kernel walks same-line pairs by rank gap
+    g = 1, 2, ...: a pair at gap g has its line-mates at gap g - 1 too, so
+    only the survivors of g - 1 are tried.  The survivors are filtered a
+    chunk at a time and compacted in place, so no gap builds an array as
+    long as the member list.  Each pair serves d and -d at once; the other
+    pattern points are then tested on the candidates by bounds and by a bit
+    test on the packed mask.  The work is the sum over lines of c(c - 1)
+    for c members on a line, against |T| * N^k per d for scanning the grid:
+    cheap on sparse sets, slow on dense ones.  The scratch is the columns,
+    one int32 line number and one int32 survivor per member, and a chunk's
+    arrays: about 20 bytes per member on the 3-d corner.
     """
     if grid.dim != pattern.dim:
         raise ValueError(f"dimension mismatch: set {grid.dim}, pattern {pattern.dim}")
@@ -364,23 +381,26 @@ def _grid_hits(
                 yield np.full(every.size, i), anchors(every, d)
         return
     v, rest = offsets[0], offsets[1:]
-    # member = base + pos*v with base fixed on its line; the line's key is
-    # base, whose axis-a coordinate is the residue r
-    a = next(j for j in range(k) if v[j])
-    r = cols[a] % abs(v[a])
-    pos = (cols[a] - r) // v[a]
-    keys = [cols[j] - pos.astype(np.int64) * v[j] if v[j] else cols[j] for j in range(k) if j != a]
-    if abs(v[a]) > 1:
-        keys.append(r)
-    order = np.lexsort([pos] + keys)  # by line, then by position
-    pos = pos[order]
-    cols = [c[order] for c in cols]
-    line = np.zeros(order.size, dtype=np.int32)
-    for key in keys:
-        key = key[order]
-        line[1:] |= key[1:] != key[:-1]
-    del order, keys, r
-    np.cumsum(line, out=line)
+    if v == (1,) + (0,) * (k - 1):
+        # flat order is line order: a line is a run of equal x_2..x_k, and
+        # x_1 rises along it
+        pos, line = cols[0], _line_numbers(cols[1:], cols[0].size)
+    else:
+        # member = base + pos*v with base fixed on its line; the line's key
+        # is base, whose axis-a coordinate is the residue r
+        a = next(j for j in range(k) if v[j])
+        col = cols[a].astype(np.int64)
+        r = col % abs(v[a])
+        pos = (col - r) // v[a]
+        keys = [cols[j] - pos * v[j] if v[j] else cols[j] for j in range(k) if j != a]
+        if abs(v[a]) > 1:
+            keys.append(r)
+        del col, r
+        order = np.lexsort([pos] + keys)  # by line, then by position
+        pos = pos[order]
+        cols = [c[order] for c in cols]
+        line = _line_numbers((key[order] for key in keys), order.size)
+        del order, keys
 
     def copies(y: np.ndarray, d: np.ndarray):
         """The (slots, anchors) of the candidates y with y + d*v a member."""
@@ -399,20 +419,27 @@ def _grid_hits(
             y, d, slot = y[keep], d[keep], slot[keep]
         return slot, anchors(y, d)
 
+    # the pairs (low, low + gap) still to try: every member at gap 1, then
+    # the survivors of the gap before, written back over `low` in order
+    low = np.arange(max(pos.size - 1, 0), dtype=np.int32)
     gap = 1
-    low = np.flatnonzero(line[1:] == line[:-1])  # pairs (low, low + gap)
     while low.size:
-        # positions rise along a line, so a pair past reach stays past it
-        low = low[pos[low + gap] - pos[low] <= reach]
+        kept = 0
         for start in range(0, low.size, _PAIR_CHUNK):
             y = low[start : start + _PAIR_CHUNK]
-            dist = (pos[y + gap] - pos[y]).astype(np.int64)
+            y = y[y < pos.size - gap]
+            y = y[line[y + gap] == line[y]]
+            # positions rise along a line, so a pair past reach stays past it
+            dist = pos[y + gap] - pos[y]
+            near = dist <= reach
+            y, dist = y[near], dist[near].astype(np.int64)
             for chunk in (copies(y, dist), copies(y + gap, -dist)):  # d and -d
                 if chunk[0].size:
                     yield chunk
+            low[kept : kept + y.size] = y
+            kept += y.size
+        low = low[:kept]
         gap += 1
-        low = low[low + gap < line.size]
-        low = low[line[low + gap] == line[low]]
 
 
 def _grid_counts(grid: GridSet, pattern: Pattern, ds: Sequence[int]) -> dict[int, int]:

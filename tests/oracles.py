@@ -357,3 +357,24 @@ def frac_floor_oracle(alpha, v, den):
         if low == high:
             return low % den
         n += 1
+
+
+def next_prime_walk_oracle(u, v, a, is_prime):
+    """The least prime strictly above u + v*b, b = (a + sqrt(a^2+4)) / 2,
+    for v >= 0, by a unit-step walk: start at or below the bound (isqrt
+    rounds sqrt(a^2+4) down), step until n > u + v*b, decided by squaring
+    2(n - u)/v - a > sqrt(a^2+4), then step until `is_prime`."""
+    u, v = Fraction(u), Fraction(v)
+    n = math.floor(u + v * Fraction(a + math.isqrt(a * a + 4), 2))
+
+    def above(n):
+        if v == 0:
+            return n > u
+        c = 2 * (n - u) / v - a
+        return c > 0 and c * c > a * a + 4
+
+    while not above(n):
+        n += 1
+    while not is_prime(n):
+        n += 1
+    return n

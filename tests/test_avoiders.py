@@ -23,7 +23,7 @@ from cornerforge.avoiders import (
     verify_corner_avoidance,
 )
 from cornerforge.behrend import qc_coefficients
-from cornerforge.contfrac import build_alpha_hard
+from cornerforge.contfrac import build_alpha_hard, verify_alpha
 from cornerforge.patterns import MAX_CELLS, GridSet, Pattern, count_pattern, spectrum
 from cornerforge import avoiders
 from oracles import corner3_count_oracle, corner3_transfer_classes, lift_oracle
@@ -117,6 +117,16 @@ def test_corner_materialize_matches_membership_on_every_cell():
     assert n % 8 and len(grid)
     for point in itertools.product(range(1, n + 1), repeat=3):
         assert (point in grid) == (point in avoider)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_corner_materialize_decides_in_chunks(chunk, monkeypatch):
+    # the lookup table of N = 37 has 2 * 36^2 + 1 = 2593 entries, decided
+    # _DECIDE_CHUNK values at a time: chunks of 1, of 7 (a short last one)
+    # and of 4096 (one chunk past the table's end) fill the same table
+    whole = build_corner_avoider(0.25, length=8, q_max=40).materialize()
+    monkeypatch.setattr(avoiders, "_DECIDE_CHUNK", chunk)
+    assert build_corner_avoider(0.25, length=8, q_max=40).materialize() == whole
 
 
 def test_corner_avoider_full_lambda_reduces_to_measure_one_ninth():
@@ -499,7 +509,7 @@ def test_five_point_materialize_packs_chunks_that_do_not_divide_n(monkeypatch):
     built = build_five_point_avoider((0, 1, 2, 3, 4), 0.25, length=8, q_max=3000)
     n = built.side
     dense = FivePointAvoider(IntervalSystem(4, 2, frozenset(range(4))), built.alpha, built.params)
-    monkeypatch.setattr(avoiders, "_X_CHUNK", 16)
+    monkeypatch.setattr(avoiders, "_DECIDE_CHUNK", 16)
     assert n == 2053 and n in dense
     grid = dense.materialize()
     expected = dense.system.decide_values(dense.alpha, [x * x for x in range(1, n + 1)])
@@ -521,6 +531,46 @@ def test_corner_ceiling_binds_at_length_16():
         assert count == 66**3 == 287_496 and count > ceiling
         assert ok_count is False
     assert not report.all_ok()
+
+
+def full_approximant_scan(length, q_max, q_min=2):
+    """(j, i, q) of the largest verified q in [q_min, q_max] over every scale
+    r = 2^j, j = 1..2L+1, with no early stop; every denominator at scale r
+    is checked to exceed r, the bound the early stop rests on."""
+    best = None
+    for j in range(1, 2 * length + 2):
+        seq = build_alpha_hard(length, Fraction(2) ** j)
+        i = seq.start_index
+        assert seq.p_q(i)[1] > 2**j
+        while (q := seq.p_q(i)[1]) <= q_max:
+            if q >= q_min and verify_alpha(seq, i).passed and (best is None or q > best[2]):
+                best = (j, i, q)
+            i += 1
+    return best
+
+
+@pytest.mark.parametrize("q_max", [100, 500, 5000, 100_000])
+@pytest.mark.parametrize("length", [4, 8, 16])
+def test_bounded_approximant_scan_equals_the_full_scan(length, q_max):
+    seq, j, i = avoiders._select_approximant(length, q_max)
+    assert (j, i, seq.p_q(i)[1]) == full_approximant_scan(length, q_max)
+
+
+@pytest.mark.parametrize(
+    "length, q_max, chosen", [(8, 500, (8, 0, 257)), (16, 5000, (12, 0, 4099)), (16, 100_000, (16, 0, 65537))]
+)
+def test_approximant_scan_keeps_the_recorded_choices(length, q_max, chosen):
+    seq, j, i = avoiders._select_approximant(length, q_max)
+    assert (j, i, seq.p_q(i)[1]) == chosen
+
+
+def test_corner_avoider_builds_at_length_28():
+    # the full scan over j = 1..57 raised at j = 46, whose prime lies past
+    # the certified primality range; the bounded scan stops at 2^7 >= q_max
+    avoider = build_corner_avoider(0.25, length=28, q_max=100)
+    params = avoider.params
+    assert (params.j, params.i, params.q) == (6, 0, 67)
+    assert verify_corner_avoidance(avoider).all_ok()
 
 
 def test_builder_argument_validation():

@@ -7,14 +7,16 @@ import pytest
 
 from cornerforge.contfrac import (
     AlphaSequence,
+    _floor_linear,
     _is_prime,
+    _next_prime_above,
     approximants,
     build_alpha_hard,
     frac_floors,
     quotients_from_pair,
     verify_alpha,
 )
-from oracles import frac_floor_oracle
+from oracles import frac_floor_oracle, next_prime_walk_oracle
 
 
 def test_fibonacci_style_convergents():
@@ -155,6 +157,26 @@ def test_primality_matches_trial_division_and_strong_pseudoprimes():
     assert _is_prime(2**31 - 1) and _is_prime(2**61 - 1)
     with pytest.raises(ValueError):
         _is_prime(3_317_044_064_679_887_385_961_981)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_next_prime_from_the_exact_floor_matches_the_unit_step_walk(m):
+    # the bounds r * b^k of build_alpha_hard, b^k = u_k + v_k * b, for
+    # k = 0, 1, 2 and r = 2^j or 2^j / 3 with j <= 20.  The walk takes
+    # about r * v_k / a steps; bounds it would need more than 2^10 for are
+    # left out (k = 2, where v_2 = a, stops at j = 10)
+    a = lcm(*range(1, m + 1))
+    for u, v in [(1, 0), (0, 1), (1, a)]:
+        for j in range(21):
+            for r in (Fraction(2**j), Fraction(2**j, 3)):
+                if r * v > 2**10 * a:
+                    continue
+                expected = next_prime_walk_oracle(r * u, r * v, a, _is_prime)
+                assert _next_prime_above(r * u, r * v, a) == expected
+                # the floor is exact: one above it is the least integer the
+                # walk finds above the bound
+                floor = _floor_linear(r * u, r * v, a)
+                assert next_prime_walk_oracle(r * u, r * v, a, lambda n: True) == floor + 1
 
 
 def test_frac_floors_of_rational_alpha_match_fraction_arithmetic():

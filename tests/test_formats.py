@@ -621,3 +621,18 @@ def test_spectrum_json_matches_json_dump(counts):
     buf = io.StringIO()
     write_spectrum_json(buf, spec)
     assert buf.getvalue() == json.dumps(expected, indent=2)
+
+
+def test_spectrum_json_max_d_keeps_the_tuple_repr():
+    # keys of an fp spectrum are comma-joined digits, but max_d is the
+    # Python repr of the tuple; recorded spectra (their SHA-256 included)
+    # fix both forms, so neither may change silently
+    spec = Spectrum({(0, 1, 0, 0, 0, 0): 3, (1, 1, 1, 2, 2, 1): 5})
+    buf = io.StringIO()
+    write_spectrum_json(buf, spec)
+    text = buf.getvalue()
+    assert '\n    "1,1,1,2,2,1": 5\n' in text and '"0,1,0,0,0,0": 3,' in text
+    assert '\n  "max_d": "(1, 1, 1, 2, 2, 1)",\n' in text
+    buf = io.StringIO()
+    write_spectrum_json(buf, Spectrum({4: 1, -4: 2}))
+    assert json.loads(buf.getvalue())["max_d"] == "-4"

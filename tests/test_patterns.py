@@ -1,5 +1,7 @@
+import io
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cornerforge import patterns
+from cornerforge.formats import read_grid_set, write_grid_set
 from cornerforge.patterns import (
     GridSet,
     Group,
@@ -236,7 +239,10 @@ def test_spectrum_total_matches_oracle_sum():
 
 
 @st.composite
-def grid_pattern_cases(draw):
+def grid_pattern_cases(draw, step=None):
+    """(set, pattern, d) on a side of at most 8; with `step` = 1 or -1 the
+    first two pattern points differ by step * e_1, the kernel's unsorted
+    and sorted line orders."""
     dim = draw(st.integers(1, 3))
     side = draw(st.integers(1, 8))
     cells = list(itertools.product(range(1, side + 1), repeat=dim))
@@ -244,19 +250,93 @@ def grid_pattern_cases(draw):
     members = [c for c, k in zip(cells, keep) if k]
     coord = st.integers(-3, 3)
     points = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=5, unique=True))
+    if step is not None:
+        second = (points[0][0] + step,) + points[0][1:]
+        points = [points[0], second] + [p for p in points[1:] if p != second]
     d = draw(st.integers(-(side + 2), side + 2).filter(bool))
     return GridSet(dim, side, members), Pattern(dim, tuple(points)), d
 
 
-@settings(max_examples=200, deadline=None)
-@given(grid_pattern_cases())
-def test_grid_kernel_matches_oracle(case):
-    g, pat, d = case
+def check_kernel_against_oracle(g, pat, d):
     members = set(g)
     assert count_pattern(g, pat, d) == grid_count_oracle(members, g.dim, g.side, pat.points, d)
     assert spectrum(g, pat).counts == {
         e: grid_count_oracle(members, g.dim, g.side, pat.points, e) for s in range(1, g.side) for e in (s, -s)
     }
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_pattern_cases())
+def test_grid_kernel_matches_oracle(case):
+    check_kernel_against_oracle(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(grid_pattern_cases(step=1), grid_pattern_cases(step=-1)))
+def test_grid_kernel_matches_oracle_along_the_first_axis(case):
+    check_kernel_against_oracle(*case)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@settings(max_examples=100, deadline=None)
+@given(case=st.one_of(grid_pattern_cases(), grid_pattern_cases(step=1), grid_pattern_cases(step=-1)))
+def test_grid_kernel_matches_oracle_across_pair_chunk_edges(chunk, case):
+    # sides of at most 8 never fill a chunk of 2**15 pairs; chunks of 1 and
+    # 3 put a chunk edge inside every gap's survivors
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(patterns, "_PAIR_CHUNK", chunk)
+        check_kernel_against_oracle(*case)
+
+
+def test_kernel_sorts_only_off_the_first_axis(monkeypatch):
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(len(keys)) or lexsort(keys))
+    g = random_grid(random.Random(3), 3, 6)
+    corner = spectrum(g, Pattern.corner(3))
+    assert sorts == []  # t_1 - t_0 = e_1: flat order is line order
+    assert spectrum(g.reflect(0), Pattern.corner(3).reflect(0)).counts == corner.counts
+    assert sorts == [3]  # t_1 - t_0 = -e_1: sorted
+
+
+@pytest.mark.parametrize("side", [2**15 - 1, 2**15, 2**15 + 1])
+def test_one_dim_sets_at_the_narrow_column_edge(side):
+    # columns are int16 below side 2**15 and int32 from it; members at N and
+    # N - 1 put the largest coordinate of each width through the kernel,
+    # the iterator and the writer
+    members = [(1,), (side - 1,), (side,)]
+    g = GridSet(1, side, members)
+    assert list(g) == members
+    ds = (1, -1, 2, side - 2, 2 - side, side - 1, 1 - side)
+    for pat in (Pattern.corner(1), Pattern.corner(1).reflect(0), Pattern.arithmetic(3)):
+        for d in ds:
+            assert count_pattern(g, pat, d) == grid_count_oracle(members, 1, side, pat.points, d)
+    # every d with a copy is among ds: the spectrum's other entries are 0
+    expected = {d: c for d in ds if (c := grid_count_oracle(members, 1, side, Pattern.corner(1).points, d))}
+    assert {d: c for d, c in spectrum(g, Pattern.corner(1)).counts.items() if c} == expected
+    buf = io.StringIO()
+    write_grid_set(buf, g)
+    assert buf.getvalue() == f"dim 1 side {side}\n1\n{side - 1}\n{side}\n"
+    buf.seek(0)
+    assert read_grid_set(buf) == g
+
+
+def test_corner_kernel_scratch_per_member():
+    # a seeded random 3-d set of 327,105 members.  The kernel's traced peak
+    # was 50.1 bytes per member with sorted int32 columns and whole-length
+    # survivor arrays per gap; unsorted int16 columns and survivors filtered
+    # a chunk at a time read 20.6
+    cells = np.random.default_rng(7).random((160, 160, 160)) < 0.08
+    g = GridSet.from_cells(cells)
+    members = len(g)
+    assert members > 300_000
+    tracemalloc.start()
+    try:
+        spectrum(g, Pattern.corner(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * members
 
 
 def test_group_spectrum_max_entry():
