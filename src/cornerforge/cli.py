@@ -46,12 +46,17 @@ class VerificationFailure(Exception):
 def _parse_group(text: str) -> Group:
     from .patterns import Group
 
-    parts = text.replace(":", " ").split()
-    if len(parts) == 2 and parts[0] == "zN":
-        return Group.zmod(int(parts[1]))
-    if len(parts) == 3 and parts[0] == "fp":
-        return Group.vector(int(parts[1]), int(parts[2]))
-    raise ValueError(f"unknown group {text!r}; use 'zN:<N>' or 'fp:<p>:<n>'")
+    unknown = ValueError(f"unknown group {text!r}; use 'zN:<N>' or 'fp:<p>:<n>'")
+    kind, *parts = text.replace(":", " ").split() or [""]
+    try:
+        numbers = [int(part) for part in parts]
+    except ValueError:
+        raise unknown from None
+    if kind == "zN" and len(numbers) == 1:
+        return Group.zmod(*numbers)
+    if kind == "fp" and len(numbers) == 2:
+        return Group.vector(*numbers)
+    raise unknown
 
 
 def _parse_pattern(text: str) -> Pattern:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, isqrt, lcm, log10
+from math import floor, gcd, isqrt, lcm, log10, sqrt
 from typing import Optional, Sequence
 
 __all__ = [
@@ -119,6 +119,12 @@ def _floor_linear(u: Fraction, v: Fraction, a: int) -> int:
     den = lcm(u.denominator, v.denominator)
     du, dv = int(u * den), int(v * den)  # exact: den clears both
     return (2 * du + a * dv + isqrt(dv * dv * (a * a + 4))) // (2 * den)
+
+
+def _decimal_digits(q: int) -> int:
+    """Decimal digits of q >= 1, exactly and without printing q."""
+    digits = floor(log10(q)) + 1  # off by at most one where q is near 10**k
+    return digits + (q >= 10**digits) - (q < 10 ** (digits - 1))
 
 
 def _b_power(a: int, i: int) -> tuple[int, int]:
@@ -218,16 +224,24 @@ class AlphaSequence:
         return p[n + 2], q[n + 2]
 
     def digit_bound(self, n: int) -> int:
-        """An upper bound on the decimal digits of Q_n, read from the
-        quotient stream without computing a convergent.
+        """An upper bound on the decimal digits of Q_n that computes no
+        convergent past the prefix.
 
-        Q_n = c_n Q_{n-1} + Q_{n-2} <= (c_n + 1) Q_{n-1}, so Q_n is at most
-        the product of c_k + 1 over k = 1..n; its log is summed in floats,
-        whose rounding is far below the product's slack.
+        Within the prefix Q_n is read exactly.  Past its last position s
+        every quotient is a = tail, and b = (a + sqrt(a^2 + 4)) / 2 has
+        b = a + 1/b, so S_j = Q_j + Q_{j-1}/b grows as S_{j+1} = b S_j and
+        Q_{s+k} <= b^k (Q_s + Q_{s-1}/b).  That log is summed in floats with
+        a relative margin far above their rounding; log10 b is taken from
+        log10 a, because a^2 overflows a float from about m = 360.
         """
-        head = self.prefix[1 : n + 1]
-        logs = sum(log10(c + 1) for c in head) + (n - len(head)) * log10(self.tail + 1)
-        return floor(logs) + 1
+        s = len(self.prefix) - 1
+        if n <= s:
+            return _decimal_digits(self.convergent(n)[1])
+        a = self.tail
+        log_b = log10(a) + log10((1 + sqrt(1 + (2 / a) ** 2)) / 2)
+        q, q_prev = self.convergent(s)[1], self.convergent(s - 1)[1] if s else 0
+        logs = (n - s) * log_b + log10(q) + log10(1 + q_prev / q * 10.0**-log_b)
+        return floor(logs * (1 + 1e-12)) + 1
 
     # -- lemma-facing accessors ------------------------------------------
 

@@ -296,7 +296,7 @@ def read_group_set(fh: TextIO, path: str = "<group set>") -> GroupSet:
 
     def element_index(lineno: int, col: int, token: str) -> int:
         try:
-            return group.index(group.parse_element(token))
+            return group._parse_index(token)
         except ValueError:
             raise ParseError(path, lineno, col, f"bad group element {token!r}") from None
 
@@ -307,14 +307,12 @@ def read_group_set(fh: TextIO, path: str = "<group set>") -> GroupSet:
         (cx, x), (cy, y) = toks
         return element_index(lineno, cx, x) * order + element_index(lineno, cy, y)
 
-    if group.kind == "zN":
-        seps, high, weights = b" \n", order - 1, [order, 1]
-    else:  # digits least significant first, x's then y's
-        p, n = group.params
-        digits = b"," * (n - 1)
-        seps, high = digits + b" " + digits + b"\n", p - 1
-        weights = [p ** (n + j) for j in range(n)] + [p**j for j in range(n)]
-    flats = _read_flats(fh, lineno, seps, 0, high, weights, flat_of_line)
+    # digits least significant first, x's then y's; Z/N is one digit base N
+    base, n = group.radix
+    digits = b"," * (n - 1)
+    seps = digits + b" " + digits + b"\n"
+    weights = [base ** (n + j) for j in range(n)] + [base**j for j in range(n)]
+    flats = _read_flats(fh, lineno, seps, 0, base - 1, weights, flat_of_line)
     return GroupSet.from_packed(group, _pack(flats, order * order))
 
 
@@ -325,7 +323,7 @@ def write_group_set(fh: TextIO, pairs: GroupSet) -> None:
 
     group = pairs.group
     order = group.order
-    names = np.array([group.format_element(e) for e in group.elements()], dtype=object)
+    names = np.array([group._name(i) for i in range(order)], dtype=object)
     fh.write(f"group {group.label()}\n")
     ys, xs = _member_columns(pairs.packed(), order, 2)
     for start in range(0, xs.size, _WRITE_ROWS):

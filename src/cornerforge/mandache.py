@@ -90,7 +90,7 @@ def sample_mandache(w: StepKernel, group: Group, seed: int) -> GroupSet:
     _check_pairs(group)
     g = w.g
     order = group.order
-    names = [group.format_element(e) for e in group.elements()]
+    names = [group._name(i) for i in range(order)]
     cx, cy, cz = (
         np.array([_cell(_u64(f"{seed}|{role}|{name}"), g) for name in names], dtype=np.int64)
         for role in "XYZ"
@@ -183,11 +183,8 @@ def mandache_report(w: StepKernel, group: Group, seeds: Sequence[int]) -> Mandac
     rows = []
     for seed in seeds:
         pairs = sample_mandache(w, group, seed)
-        counts = [
-            corner_count_group(pairs, d, masks)
-            for d in group.elements()
-            if d != group.identity
-        ]
+        # index 0 is the identity
+        counts = [corner_count_group(pairs, group.element(i), masks) for i in range(1, order)]
         if not counts:  # trivial group: only d = 0 exists
             rows.append({"seed": seed, "min": None, "max": None, "mean": None})
             continue

@@ -15,14 +15,18 @@ Grid patterns are counted from the members: every copy x + d*T holds two
 members on one line parallel to t_1 - t_0, so the grid kernel pairs up
 members line by line and tests the other pattern points by bit lookups in
 the packed bytes.  A group set is one Python int, and group corners are
-counted by rotating that int.  The spectrum over all admissible
-differences d is the statistic of interest: its maximum entry is the best
-"popular difference" of the set.
+counted by rotating that int.  A group is one digit-group model: element i
+has digit j = i // base**j % base, with Z/N the one-digit case, so the
+kernel, the readers and writers and the sampler all work on element
+indices; the public element shape (an int, or a digit tuple for F_p^n) is
+made only by `Group.element` and read only by `Group.index`.  The
+spectrum over all admissible differences d is the statistic of interest:
+its maximum entry is the best "popular difference" of the set.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -249,23 +253,28 @@ class GridSet:
         return np.unpackbits(self._packed, count=n**k, bitorder="little").view(bool).reshape((n,) * k)
 
     def _checked_flat(self, p: tuple[int, ...]) -> int:
-        p = tuple(int(c) for c in p)
-        if len(p) != self.dim:
-            raise ValueError(f"point {p} has wrong dimension (expected {self.dim})")
-        if not all(1 <= c <= self.side for c in p):
-            raise ValueError(f"point {p} outside [1, {self.side}]^{self.dim}")
-        return self._flat(p)
-
-    def _flat(self, p: tuple[int, ...]) -> int:
+        """The flat index of point `p`, whose coordinates must be integers
+        (Python or numpy ints, read with operator.index) in [1, side]."""
+        try:
+            coords = tuple(map(operator.index, p))
+        except TypeError:
+            raise ValueError(f"point {p!r} is not a tuple of integers") from None
+        if len(coords) != self.dim:
+            raise ValueError(f"point {coords} has wrong dimension (expected {self.dim})")
+        if not all(1 <= c <= self.side for c in coords):
+            raise ValueError(f"point {coords} outside [1, {self.side}]^{self.dim}")
         f = 0
-        for c in reversed(p):
+        for c in reversed(coords):
             f = f * self.side + (c - 1)
         return f
 
     def __contains__(self, p: tuple[int, ...]) -> bool:
-        if len(p) != self.dim or not all(1 <= c <= self.side for c in p):
+        """Whether `p` is a member; False for any point the constructor
+        refuses."""
+        try:
+            f = self._checked_flat(p)
+        except ValueError:
             return False
-        f = self._flat(tuple(p))
         return bool(self._packed[f >> 3] >> (f & 7) & 1)
 
     def __len__(self) -> int:
@@ -466,7 +475,16 @@ def count_pattern(grid: GridSet, pattern: Pattern, d: int) -> int:
 
 @dataclass(frozen=True)
 class Group:
-    """Finite abelian group descriptor: Z/N or the vector group F_p^n."""
+    """Finite abelian group descriptor: Z/N or the vector group F_p^n, one
+    digit-group model.
+
+    Element i (an index in [0, order)) has digit j = i // base**j % base,
+    with (base, digits) = `radix`, and adds digitwise mod base; Z/N is the
+    one-digit case (base N).  Every library path works on indices.  The
+    public element shape -- an int for Z/N, a tuple of n digits (least
+    significant first) for F_p^n -- is made only by `element` and read only
+    by `index`; its text is the digits comma-joined.
+    """
 
     kind: str  # "zN" | "fp"
     params: tuple[int, ...]
@@ -484,58 +502,70 @@ class Group:
         return Group("fp", (p, n))
 
     @property
-    def order(self) -> int:
-        if self.kind == "zN":
-            return self.params[0]
-        p, n = self.params
-        return p**n
-
-    @property
     def radix(self) -> tuple[int, int]:
         """(base, digit count) of element indices; Z/N is one digit of base N."""
         return (self.params[0], 1) if self.kind == "zN" else self.params
 
     @property
-    def identity(self):
-        return 0 if self.kind == "zN" else (0,) * self.params[1]
+    def order(self) -> int:
+        base, digits = self.radix
+        return base**digits
 
-    def canon(self, e):
-        if self.kind == "zN":
-            return int(e) % self.params[0]
-        p, n = self.params
-        e = tuple(int(c) % p for c in e)
-        if len(e) != n:
-            raise ValueError(f"element {e} has wrong length (expected {n})")
-        return e
+    @property
+    def identity(self):
+        return self.element(0)
+
+    def _digits(self, i: int) -> tuple[int, ...]:
+        base, digits = self.radix
+        return tuple(i // base**j % base for j in range(digits))
+
+    def _fold(self, digits: Sequence[int], e) -> int:
+        """The index whose digit j is digits[j] mod base; `e` names the
+        element in the error for a wrong digit count."""
+        base, count = self.radix
+        if len(digits) != count:
+            raise ValueError(f"element {e!r} has {len(digits)} digits, expected {count}")
+        i = 0
+        for c in reversed(digits):
+            i = i * base + c % base
+        return i
+
+    def element(self, i: int):
+        """The element with index i, in its public shape."""
+        if not 0 <= i < self.order:
+            raise ValueError(f"index {i} outside [0, {self.order})")
+        digits = self._digits(i)
+        return digits[0] if self.kind == "zN" else digits
 
     def index(self, e) -> int:
-        if self.kind == "zN":
-            return e
-        p = self.params[0]
-        idx = 0
-        for c in reversed(e):
-            idx = idx * p + c
-        return idx
+        """The index of element `e`: integer digits, each reduced mod base."""
+        return self._fold([operator.index(e)] if self.kind == "zN" else [operator.index(c) for c in e], e)
+
+    def canon(self, e):
+        return self.element(self.index(e))
 
     def elements(self) -> Iterator:
         """Every element, in index order (first vector coordinate fastest)."""
-        if self.kind == "zN":
-            return iter(range(self.params[0]))
-        p, n = self.params
-        return (e[::-1] for e in itertools.product(range(p), repeat=n))
+        return map(self.element, range(self.order))
+
+    def _name(self, i: int) -> str:
+        """The text of element i: its digits, comma-joined."""
+        return ",".join(map(str, self._digits(i)))
+
+    def _parse_index(self, text: str) -> int:
+        """The index of element text: comma-joined integers, each any
+        representative of its digit."""
+        return self._fold([int(t) for t in text.split(",")], text)
 
     def format_element(self, e) -> str:
-        return str(e) if self.kind == "zN" else ",".join(str(c) for c in e)
+        return self._name(self.index(e))
 
     def parse_element(self, text: str):
-        if self.kind == "zN":
-            return self.canon(int(text))
-        return self.canon(tuple(int(t) for t in text.split(",")))
+        return self.element(self._parse_index(text))
 
     def label(self) -> str:
-        if self.kind == "zN":
-            return f"zN {self.params[0]}"
-        return f"fp {self.params[0]} {self.params[1]}"
+        base, digits = self.radix
+        return f"zN {base}" if self.kind == "zN" else f"fp {base} {digits}"
 
 
 class GroupSet:
@@ -555,8 +585,8 @@ class GroupSet:
     def __init__(self, group: Group, members: Iterable[tuple] = ()):
         self.group = group
         w = group.order
-        flats = (group.index(group.canon(x)) * w + group.index(group.canon(y)) for x, y in members)
-        self._mask = GroupSet.from_packed(group, _pack([np.fromiter(flats, dtype=np.int64)], w * w))._mask
+        flats = np.fromiter(map(self._checked_flat, members), dtype=np.int64)
+        self._mask = GroupSet.from_packed(group, _pack([flats], w * w))._mask
 
     @classmethod
     def from_packed(cls, group: Group, packed: np.ndarray) -> "GroupSet":
@@ -579,10 +609,23 @@ class GroupSet:
         w = self.group.order
         return np.frombuffer(self._mask.to_bytes((w * w + 7) // 8, "little"), dtype=np.uint8)
 
-    def __contains__(self, pair) -> bool:
-        x, y = pair
+    def _checked_flat(self, pair) -> int:
+        """The flat index of `pair`: two elements whose digits are integers
+        (Python or numpy ints), each taken mod the base."""
         g = self.group
-        f = g.index(g.canon(x)) * g.order + g.index(g.canon(y))
+        try:
+            x, y = pair
+            return g.index(x) * g.order + g.index(y)
+        except (TypeError, ValueError):
+            raise ValueError(f"pair {pair!r} is not two elements of {g.label()}") from None
+
+    def __contains__(self, pair) -> bool:
+        """Whether `pair` is a member; False for any pair the constructor
+        refuses."""
+        try:
+            f = self._checked_flat(pair)
+        except ValueError:
+            return False
         return bool(self._mask >> f & 1)
 
     def __len__(self) -> int:
@@ -598,19 +641,20 @@ class GroupSet:
         return f"GroupSet({self.group.label()}, size={len(self)})"
 
 
-def _shift(gs: GroupSet, d, unit: int, masks: RotationMasks) -> int:
+def _shift(gs: GroupSet, d: int, unit: int, masks: RotationMasks) -> int:
     """Mask whose bit at (x, y) is the membership bit of (x + d, y) for
-    unit = |G|, or of (x, y + d) for unit = 1.
+    unit = |G|, or of (x, y + d) for unit = 1, where d is an element index.
 
     Index digit j of a coordinate sits at place value unit * base^j of the
-    flat index, so adding d_j to it rotates every aligned block of
-    unit * base bits by d_j * unit.
+    flat index, so adding digit d_j of d to it rotates every aligned block
+    of unit * base bits by d_j * unit.
     """
     g = gs.group
-    base, _ = g.radix
+    base, digits = g.radix
     nbits = g.order**2
     mask = gs.mask
-    for dj in (d,) if g.kind == "zN" else d:
+    for _ in range(digits):
+        d, dj = divmod(d, base)
         if dj:
             mask = _rotate_blocks(mask, nbits, unit * base, dj * unit, masks)
         unit *= base
@@ -624,8 +668,8 @@ def corner_count_group(pairs: GroupSet, d, masks: Optional[RotationMasks] = None
     rotation masks are built once, not per count.
     """
     g = pairs.group
-    d = g.canon(d)
-    if d == g.identity:
+    d = g.index(d)
+    if d == 0:
         raise ValueError("difference d must not be the identity")
     if masks is None:
         masks = RotationMasks(g)
@@ -671,6 +715,7 @@ def spectrum(carrier: Union[GridSet, GroupSet], pattern: Optional[Pattern] = Non
         return Spectrum(_grid_counts(carrier, pattern, ds))
     if pattern is not None:
         raise ValueError("group spectra are corner spectra; omit the pattern")
-    ds = [d for d in carrier.group.elements() if d != carrier.group.identity]
-    masks = RotationMasks(carrier.group)
+    group = carrier.group
+    masks = RotationMasks(group)
+    ds = map(group.element, range(1, group.order))  # index 0 is the identity
     return Spectrum({d: corner_count_group(carrier, d, masks) for d in ds})

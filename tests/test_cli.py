@@ -256,6 +256,19 @@ def test_verify_alpha_refuses_an_index_past_the_integer_print_limit(tmp_path, ca
     assert stderr.rstrip().endswith(f"digits (limit {sys.get_int_max_str_digits()})")
 
 
+def test_verify_alpha_prints_the_last_index_within_the_print_limit(tmp_path, capsys):
+    # m = 16, r = 2: q at index 734 has exactly 4,300 digits, at 735 4,306
+    record = tmp_path / "alpha.json"
+    assert run(capsys, "construct", "alpha", "--m", "16", "--r", "2", "-o", str(record))[0] == 0
+    code, stdout, _ = run(capsys, "verify", "alpha", "--alpha", str(record), "--indices", "734")
+    assert code == 0
+    (row,) = json.loads(stdout)["checks"]
+    assert row["i"] == 734 and len(str(row["q"])) == sys.get_int_max_str_digits() == 4300
+    code, stdout, stderr = run(capsys, "verify", "alpha", "--alpha", str(record), "--indices", "735")
+    assert code == 1 and stdout == ""
+    assert stderr.strip() == f"error: {record}: index 735 has a denominator of up to 4306 digits (limit 4300)"
+
+
 def test_corner3d_construct_then_verify_avoidance(tmp_path, capsys):
     out = tmp_path / "A.set"
     params = tmp_path / "A.params.json"
@@ -453,6 +466,19 @@ def test_internal_index_errors_still_surface(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(contfrac, "verify_alpha", broken)  # the handler looks it up when it runs
     with pytest.raises(IndexError, match="internal"):
         main(["verify", "alpha", "--alpha", str(record)])
+
+
+@pytest.mark.parametrize("group", ["zN:abc", "fp:3:x", "fp:x:2", "zN:5:1", "fp:3", "zN", ""])
+@pytest.mark.parametrize("command", ["construct", "report"])
+def test_mandache_unknown_group_spelling_exits_1_with_usage(tmp_path, capsys, group, command):
+    kern = tmp_path / "w.kern"
+    kern.write_text("1\n1/2\n")
+    out = tmp_path / "out"
+    extra = ["--seeds", "0:2"] if command == "report" else []
+    code, _, stderr = run(capsys, command, "mandache", "--kernel", str(kern), "--group", group, *extra, "-o", str(out))
+    assert code == 1
+    assert stderr.strip() == f"error: unknown group {group!r}; use 'zN:<N>' or 'fp:<p>:<n>'"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("group, label", [("zN:30000", "zN 30000"), ("fp:3:1000000000", "fp 3 1000000000")])

@@ -123,12 +123,23 @@ def test_indices_below_threshold_not_guaranteed():
 
 @pytest.mark.parametrize("m, r", [(2, 1), (5, Fraction(3, 2)), (16, 2)])
 def test_digit_bound_covers_every_denominator(m, r):
+    # never below the digits of Q_n, at most one above them, and exact for
+    # m = 5 and 16 (Q_n past 4,300 digits cannot be printed, so compare
+    # against powers of ten)
     seq = build_alpha_hard(m, r)
-    for n in range(300):
-        bound = seq.digit_bound(n)
-        assert seq.convergent(n)[1] < 10**bound, n
-    if m == 16:  # a = lcm(1..16) makes (a + 1) / b tiny: within a digit
-        assert seq.convergent(299)[1] >= 10 ** (seq.digit_bound(299) - 2)
+    slack = 1 if m == 2 else 0
+    for n in range(800):
+        q, bound = seq.convergent(n)[1], seq.digit_bound(n)
+        assert 10 ** (bound - 1 - slack) <= q < 10**bound, n
+
+
+def test_digit_bound_takes_the_growth_rate_from_log_a():
+    # a = lcm(1..400)^2 is past any float, and so would be a^2
+    a = lcm(*range(1, 401)) ** 2
+    seq = AlphaSequence(m=400, r=Fraction(1), a=a, prefix=(0, 3, 5), tail=a)
+    for n in range(12):
+        q, bound = seq.convergent(n)[1], seq.digit_bound(n)
+        assert 10 ** (bound - 1) <= q < 10**bound, n
 
 
 def test_json_round_trip_regenerates_stream():

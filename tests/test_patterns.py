@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from cornerforge.patterns import (
     count_pattern,
     spectrum,
 )
-from oracles import corner_count_oracle, grid_count_oracle, group_corner_oracle
+from oracles import _group_by_hand, corner_count_oracle, grid_count_oracle, group_corner_oracle
 
 
 def random_grid(rng, dim, side, density=0.4):
@@ -189,13 +190,7 @@ def test_group_kernel_matches_triple_loop():
         pairs = random_group_set(rng, group, 0.35)
         members = set(pairs)
         for _ in range(4):
-            d = group.canon(
-                rng.randrange(1, group.order)
-                if group.kind == "zN"
-                else tuple(rng.randrange(group.params[0]) for _ in range(group.params[1]))
-            )
-            if d == group.identity:
-                continue
+            d = group.element(rng.randrange(1, group.order))  # index 0 is the identity
             assert corner_count_group(pairs, d) == corner_count_oracle(members, group, d)
 
 
@@ -350,6 +345,64 @@ def test_group_spectrum_max_entry():
 SMALL_GROUPS = [Group.zmod(m) for m in (1, 2, 5, 9, 12)] + [
     Group.vector(p, n) for p, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))
 ]
+
+
+def test_set_coordinates_are_integers_python_or_numpy():
+    grid = GridSet(2, 5, [(np.int64(2), 3)])
+    assert list(grid) == [(2, 3)] and (np.int64(2), np.int64(3)) in grid
+    zn = GroupSet(Group.zmod(5), [(np.int64(2), 0)])
+    assert list(zn) == [(2, 0)] and (np.int64(7), np.int64(0)) in zn
+    fp = GroupSet(Group.vector(3, 2), [((np.int64(4), 2), (0, 0))])
+    assert list(fp) == [((1, 2), (0, 0))] and ((1, np.int64(2)), (0, 0)) in fp
+    # a float is refused even when integral, and `in` answers False for it
+    for x in (2.7, 2.0):
+        with pytest.raises(ValueError, match=re.escape(f"point ({x}, 3) is not a tuple of integers")):
+            GridSet(2, 5, [(x, 3)])
+        assert (x, 3) not in grid
+        with pytest.raises(ValueError, match=re.escape(f"pair ({x}, 0) is not two elements of zN 5")):
+            GroupSet(Group.zmod(5), [(x, 0)])
+        assert (x, 0) not in zn
+        with pytest.raises(ValueError, match=re.escape(f"pair (({x}, 2), (0, 0)) is not two elements of fp 3 2")):
+            GroupSet(Group.vector(3, 2), [((x, 2), (0, 0))])
+        assert ((x, 2), (0, 0)) not in fp
+    for pairs, pair in ((zn, (2,)), (zn, (2, 0, 0)), (zn, 2), (fp, ((1, 2, 0), (0, 0)))):
+        with pytest.raises(ValueError, match="is not two elements"):
+            GroupSet(pairs.group, [pair])
+    assert (2, 3, 1) not in grid and 2 not in grid and ((1, 2, 0), (0, 0)) not in fp
+
+
+@pytest.mark.parametrize("group", SMALL_GROUPS, ids=Group.label)
+def test_elements_are_indices_with_two_shape_crossings(group):
+    base, digits = group.radix
+    elements, zero, _ = _group_by_hand(group.kind, group.params)
+    assert sorted(group.elements()) == sorted(elements) and group.identity == zero
+    for i in range(group.order):
+        e = group.element(i)
+        assert group.index(e) == i and group.canon(e) == e
+        # adding or taking base from any digit names the same element
+        for j in range(digits):
+            for step in (base, -base):
+                other = e + step if isinstance(e, int) else tuple(c + step * (k == j) for k, c in enumerate(e))
+                assert group.index(other) == i
+    # element text: the oracle's elements spelled as decimal digits, comma-joined
+    for e in elements:
+        text = str(e) if isinstance(e, int) else ",".join(map(str, e))
+        assert group.format_element(e) == text and group.parse_element(text) == e
+
+
+def test_element_spellings_accepted_before_still_parse():
+    z5, f32 = Group.zmod(5), Group.vector(3, 2)
+    assert [z5.parse_element(text) for text in ("-1", "+3", "7")] == [4, 3, 2]
+    assert f32.parse_element("4,-2") == (1, 1)
+    with pytest.raises(ValueError, match="has 2 digits, expected 1"):
+        z5.parse_element("1,2")
+    with pytest.raises(ValueError, match="has 1 digits, expected 2"):
+        f32.parse_element("1")
+    with pytest.raises(ValueError, match="has 3 digits, expected 2"):
+        f32.index((1, 2, 0))
+    assert f32.index((4, 0)) == 1  # each digit reduced mod p: (4, 0) is (1, 0)
+    with pytest.raises(ValueError, match=r"outside \[0, 9\)"):
+        f32.element(9)
 
 
 @st.composite
