@@ -23,9 +23,10 @@ avoider = build_corner_avoider(delta=0.25, length=8, q_max=500)
 grid = avoider.materialize()
 params = avoider.params
 print(f"L={params.length}, interval set Lambda={sorted(params.lam)}")
-print(f"modulus N = q = {params.side} (scale 2^{params.j}, approximant index {params.i})")
-print(f"|A| = {len(grid)} of {params.side ** 3} points "
-      f"(density {len(grid) / params.side ** 3:.4f}, interval measure {float(params.target_density()):.4f})")
+n = avoider.side
+print(f"modulus N = q = {n} (scale 2^{params.j}, approximant index {params.i})")
+print(f"|A| = {len(grid)} of {n ** 3} points "
+      f"(density {len(grid) / n ** 3:.4f}, interval measure {float(avoider.system.measure()):.4f})")
 
 report = verify_corner_avoidance(avoider)
 max_d, max_count = report.max_count()
@@ -39,7 +40,6 @@ print(f"  rational shadow ||2 (x-y) d p/q|| <= 3/L on every occurrence: {all(r[5
 import random
 
 rng = random.Random(0)
-n = params.side
 density = len(grid) / n**3
 sample = [
     (x, y, z)

@@ -20,19 +20,17 @@ from cornerforge import (
     pattern_projection,
     spectrum,
     theta_constants,
-    qc_coefficients,
 )
 
 a = (0, 1, 2, 3, 4)  # five-term progressions
-sys5 = qc_coefficients(a)
-theta = theta_constants(a, sys5)
+theta = theta_constants(a)
 print(f"pattern {a}: Theta1={theta[0]} (interval granularity), "
       f"Theta2={theta[1]}, Theta3={theta[2]} (norm bound Theta3/L)")
 
 avoider = build_five_point_avoider(a, delta=0.3, length=4, q_max=600)
 grid = avoider.materialize()
 n = grid.side
-print(f"N = {n}, |A| = {len(grid)} (target measure {float(avoider.params.target_density()):.4f})")
+print(f"N = {n}, |A| = {len(grid)} (target measure {float(avoider.system.measure()):.4f})")
 
 occurrences = 0
 for d in range(1, (n - 1) // 4 + 1):

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .behrend import QCSystem, behrend_qc_free, behrend_sum_free, qc_coefficients
+from .behrend import behrend_qc_free, behrend_sum_free, qc_coefficients
 from .contfrac import AlphaSequence, build_alpha_hard, frac_floors, verify_alpha
 from .patterns import MAX_CELLS, GridSet, Pattern, _grid_hits, _member_columns, _pack
 
@@ -130,63 +130,66 @@ class IntervalSystem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class AvoiderParams:
-    """Everything needed to reproduce a constructed set bit-exactly."""
+    """The inputs that rebuild a constructed set; the avoider derives the rest."""
 
     delta: float
     c: float
     length: int  # L
-    form: str  # "corner3d" | "x2"
-    theta: tuple[int, int, int]  # (Theta1, Theta2, Theta3); (3, 0, 0) for corners
     lam: tuple[int, ...]
     j: int  # scale exponent: r = 2^j
     i: int  # approximant index within the alpha sequence
-    p: int
-    q: int
-    side: int  # N = q
-    a_vector: Optional[tuple[int, ...]] = None  # 5-point case only
-
-    def target_density(self) -> Fraction:
-        return Fraction(len(self.lam), self.theta[0] ** 2 * self.length)
-
-    def to_json(self, alpha: AlphaSequence) -> str:
-        return json.dumps(
-            {
-                "delta": self.delta,
-                "c": self.c,
-                "L": self.length,
-                "form": self.form,
-                "theta": list(self.theta),
-                "lambda_size": len(self.lam),
-                "lambda": list(self.lam),
-                "j": self.j,
-                "i": self.i,
-                "p": self.p,
-                "q": self.q,
-                "N": self.side,
-                "a": list(self.a_vector) if self.a_vector else None,
-                "alpha": json.loads(alpha.to_json()),
-            }
-        )
+    a: Optional[tuple[int, ...]] = None  # the five-point pattern; None for corners
 
 
 class _AvoiderBase:
-    """Shared plumbing: membership through the interval system, density
-    reporting and materialization.  Subclasses set `dim`, the dimension of
-    the grid they materialize into, `form`, the tag of their parameter
-    record, `statistic`, the integer whose multiple of alpha decides a
-    point, and `_fill`, every cell's membership packed into a fresh uint8 array."""
+    """Shared plumbing: the values derived from the inputs, membership, density
+    reporting, materialization and the sidecar.  Subclasses set `dim`, the
+    dimension of their grid, `form`, the tag of their record, `_theta`, the
+    constants of their transfer bound, `statistic`, the integer whose multiple
+    of alpha decides a point, and `_fill`, every cell's membership packed."""
 
     dim: int
     form: str
 
-    def __init__(self, system: IntervalSystem, alpha: AlphaSequence, params: AvoiderParams):
-        self.system = system
-        self.alpha = alpha
+    def __init__(self, params: AvoiderParams, alpha: AlphaSequence):
+        # alpha is build_alpha_hard(L, 2^j); r's bit length bounds 2^j first
+        if alpha.m != params.length or alpha.r.numerator.bit_length() != params.j + 1 or alpha.r != 2**params.j:
+            raise ValueError(f"alpha was built for m={alpha.m}, r={alpha.r}, not for L={params.length}, j={params.j}")
         self.params = params
-        self.side = params.side
+        self.alpha = alpha
+        self.theta = self._theta()
+        self.system = IntervalSystem(params.length, self.theta[0], frozenset(params.lam))
+        alpha.check_index(params.i)
+        self.p, self.q = alpha.p_q(params.i)
         self._grid: Optional[GridSet] = None
+
+    @property
+    def side(self) -> int:
+        """N: the modulus is the approximant's denominator q."""
+        return self.q
+
+    def record(self) -> dict:
+        """The sidecar's fields: the inputs, and among them the derived
+        values that load_avoider checks against the inputs."""
+        params = self.params
+        return {
+            "delta": params.delta,
+            "c": params.c,
+            "L": params.length,
+            "form": self.form,
+            "theta": list(self.theta),
+            "lambda_size": len(params.lam),
+            "lambda": list(params.lam),
+            "j": params.j,
+            "i": params.i,
+            "p": self.p,
+            "q": self.q,
+            "N": self.side,
+            "a": None if params.a is None else list(params.a),
+            "alpha": self.alpha.record(),
+        }
 
     def __contains__(self, point) -> bool:
         return self.system.decide_values(self.alpha, [self.statistic(point)])[0]
@@ -205,17 +208,10 @@ class _AvoiderBase:
         return self._grid
 
     def density_report(self) -> dict:
-        target = self.params.target_density()
-        measured = None
-        if self._grid is not None:
-            measured = Fraction(len(self._grid), self.side ** self._grid.dim)
-        return {
-            "target": target,
-            "target_float": float(target),
-            "measured": measured,
-            "measured_float": None if measured is None else float(measured),
-            "delta_requested": self.params.delta,
-        }
+        """The measure of B, which the density aims at, and the density of
+        the materialized set (None before it is materialized)."""
+        measured = None if self._grid is None else Fraction(len(self._grid), self.side**self.dim)
+        return {"target": self.system.measure(), "measured": measured}
 
     def attach_grid(self, grid: GridSet) -> None:
         """Adopt an externally loaded materialization (for verification runs)."""
@@ -234,6 +230,11 @@ class CornerAvoider(_AvoiderBase):
 
     dim = 3
     form = "corner3d"
+
+    def _theta(self) -> tuple[int, int, int]:
+        if self.params.a is not None:
+            raise ValueError(f"form {self.form!r} takes no pattern 'a'")
+        return 3, 0, 0
 
     def statistic(self, point) -> int:
         x, y, z = point
@@ -274,6 +275,11 @@ class FivePointAvoider(_AvoiderBase):
     dim = 1
     form = "x2"
 
+    def _theta(self) -> tuple[int, int, int]:
+        if self.params.a is None:
+            raise ValueError(f"form {self.form!r} needs a pattern 'a'")
+        return theta_constants(self.params.a)
+
     def statistic(self, point) -> int:
         (x,) = point if isinstance(point, tuple) else (point,)
         return x * x
@@ -296,29 +302,20 @@ DEFAULT_C = 0.1  # keeps L desk-sized; the asymptotic statement tunes c to delta
 
 
 def load_avoider(params_json: str, grid: Optional[GridSet] = None):
-    """Rebuild a constructed avoider from its parameter record, optionally
-    adopting an already-materialized set."""
+    """Rebuild a constructed avoider from the inputs in its sidecar, refusing a
+    derived field that disagrees; optionally adopt a materialized set."""
     obj = json.loads(params_json)
     alpha = AlphaSequence.from_json(json.dumps(obj["alpha"]))
-    params = AvoiderParams(
-        delta=obj["delta"],
-        c=obj["c"],
-        length=obj["L"],
-        form=obj["form"],
-        theta=tuple(obj["theta"]),
-        lam=tuple(obj["lambda"]),
-        j=obj["j"],
-        i=obj["i"],
-        p=obj["p"],
-        q=obj["q"],
-        side=obj["N"],
-        a_vector=tuple(obj["a"]) if obj.get("a") else None,
-    )
     kinds = {cls.form: cls for cls in (CornerAvoider, FivePointAvoider)}
-    if params.form not in kinds:
-        raise ValueError(f"unknown avoider form {params.form!r}; expected one of {sorted(kinds)}")
-    system = IntervalSystem(params.length, params.theta[0], frozenset(params.lam))
-    avoider = kinds[params.form](system, alpha, params)
+    if obj["form"] not in kinds:
+        raise ValueError(f"unknown avoider form {obj['form']!r}; expected one of {sorted(kinds)}")
+    a = None if obj["a"] is None else tuple(obj["a"])
+    params = AvoiderParams(obj["delta"], obj["c"], obj["L"], tuple(obj["lambda"]), obj["j"], obj["i"], a)
+    avoider = kinds[obj["form"]](params, alpha)
+    rebuilt = avoider.record()
+    for key in ("form", "theta", "lambda_size", "p", "q", "N"):  # the derived fields
+        if obj[key] != rebuilt[key]:
+            raise ValueError(f"{key!r} is {obj[key]!r}, but the inputs give {rebuilt[key]!r}")
     if grid is not None:
         avoider.attach_grid(grid)
     return avoider
@@ -328,9 +325,9 @@ def _length_from(delta: float, c: float) -> int:
     return max(1, math.ceil(math.exp(c * math.log(1 / delta) ** 2)))
 
 
-def _select_approximant(length: int, q_max: int, q_min: int = 2) -> tuple[AlphaSequence, int, int]:
+def _select_approximant(length: int, q_max: int) -> tuple[AlphaSequence, int, int]:
     """Scan scales r = 2^j, j = 1..2L+1, for the largest verified denominator
-    q in [q_min, q_max]; returns (sequence, j, i).
+    q <= q_max; returns (sequence, j, i).
 
     The scan stops at the first j with 2^j >= q_max, which drops no
     candidate.  At scale r it starts at the sequence's start index K, whose
@@ -352,44 +349,31 @@ def _select_approximant(length: int, q_max: int, q_min: int = 2) -> tuple[AlphaS
             _, q = seq.p_q(i)
             if q > q_max:
                 break
-            if q >= q_min and verify_alpha(seq, i).passed:
-                if best is None or q > best[3]:
-                    best = (seq, j, i, q)
+            if verify_alpha(seq, i).passed and (best is None or q > best[3]):
+                best = (seq, j, i, q)
             i += 1
     if best is None:
-        raise ValueError(
-            f"no verified denominator in [{q_min}, {q_max}] for L={length}; widen the range"
-        )
+        raise ValueError(f"no verified denominator up to {q_max} for L={length}; raise q_max")
     return best[0], best[1], best[2]
 
 
 def _build(
-    kind: type, solution_free: Callable[[int], Iterable[int]], theta: tuple[int, int, int],
-    a_vector: Optional[tuple[int, ...]], delta: float, c: float, *,
-    length: Optional[int], q_max: int, q_min: int, n_target: Optional[int],
+    kind: type, solution_free: Callable[[int], Iterable[int]], a: Optional[tuple[int, ...]],
+    delta: float, c: float, *, length: Optional[int], q_max: int,
 ) -> _AvoiderBase:
     """The recipe of both constructions: Lambda = solution_free(L) marks the
     intervals of B, and N is a verified rough denominator q of alpha.
 
     L defaults to ceil(exp(c * ln(1/delta)^2)) but may be pinned directly
-    with `length`.  q is the largest verified denominator in [q_min, q_max],
-    or within a factor of 4 of n_target when that is given.  The set is
-    materialized iff its N**dim cells are within MAX_CELLS.
+    with `length`.  q is the largest verified denominator at most q_max.
+    The set is materialized iff its N**dim cells are within MAX_CELLS.
     """
     if not 0 < delta < 0.5:
         raise ValueError("need 0 < delta < 1/2")
     length = length or _length_from(delta, c)
     lam = tuple(sorted(solution_free(length)))
-    system = IntervalSystem(length, theta[0], frozenset(lam))
-    if n_target is not None:
-        q_min, q_max = max(2, n_target // 4), n_target * 4
-    seq, j, i = _select_approximant(length, q_max, q_min)
-    p, q = seq.p_q(i)
-    params = AvoiderParams(
-        delta=delta, c=c, length=length, form=kind.form, theta=theta, lam=lam,
-        j=j, i=i, p=p, q=q, side=q, a_vector=a_vector,
-    )
-    avoider = kind(system, seq, params)
+    seq, j, i = _select_approximant(length, q_max)
+    avoider = kind(AvoiderParams(delta=delta, c=c, length=length, lam=lam, j=j, i=i, a=a), seq)
     if avoider._fits():
         avoider.materialize()
     return avoider
@@ -401,8 +385,6 @@ def build_corner_avoider(
     *,
     length: Optional[int] = None,
     q_max: int = 600,
-    q_min: int = 2,
-    n_target: Optional[int] = None,
 ) -> CornerAvoider:
     """Build the corner-avoiding subset of [N]^3 from a sum-free Lambda.
 
@@ -411,20 +393,19 @@ def build_corner_avoider(
     fatal.
     """
     return _build(
-        CornerAvoider, lambda length: behrend_sum_free(length).members, (3, 0, 0), None, delta, c,
-        length=length, q_max=q_max, q_min=q_min, n_target=n_target,
+        CornerAvoider, lambda length: behrend_sum_free(length).members, None, delta, c, length=length, q_max=q_max
     )
 
 
-def theta_constants(a: Sequence[int], sys: QCSystem) -> tuple[int, int, int]:
-    """Constants of the five-point transfer bound.
+def theta_constants(a: Sequence[int]) -> tuple[int, int, int]:
+    """Constants of the five-point transfer bound for the pattern a.
 
     Theta1 = 4 max|gamma| sizes the intervals; Theta2 = |2(a1-a2)(a2-a3)(a3-a1)|
     is the coefficient of n*d in the three-square identity; Theta3 =
     ceil(3 max(a1..a3)^2 / Theta1^2) absorbs the interval error terms.
     """
     a = tuple(int(v) for v in a)
-    theta1 = 4 * max(abs(g) for row in sys.gamma for g in row)
+    theta1 = 4 * max(abs(g) for row in qc_coefficients(a).gamma for g in row)
     theta2 = abs(2 * (a[0] - a[1]) * (a[1] - a[2]) * (a[2] - a[0]))
     theta3 = math.ceil(Fraction(3 * max(abs(v) for v in a[:3]) ** 2, theta1**2))
     return theta1, theta2, theta3
@@ -437,16 +418,13 @@ def build_five_point_avoider(
     *,
     length: Optional[int] = None,
     q_max: int = 5000,
-    q_min: int = 2,
-    n_target: Optional[int] = None,
 ) -> FivePointAvoider:
     """Build the subset of [N] avoiding popular differences of the pattern
     x + a_i * d for five fixed distinct integers a_i, from a QC-free
     Lambda."""
     a = tuple(int(v) for v in a)
     return _build(
-        FivePointAvoider, lambda length: behrend_qc_free(a, length).members, theta_constants(a, qc_coefficients(a)), a,
-        delta, c, length=length, q_max=q_max, q_min=q_min, n_target=n_target,
+        FivePointAvoider, lambda length: behrend_qc_free(a, length).members, a, delta, c, length=length, q_max=q_max
     )
 
 
@@ -514,8 +492,7 @@ def check_five_point_transfer(
     below Theta3 / L.
     """
     a = tuple(int(v) for v in a)
-    sys = qc_coefficients(a)
-    theta1, theta2, theta3 = theta_constants(a, sys)
+    theta1, theta2, theta3 = theta_constants(a)
     if theta1 != system.theta1:
         raise ValueError("interval system was built for a different pattern")
     vals = [(anchor + ai * d) ** 2 for ai in a]
@@ -560,7 +537,7 @@ def verify_corner_avoidance(avoider: CornerAvoider, *, d_values: Optional[Iterab
     grid = avoider.materialize()
     n = avoider.side
     length = avoider.params.length
-    p, q = avoider.params.p, avoider.params.q
+    p, q = avoider.p, avoider.q
     ds = list(d_values) if d_values is not None else [s * m for m in range(1, n) for s in (1, -1)]
     # distinct (slot, n1 - n2) classes over all corners, coded slot * 2n + n1 - n2 + n
     counts = np.zeros(len(ds), dtype=np.int64)

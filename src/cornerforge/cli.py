@@ -59,19 +59,29 @@ def _parse_group(text: str) -> Group:
     raise unknown
 
 
-def _parse_pattern(text: str) -> Pattern:
-    from .patterns import Pattern
+def _parse_pattern(text: str, carrier=None) -> Pattern:
+    """The pattern `text` names.  A cornerK or apK spec is checked against
+    `carrier`, the set it will be counted in, before its points are built."""
+    from .patterns import GridSet, Pattern
 
+    if not re.fullmatch(r"(corner|ap)-?[0-9]+|a:-?[0-9]+(,-?[0-9]+)*|points:-?[0-9]+([,;]-?[0-9]+)*", text):
+        raise ValueError(f"unknown pattern {text!r}; use cornerK, apK, a:..., or points:...")
+    if carrier is not None and not isinstance(carrier, GridSet):
+        raise ValueError("group spectra are corner spectra; omit the pattern")
     if text.startswith("corner"):
-        return Pattern.corner(int(text[len("corner") :]))
+        k = int(text[len("corner") :])
+        if carrier is not None and k != carrier.dim:
+            raise ValueError(f"dimension mismatch: set {carrier.dim}, pattern {k}")
+        return Pattern.corner(k)
     if text.startswith("ap"):
-        return Pattern.arithmetic(int(text[len("ap") :]))
+        k = int(text[len("ap") :])
+        if carrier is not None and (carrier.dim != 1 or k > carrier.side):
+            raise ValueError(f"ap{k} needs a 1-d set of side {k} or more")
+        return Pattern.arithmetic(k)
     if text.startswith("a:"):
         return Pattern.one_dim(int(v) for v in text[2:].split(","))
-    if text.startswith("points:"):
-        pts = [tuple(int(c) for c in chunk.split(",")) for chunk in text[7:].split(";")]
-        return Pattern(len(pts[0]), tuple(pts))
-    raise ValueError(f"unknown pattern {text!r}; use cornerK, apK, a:..., or points:...")
+    pts = [tuple(int(c) for c in chunk.split(",")) for chunk in text[7:].split(";")]
+    return Pattern(len(pts[0]), tuple(pts))
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -193,46 +203,27 @@ def _cmd_construct_alpha(args):
     return EXIT_OK
 
 
-def _cmd_construct_corner3d(args):
-    from .avoiders import build_corner_avoider
+def _cmd_construct_avoider(args):
+    from .avoiders import build_corner_avoider, build_five_point_avoider
     from .formats import write_grid_set
 
-    avoider = build_corner_avoider(
-        args.delta,
-        args.c,
-        length=args.length,
-        q_max=args.q_max,
-        n_target=args.n_target,
-    )
+    # an option left out takes the builder's default, so each default has one source
+    given = {"c": args.c, "length": args.length, "q_max": args.q_max}
+    given = {name: value for name, value in given.items() if value is not None}
+    if args.what == "corner3d":
+        avoider = build_corner_avoider(args.delta, **given)
+    else:
+        avoider = build_five_point_avoider(_parse_ints(args.a), args.delta, **given)
     grid = avoider.materialize()
     with _open_out(args) as fh:
         write_grid_set(fh, grid)
-    _write_params(args, json.loads(avoider.params.to_json(avoider.alpha)))
+    _write_params(args, avoider.record())
     report = avoider.density_report()
     print(
-        f"side {grid.side}, {len(grid)} members, density {report['measured_float']:.5f} "
-        f"(target {report['target_float']:.5f})",
+        f"side {grid.side}, {len(grid)} members, density {float(report['measured']):.5f} "
+        f"(target {float(report['target']):.5f})",
         file=sys.stderr,
     )
-    return EXIT_OK
-
-
-def _cmd_construct_fivepoint(args):
-    from .avoiders import build_five_point_avoider
-    from .formats import write_grid_set
-
-    avoider = build_five_point_avoider(
-        _parse_ints(args.a),
-        args.delta,
-        args.c,
-        length=args.length,
-        q_max=args.q_max,
-        n_target=args.n_target,
-    )
-    grid = avoider.materialize()
-    with _open_out(args) as fh:
-        write_grid_set(fh, grid)
-    _write_params(args, json.loads(avoider.params.to_json(avoider.alpha)))
     return EXIT_OK
 
 
@@ -285,7 +276,7 @@ def _cmd_count_spectrum(args):
     from .patterns import spectrum
 
     carrier = _sniff_set(args.set)
-    pattern = _parse_pattern(args.pattern) if args.pattern else None
+    pattern = _parse_pattern(args.pattern, carrier) if args.pattern else None
     spec = spectrum(carrier, pattern)
     with _open_out(args) as fh:
         if args.format == "csv":
@@ -420,12 +411,11 @@ def _cmd_verify_alpha(args):
 
     seq = _load_record(args.alpha, AlphaSequence.from_json)
     indices = _parse_ints(args.indices) if args.indices else range(seq.start_index, seq.start_index + 5)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (or none in this Python)
     for i in indices:
-        if i + seq.offset < 0:
-            raise ValueError(f"{args.alpha}: index {i} precedes the quotient stream (least index {-seq.offset})")
-        if limit and (digits := seq.digit_bound(i + seq.offset)) > limit:
-            raise ValueError(f"{args.alpha}: index {i} has a denominator of up to {digits} digits (limit {limit})")
+        try:
+            seq.check_index(i)
+        except ValueError as exc:
+            raise ValueError(f"{args.alpha}: {exc}") from None
     rows = []
     failed = False
     for i in indices:
@@ -518,18 +508,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
     p.add_argument("--params-out")
     p.set_defaults(func=_cmd_construct_alpha)
-    for name, fn in (("corner3d", _cmd_construct_corner3d), ("fivepoint", _cmd_construct_fivepoint)):
+    for name in ("corner3d", "fivepoint"):
         p = construct.add_parser(name)
         p.add_argument("--delta", type=float, required=True)
-        p.add_argument("--c", type=float, default=0.1)
+        p.add_argument("--c", type=float)
         p.add_argument("--length", "--L", "-L", type=int, help="override the interval count L")
-        p.add_argument("--q-max", type=int, default=600)
-        p.add_argument("--n-target", type=int, help="pick N within a factor of 4 of this")
+        p.add_argument("--q-max", type=int)
         if name == "fivepoint":
             p.add_argument("--a", required=True)
         _add_output(p)
         p.add_argument("--params-out")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_construct_avoider)
     p = construct.add_parser("lift")
     p.add_argument("--pattern", required=True)
     p.add_argument("--base", required=True, help="grid set file of the base avoider")

@@ -28,6 +28,7 @@ of integers v, for a rational or a sequence-given alpha.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, isqrt, lcm, log10, sqrt
@@ -95,16 +96,11 @@ def quotients_from_pair(x: int, y: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _gt_linear(u: Fraction, v: Fraction, rhs: Fraction, a: int) -> bool:
-    """Whether u + v*b > rhs, exactly, for v >= 0."""
-    if v == 0:
-        return u > rhs
-    # b > c  iff  sqrt(a^2+4) > 2c - a
-    c = (rhs - u) / v
-    lhs = 2 * c - a
-    if lhs < 0:
-        return True
-    return Fraction(a * a + 4) > lhs * lhs
+def _gt_linear(u: Fraction, v: Fraction, n: int, a: int) -> bool:
+    """Whether u + v*b > n for an integer n, exactly, for v >= 0.  b is
+    irrational for a >= 1, so for v > 0 the sum is no integer and exceeds n
+    iff its floor reaches n; at v = 0 the comparison stays strict."""
+    return u > n if v == 0 else _floor_linear(u, v, a) >= n
 
 
 def _floor_linear(u: Fraction, v: Fraction, a: int) -> int:
@@ -135,6 +131,17 @@ def _b_power(a: int, i: int) -> tuple[int, int]:
     return u, v
 
 
+def _lcm_upto(m: int, cap: int) -> int:
+    """lcm(1..m), or the first running lcm past `cap`: a huge m is refused
+    after a few factors, not after a product of about m / ln(10) digits."""
+    a = 1
+    for k in range(2, m + 1):
+        a = lcm(a, k)
+        if a > cap:
+            break
+    return a
+
+
 # ---------------------------------------------------------------------------
 # primality (deterministic Miller-Rabin)
 # ---------------------------------------------------------------------------
@@ -144,9 +151,13 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981  # bases above are proven below this
 
 
-def _is_prime(n: int) -> bool:
+def _check_certified(n: int) -> None:
     if n >= _MR_LIMIT:
         raise ValueError("candidate beyond the certified deterministic range")
+
+
+def _is_prime(n: int) -> bool:
+    _check_certified(n)
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -264,27 +275,38 @@ class AlphaSequence:
         lo, hi = Fraction(pn, qn), Fraction(pm, qm)
         return (lo, hi) if lo < hi else (hi, lo)
 
+    def check_index(self, i: int) -> None:
+        """Refuse an index before the quotient stream, or one whose
+        denominator could pass Python's integer-print limit."""
+        n = i + self.offset
+        if n < 0:
+            raise ValueError(f"index {i} precedes the quotient stream (least index {-self.offset})")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (or none in this Python)
+        if limit and (digits := self.digit_bound(n)) > limit:
+            raise ValueError(f"index {i} has a denominator of up to {digits} digits (limit {limit})")
+
     # -- serialization ----------------------------------------------------
 
+    def record(self) -> dict:
+        return {
+            "m": self.m,
+            "r": str(self.r),
+            "a": self.a,
+            "x": self.x,
+            "y": self.y,
+            "t": self.t,
+            "quotients_prefix": list(self.prefix),
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "m": self.m,
-                "r": str(self.r),
-                "a": self.a,
-                "x": self.x,
-                "y": self.y,
-                "t": self.t,
-                "quotients_prefix": list(self.prefix),
-            }
-        )
+        return json.dumps(self.record())
 
     @staticmethod
     def from_json(text: str) -> "AlphaSequence":
         obj = json.loads(text)
         m = int(obj["m"])
         a = int(obj["a"])
-        if a != lcm(*range(1, m + 1)):
+        if _lcm_upto(m, a) != a:
             raise ValueError("stored a does not match lcm(1..m)")
         r = Fraction(obj["r"])
         seq = AlphaSequence(
@@ -310,7 +332,7 @@ def _start_index(m: int, r: Fraction, a: int) -> int:
     k = 0
     while True:
         u, v = _b_power(a, k)
-        if _gt_linear(r * u, r * v, Fraction(2 * m), a):
+        if _gt_linear(r * u, r * v, 2 * m, a):
             return k
         k += 1
 
@@ -329,15 +351,18 @@ def build_alpha_hard(m: int, r) -> AlphaSequence:
     r = Fraction(r)
     if r <= 0:
         raise ValueError("need r > 0")
-    a = lcm(*range(1, m + 1))
+    # y > r*b^(K+1) > 2m*b > 2m*a, so once 2m*a reaches _MR_LIMIT no y can
+    # be certified prime; the running lcm shows that within a few factors
+    a = _lcm_upto(m, (_MR_LIMIT - 1) // (2 * m))
+    _check_certified(2 * m * a)
     k = _start_index(m, r, a)
     u_k, v_k = _b_power(a, k)
     u_k1, v_k1 = _b_power(a, k + 1)
     x = _next_prime_above(r * u_k, r * v_k, a)
-    if not _gt_linear(2 * r * u_k, 2 * r * v_k, Fraction(x), a):
+    if not _gt_linear(2 * r * u_k, 2 * r * v_k, x, a):
         raise ArithmeticError(f"no prime strictly inside the level-{k} interval")
     y = _next_prime_above(r * u_k1, r * v_k1, a)
-    if not _gt_linear(2 * r * u_k1, 2 * r * v_k1, Fraction(y), a):
+    if not _gt_linear(2 * r * u_k1, 2 * r * v_k1, y, a):
         raise ArithmeticError(f"no prime strictly inside the level-{k + 1} interval")
     if gcd(x * y, a) != 1 or gcd(x, y) != 1:
         raise ArithmeticError("prime pair unexpectedly shares a factor")
@@ -379,9 +404,7 @@ def verify_alpha(seq: AlphaSequence, i: int) -> AlphaCheck:
     smooth = gcd(q, seq.a) == 1
     u, v = _b_power(seq.a, i)
     # q > r*b^i  and  2*r*b^i > q, both exact
-    interval = q > _floor_linear(seq.r * u, seq.r * v, seq.a) and _gt_linear(
-        2 * seq.r * u, 2 * seq.r * v, Fraction(q), seq.a
-    )
+    interval = q > _floor_linear(seq.r * u, seq.r * v, seq.a) and _gt_linear(2 * seq.r * u, 2 * seq.r * v, q, seq.a)
     n = i + seq.offset
     lo, hi = seq.enclosure(n + 1)  # excludes p/q itself from the interval
     target = Fraction(1, seq.m * q * q)

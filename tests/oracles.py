@@ -378,3 +378,14 @@ def next_prime_walk_oracle(u, v, a, is_prime):
     while not is_prime(n):
         n += 1
     return n
+
+
+def gt_linear_fraction_oracle(u, v, rhs, a):
+    """Whether u + v*b > rhs, for v >= 0 and any rational rhs, in Fractions:
+    b > c iff sqrt(a^2+4) > 2c - a, squared when the right side is not
+    negative."""
+    u, v, rhs = Fraction(u), Fraction(v), Fraction(rhs)
+    if v == 0:
+        return u > rhs
+    c = 2 * (rhs - u) / v - a
+    return c < 0 or a * a + 4 > c * c

@@ -22,7 +22,6 @@ from cornerforge.avoiders import (
     theta_constants,
     verify_corner_avoidance,
 )
-from cornerforge.behrend import qc_coefficients
 from cornerforge.contfrac import build_alpha_hard, verify_alpha
 from cornerforge.patterns import MAX_CELLS, GridSet, Pattern, count_pattern, spectrum
 from cornerforge import avoiders
@@ -96,7 +95,7 @@ def test_interval_membership_by_enclosure_matches_rational_shadow():
 def test_corner_avoider_small_pipeline():
     avoider = build_corner_avoider(0.25, length=8, q_max=128)
     grid = avoider.materialize()
-    assert grid.side == avoider.params.q
+    assert grid.side == avoider.q
     # every reported member satisfies the exact membership predicate
     rng = random.Random(9)
     members = list(grid)
@@ -246,9 +245,7 @@ def test_verify_d_values_keep_order_duplicates_and_range():
 
 
 def test_theta_constants_values():
-    a = (0, 1, 2, 3, 4)
-    sys = qc_coefficients(a)
-    theta1, theta2, theta3 = theta_constants(a, sys)
+    theta1, theta2, theta3 = theta_constants((0, 1, 2, 3, 4))
     assert theta1 == 12  # 4 * max|gamma| with rows (-1, 3, -3, 1)
     assert theta2 == 4  # |2 * (0-1)(1-2)(2-0)|
     assert theta3 == 1  # ceil(3 * 4 / 144)
@@ -296,8 +293,7 @@ def test_five_point_transfer_on_synthetic_memberships():
     # and the norm conclusion follows; bumping alpha past the interval width
     # violates the precondition instead
     a = (0, 1, 2, 3, 4)
-    sys5 = qc_coefficients(a)
-    theta1, _, _ = theta_constants(a, sys5)
+    theta1, _, _ = theta_constants(a)
     system = IntervalSystem(4, theta1, frozenset({0}))
     alpha = Fraction(1, 200000)
     assert check_five_point_transfer(system, alpha, a, 3, 2) is True
@@ -503,12 +499,14 @@ def test_corner_builder_leaves_cubes_past_the_cell_limit_unmaterialized():
 
 
 def test_five_point_materialize_packs_chunks_that_do_not_divide_n(monkeypatch):
-    # a dense interval system over the built alpha, so the packed chunks
-    # hold members; 16 does not divide N = 2053, so the last chunk is short,
-    # and x = N is a member, so a chunk that drops its last value shows
+    # a dense interval system in place of the derived one, over the built
+    # alpha, so the packed chunks hold members; 16 does not divide N = 2053,
+    # so the last chunk is short, and x = N is a member, so a chunk that
+    # drops its last value shows
     built = build_five_point_avoider((0, 1, 2, 3, 4), 0.25, length=8, q_max=3000)
     n = built.side
-    dense = FivePointAvoider(IntervalSystem(4, 2, frozenset(range(4))), built.alpha, built.params)
+    dense = FivePointAvoider(built.params, built.alpha)
+    dense.system = IntervalSystem(4, 2, frozenset(range(4)))
     monkeypatch.setattr(avoiders, "_DECIDE_CHUNK", 16)
     assert n == 2053 and n in dense
     grid = dense.materialize()
@@ -533,8 +531,8 @@ def test_corner_ceiling_binds_at_length_16():
     assert not report.all_ok()
 
 
-def full_approximant_scan(length, q_max, q_min=2):
-    """(j, i, q) of the largest verified q in [q_min, q_max] over every scale
+def full_approximant_scan(length, q_max):
+    """(j, i, q) of the largest verified q <= q_max over every scale
     r = 2^j, j = 1..2L+1, with no early stop; every denominator at scale r
     is checked to exceed r, the bound the early stop rests on."""
     best = None
@@ -543,7 +541,7 @@ def full_approximant_scan(length, q_max, q_min=2):
         i = seq.start_index
         assert seq.p_q(i)[1] > 2**j
         while (q := seq.p_q(i)[1]) <= q_max:
-            if q >= q_min and verify_alpha(seq, i).passed and (best is None or q > best[2]):
+            if verify_alpha(seq, i).passed and (best is None or q > best[2]):
                 best = (j, i, q)
             i += 1
     return best
@@ -568,13 +566,13 @@ def test_corner_avoider_builds_at_length_28():
     # the full scan over j = 1..57 raised at j = 46, whose prime lies past
     # the certified primality range; the bounded scan stops at 2^7 >= q_max
     avoider = build_corner_avoider(0.25, length=28, q_max=100)
-    params = avoider.params
-    assert (params.j, params.i, params.q) == (6, 0, 67)
+    assert (avoider.params.j, avoider.params.i, avoider.q) == (6, 0, 67)
     assert verify_corner_avoidance(avoider).all_ok()
 
 
 def test_builder_argument_validation():
     with pytest.raises(ValueError):
         build_corner_avoider(0.7)
-    with pytest.raises(ValueError):
-        build_corner_avoider(0.25, length=8, q_max=20, q_min=18)
+    # at L = 8 every denominator the scan meets is past 20
+    with pytest.raises(ValueError, match="no verified denominator up to 20 for L=8"):
+        build_corner_avoider(0.25, length=8, q_max=20)

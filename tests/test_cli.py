@@ -494,3 +494,114 @@ def test_mandache_refuses_groups_past_the_cell_limit_at_once(tmp_path, capsys, g
     assert code == 1
     assert stderr.strip() == f"error: {label} x {label} exceeds the 400000000-cell limit"
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def corner_record(tmp_path_factory):
+    """A constructed corner set of side 67 and its sidecar."""
+    tmp = tmp_path_factory.mktemp("corner")
+    argv = ["construct", "corner3d", "--delta", "0.25", "--length", "8", "--q-max", "80"]
+    assert main([*argv, "-o", str(tmp / "A.set")]) == 0
+    return tmp / "A.set", tmp / "A.set.params.json"
+
+
+def test_the_sidecar_is_rebuilt_byte_for_byte_from_its_inputs(corner_record):
+    grid_path, params = corner_record
+    text = params.read_text()
+    avoider = avoiders.load_avoider(text)
+    assert json.dumps({"tool_version": "0.1.0", **avoider.record()}, indent=2) + "\n" == text
+    assert list(json.loads(text)) == [
+        "tool_version", "delta", "c", "L", "form", "theta", "lambda_size", "lambda", "j", "i", "p", "q", "N", "a", "alpha",
+    ]
+
+
+CONTRADICTIONS = [
+    # (field, value written over the constructed one, message after "malformed record: ")
+    ("form", "x2", "form 'x2' needs a pattern 'a'"),
+    ("theta", [4, 0, 0], "'theta' is [4, 0, 0], but the inputs give [3, 0, 0]"),
+    ("lambda_size", 7, "'lambda_size' is 7, but the inputs give 1"),
+    ("p", 1, "'p' is 1, but the inputs give "),
+    ("q", 65, "'q' is 65, but the inputs give 67"),
+    ("N", 65, "'N' is 65, but the inputs give 67"),
+    ("a", [0, 1, 2, 3, 4], "form 'corner3d' takes no pattern 'a'"),
+    ("L", 9, "alpha was built for m=8, r=64, not for L=9, j=6"),
+    ("j", 7, "alpha was built for m=8, r=64, not for L=8, j=7"),
+    ("i", -9, "index -9 precedes the quotient stream"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", CONTRADICTIONS, ids=[c[0] for c in CONTRADICTIONS])
+def test_verify_avoidance_refuses_a_record_that_contradicts_itself(tmp_path, capsys, corner_record, field, value, message):
+    grid, params = corner_record
+    record = json.loads(params.read_text())
+    assert record[field] != value
+    record[field] = value
+    bad = tmp_path / "bad.params.json"
+    bad.write_text(json.dumps(record, indent=2))
+    code, stdout, stderr = run(capsys, "verify", "avoidance", "--set", str(grid), "--params", str(bad))
+    assert code == 1 and stdout == ""
+    assert stderr.startswith(f"error: {bad}: malformed record: {message}")
+
+
+def test_construct_avoider_defaults_come_from_the_builders(tmp_path, capsys):
+    # with --q-max left out, construct fivepoint picks the N the library does
+    out = tmp_path / "F.set"
+    code, _, stderr = run(capsys, "construct", "fivepoint", "--a", "0,1,2,3,4", "--delta", "0.25", "--length", "8", "-o", str(out))
+    assert code == 0 and stderr.startswith("side 4099, ")
+    built = avoiders.build_five_point_avoider((0, 1, 2, 3, 4), 0.25, length=8)
+    assert json.loads((tmp_path / "F.set.params.json").read_text()) == {"tool_version": "0.1.0", **built.record()}
+    for argv in (["corner3d"], ["fivepoint", "--a", "0,1,2,3,4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", *argv, "--delta", "0.25", "--n-target", "100"])
+        assert exc.value.code == 1
+    assert "unrecognized arguments: --n-target 100" in capsys.readouterr().err
+
+
+def test_a_huge_m_exits_1_within_a_second(tmp_path, capsys):
+    record = tmp_path / "alpha.json"
+    record.write_text('{"m": 10000000, "r": "2", "a": 12, "x": null, "y": null, "t": 0, "quotients_prefix": [0]}')
+    start = time.perf_counter()
+    code, _, stderr = run(capsys, "verify", "alpha", "--alpha", str(record))
+    assert (code, stderr.strip()) == (1, f"error: {record}: malformed record: stored a does not match lcm(1..m)")
+    code, _, stderr = run(capsys, "construct", "alpha", "--m", "10000000", "--r", "2", "-o", str(tmp_path / "a.json"))
+    assert (code, stderr.strip()) == (1, "error: candidate beyond the certified deterministic range")
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("spec", ["corner", "ap", "a:", "a:1,,2", "points:", "points:1,x", "cornerx3"])
+def test_a_pattern_spec_without_its_numbers_exits_1_with_usage(tmp_path, capsys, spec):
+    grid = tmp_path / "g.set"
+    grid.write_text("dim 1 side 8\n1\n2\n3\n")
+    code, stdout, stderr = run(capsys, "count", "spectrum", "--set", str(grid), "--pattern", spec)
+    assert code == 1 and stdout == ""
+    assert stderr.strip() == f"error: unknown pattern {spec!r}; use cornerK, apK, a:..., or points:..."
+
+
+@pytest.mark.parametrize(
+    "header, spec, message",
+    [
+        ("dim 3 side 4", "corner30000", "dimension mismatch: set 3, pattern 30000"),
+        ("dim 2 side 4", "ap3", "ap3 needs a 1-d set of side 3 or more"),
+        ("dim 1 side 4", "ap100000000", "ap100000000 needs a 1-d set of side 100000000 or more"),
+        ("dim 1 side 4", "ap5", "ap5 needs a 1-d set of side 5 or more"),
+        ("group zN 5", "corner2", "group spectra are corner spectra; omit the pattern"),
+    ],
+)
+def test_a_pattern_spec_is_checked_against_the_set_before_it_is_built(tmp_path, capsys, header, spec, message):
+    # corner30000 would be 30,001 points of 30,000 coordinates, and
+    # ap100000000 a hundred million points; both are refused first
+    carrier = tmp_path / "s.set"
+    carrier.write_text(header + "\n")
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, "count", "spectrum", "--set", str(carrier), "--pattern", spec)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and stdout == ""
+    assert stderr.strip() == f"error: {message}"
+
+
+def test_an_ap_as_long_as_the_side_still_counts(tmp_path, capsys):
+    grid = tmp_path / "g.set"
+    grid.write_text("dim 1 side 4\n1\n2\n3\n4\n")
+    code, stdout, _ = run(capsys, "count", "spectrum", "--set", str(grid), "--pattern", "ap4")
+    assert code == 0
+    assert json.loads(stdout)["counts"] == {"1": 1, "-1": 1, "2": 0, "-2": 0, "3": 0, "-3": 0}

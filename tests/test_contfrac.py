@@ -1,10 +1,12 @@
 import math
 import random
+import time
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 
+from cornerforge import contfrac
 from cornerforge.contfrac import (
     AlphaSequence,
     _floor_linear,
@@ -16,7 +18,7 @@ from cornerforge.contfrac import (
     quotients_from_pair,
     verify_alpha,
 )
-from oracles import frac_floor_oracle, next_prime_walk_oracle
+from oracles import frac_floor_oracle, gt_linear_fraction_oracle, next_prime_walk_oracle
 
 
 def test_fibonacci_style_convergents():
@@ -234,3 +236,41 @@ def test_frac_floors_tie_goes_one_convergent_deeper():
         floors = frac_floors(alpha, values, den)
         assert floors == [frac_floor_oracle(alpha, v, den) for v in values]
         assert den - 1 in floors
+
+
+def _alpha_facts(m, r):
+    seq = build_alpha_hard(m, r)
+    k = seq.start_index
+    return k, seq.x, seq.y, [verify_alpha(seq, i) for i in range(max(0, k - 1), k + 3)]
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_integer_surd_comparison_matches_the_fraction_reference(m, monkeypatch):
+    # the comparison against an integer, with its strict v = 0 case, gives
+    # the same K, x, y and verdicts as the Fraction comparison it replaced;
+    # j = 4 at m = 8 meets the tie r * b^0 = 16 = 2m at k = 0
+    scales = [r for j in range(21) for r in (Fraction(2**j), Fraction(2**j, 3))]
+    facts = [_alpha_facts(m, r) for r in scales]
+    monkeypatch.setattr(contfrac, "_gt_linear", gt_linear_fraction_oracle)
+    assert facts == [_alpha_facts(m, r) for r in scales]
+
+
+def test_gt_linear_keeps_the_tie_strict():
+    # b^0 = 1 + 0 * b: 16 * 1 > 16 is false, so K = 1 at m = 8, r = 16
+    assert not contfrac._gt_linear(Fraction(16), Fraction(0), 16, 840)
+    assert build_alpha_hard(8, 16).start_index == 1
+    for u, v, n in [(0, 1, 840), (Fraction(1, 3), Fraction(2, 3), 560), (5, Fraction(1, 7), 125)]:
+        for a in (1, 2, 840):
+            assert contfrac._gt_linear(Fraction(u), Fraction(v), n, a) == gt_linear_fraction_oracle(u, v, n, a)
+
+
+def test_a_huge_m_is_refused_within_a_second():
+    # lcm(1..m) has about m / ln(10) digits; both paths stop within a few
+    # dozen factors instead of building it
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="stored a does not match lcm"):
+        AlphaSequence.from_json('{"m": 10000000, "r": "2", "a": 12, "t": 0, "quotients_prefix": [0]}')
+    with pytest.raises(ValueError, match="candidate beyond the certified deterministic range"):
+        build_alpha_hard(10_000_000, 2)
+    assert time.perf_counter() - start < 1
+
