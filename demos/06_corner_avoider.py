@@ -22,13 +22,13 @@ start = time.perf_counter()
 avoider = build_corner_avoider(delta=0.25, length=8, q_max=500)
 grid = avoider.materialize()
 params = avoider.params
-print(f"L={params.length}, interval set Lambda={sorted(params.lam)}")
+print(f"L={avoider.system.length}, interval set Lambda={sorted(params.lam)}")
 n = avoider.side
-print(f"modulus N = q = {n} (scale 2^{params.j}, approximant index {params.i})")
+print(f"modulus N = q = {n} (scale 2^{avoider.j}, approximant index {params.i})")
 print(f"|A| = {len(grid)} of {n ** 3} points "
       f"(density {len(grid) / n ** 3:.4f}, interval measure {float(avoider.system.measure()):.4f})")
 
-report = verify_corner_avoidance(avoider)
+report = verify_corner_avoidance(avoider, grid)
 max_d, max_count = report.max_count()
 ceiling = report.rows[0][2]
 print(f"\nbrute-force scan over all {len(report.rows)} differences: {time.perf_counter() - start:.1f}s")

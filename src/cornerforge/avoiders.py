@@ -39,7 +39,7 @@ import numpy as np
 
 from .behrend import behrend_qc_free, behrend_sum_free, qc_coefficients
 from .contfrac import AlphaSequence, build_alpha_hard, frac_floors, verify_alpha
-from .patterns import MAX_CELLS, GridSet, Pattern, _grid_hits, _member_columns, _pack
+from .patterns import MAX_CELLS, GridSet, Pattern, _grid_hits, _member_columns, _pack, grid_differences
 
 __all__ = [
     "f_quad",
@@ -132,38 +132,36 @@ class IntervalSystem:
 
 @dataclass(frozen=True)
 class AvoiderParams:
-    """The inputs that rebuild a constructed set; the avoider derives the rest."""
+    """The inputs that rebuild a constructed set with alpha, whose m is L and r is 2^j."""
 
     delta: float
     c: float
-    length: int  # L
     lam: tuple[int, ...]
-    j: int  # scale exponent: r = 2^j
     i: int  # approximant index within the alpha sequence
     a: Optional[tuple[int, ...]] = None  # the five-point pattern; None for corners
 
 
 class _AvoiderBase:
-    """Shared plumbing: the values derived from the inputs, membership, density
-    reporting, materialization and the sidecar.  Subclasses set `dim`, the
-    dimension of their grid, `form`, the tag of their record, `_theta`, the
-    constants of their transfer bound, `statistic`, the integer whose multiple
-    of alpha decides a point, and `_fill`, every cell's membership packed."""
+    """Shared plumbing of a membership predicate, which holds no set: the
+    values derived from the inputs, membership, materialization and the
+    sidecar.  Subclasses set `dim`, the dimension of their grid, `form`, the
+    tag of their record, `_theta`, the constants of their transfer bound,
+    `statistic`, the integer whose multiple of alpha decides a point, and
+    `_fill`, every cell's membership packed."""
 
     dim: int
     form: str
 
     def __init__(self, params: AvoiderParams, alpha: AlphaSequence):
-        # alpha is build_alpha_hard(L, 2^j); r's bit length bounds 2^j first
-        if alpha.m != params.length or alpha.r.numerator.bit_length() != params.j + 1 or alpha.r != 2**params.j:
-            raise ValueError(f"alpha was built for m={alpha.m}, r={alpha.r}, not for L={params.length}, j={params.j}")
+        self.j = alpha.r.numerator.bit_length() - 1  # the record names r = 2^j by j
+        if alpha.r != 2**self.j:
+            raise ValueError(f"alpha's scale r = {alpha.r} is not a power of two, so the record cannot name it by j")
         self.params = params
         self.alpha = alpha
         self.theta = self._theta()
-        self.system = IntervalSystem(params.length, self.theta[0], frozenset(params.lam))
+        self.system = IntervalSystem(alpha.m, self.theta[0], frozenset(params.lam))
         alpha.check_index(params.i)
         self.p, self.q = alpha.p_q(params.i)
-        self._grid: Optional[GridSet] = None
 
     @property
     def side(self) -> int:
@@ -171,18 +169,18 @@ class _AvoiderBase:
         return self.q
 
     def record(self) -> dict:
-        """The sidecar's fields: the inputs, and among them the derived
-        values that load_avoider checks against the inputs."""
+        """The sidecar's fields: the inputs, and the derived values that
+        load_avoider checks against the ones the inputs give."""
         params = self.params
         return {
             "delta": params.delta,
             "c": params.c,
-            "L": params.length,
+            "L": self.system.length,
             "form": self.form,
             "theta": list(self.theta),
             "lambda_size": len(params.lam),
             "lambda": list(params.lam),
-            "j": params.j,
+            "j": self.j,
             "i": params.i,
             "p": self.p,
             "q": self.q,
@@ -194,30 +192,14 @@ class _AvoiderBase:
     def __contains__(self, point) -> bool:
         return self.system.decide_values(self.alpha, [self.statistic(point)])[0]
 
-    def _fits(self) -> bool:
-        """The one rule for materializing: side**dim cells within MAX_CELLS."""
-        return self.side**self.dim <= MAX_CELLS
-
     def materialize(self) -> GridSet:
-        """The whole set, one exact interval decision per statistic value;
-        a grid past MAX_CELLS is refused before anything is decided."""
-        if self._grid is None:
-            if not self._fits():
-                raise ValueError(f"side {self.side} needs {self.side**self.dim} cells; use the membership predicate")
-            self._grid = GridSet.from_packed(self.dim, self.side, self._fill())
-        return self._grid
-
-    def density_report(self) -> dict:
-        """The measure of B, which the density aims at, and the density of
-        the materialized set (None before it is materialized)."""
-        measured = None if self._grid is None else Fraction(len(self._grid), self.side**self.dim)
-        return {"target": self.system.measure(), "measured": measured}
-
-    def attach_grid(self, grid: GridSet) -> None:
-        """Adopt an externally loaded materialization (for verification runs)."""
-        if grid.dim != self.dim or grid.side != self.side:
-            raise ValueError(f"expected a side-{self.side} {self.dim}-d set, got {grid!r}")
-        self._grid = grid
+        """The whole set, built on every call, one exact interval decision
+        per statistic value; a grid past MAX_CELLS is refused before
+        anything is decided."""
+        cells = self.side**self.dim
+        if cells > MAX_CELLS:
+            raise ValueError(f"side {self.side} needs {cells} cells; use the membership predicate")
+        return GridSet.from_packed(self.dim, self.side, self._fill())
 
 
 # statistic values decided at a time by both avoiders; a multiple of 8, so
@@ -301,33 +283,27 @@ class FivePointAvoider(_AvoiderBase):
 DEFAULT_C = 0.1  # keeps L desk-sized; the asymptotic statement tunes c to delta
 
 
-def load_avoider(params_json: str, grid: Optional[GridSet] = None):
+def load_avoider(params_json: str):
     """Rebuild a constructed avoider from the inputs in its sidecar, refusing a
-    derived field that disagrees; optionally adopt a materialized set."""
+    derived field that disagrees."""
     obj = json.loads(params_json)
     alpha = AlphaSequence.from_json(json.dumps(obj["alpha"]))
     kinds = {cls.form: cls for cls in (CornerAvoider, FivePointAvoider)}
     if obj["form"] not in kinds:
         raise ValueError(f"unknown avoider form {obj['form']!r}; expected one of {sorted(kinds)}")
     a = None if obj["a"] is None else tuple(obj["a"])
-    params = AvoiderParams(obj["delta"], obj["c"], obj["L"], tuple(obj["lambda"]), obj["j"], obj["i"], a)
+    params = AvoiderParams(obj["delta"], obj["c"], tuple(obj["lambda"]), obj["i"], a)
     avoider = kinds[obj["form"]](params, alpha)
     rebuilt = avoider.record()
-    for key in ("form", "theta", "lambda_size", "p", "q", "N"):  # the derived fields
+    for key in ("L", "form", "theta", "lambda_size", "j", "p", "q", "N"):  # the derived fields
         if obj[key] != rebuilt[key]:
             raise ValueError(f"{key!r} is {obj[key]!r}, but the inputs give {rebuilt[key]!r}")
-    if grid is not None:
-        avoider.attach_grid(grid)
     return avoider
 
 
-def _length_from(delta: float, c: float) -> int:
-    return max(1, math.ceil(math.exp(c * math.log(1 / delta) ** 2)))
-
-
-def _select_approximant(length: int, q_max: int) -> tuple[AlphaSequence, int, int]:
+def _select_approximant(length: int, q_max: int) -> tuple[AlphaSequence, int]:
     """Scan scales r = 2^j, j = 1..2L+1, for the largest verified denominator
-    q <= q_max; returns (sequence, j, i).
+    q <= q_max; returns (sequence, i), the sequence carrying r.
 
     The scan stops at the first j with 2^j >= q_max, which drops no
     candidate.  At scale r it starts at the sequence's start index K, whose
@@ -345,16 +321,13 @@ def _select_approximant(length: int, q_max: int) -> tuple[AlphaSequence, int, in
             break
         seq = build_alpha_hard(length, Fraction(2) ** j)
         i = seq.start_index
-        while True:
-            _, q = seq.p_q(i)
-            if q > q_max:
-                break
-            if verify_alpha(seq, i).passed and (best is None or q > best[3]):
-                best = (seq, j, i, q)
+        while (q := seq.p_q(i)[1]) <= q_max:
+            if verify_alpha(seq, i).passed and (best is None or q > best[2]):
+                best = (seq, i, q)
             i += 1
     if best is None:
         raise ValueError(f"no verified denominator up to {q_max} for L={length}; raise q_max")
-    return best[0], best[1], best[2]
+    return best[:2]
 
 
 def _build(
@@ -366,17 +339,13 @@ def _build(
 
     L defaults to ceil(exp(c * ln(1/delta)^2)) but may be pinned directly
     with `length`.  q is the largest verified denominator at most q_max.
-    The set is materialized iff its N**dim cells are within MAX_CELLS.
     """
     if not 0 < delta < 0.5:
         raise ValueError("need 0 < delta < 1/2")
-    length = length or _length_from(delta, c)
+    length = length or max(1, math.ceil(math.exp(c * math.log(1 / delta) ** 2)))
     lam = tuple(sorted(solution_free(length)))
-    seq, j, i = _select_approximant(length, q_max)
-    avoider = kind(AvoiderParams(delta=delta, c=c, length=length, lam=lam, j=j, i=i, a=a), seq)
-    if avoider._fits():
-        avoider.materialize()
-    return avoider
+    seq, i = _select_approximant(length, q_max)
+    return kind(AvoiderParams(delta=delta, c=c, lam=lam, i=i, a=a), seq)
 
 
 def build_corner_avoider(
@@ -387,11 +356,8 @@ def build_corner_avoider(
     q_max: int = 600,
 ) -> CornerAvoider:
     """Build the corner-avoiding subset of [N]^3 from a sum-free Lambda.
-
-    The achieved density is reported against the target |Lambda| / (9 L);
-    at desk scales it may fall short of 2*delta, which is reported, not
-    fatal.
-    """
+    Its density aims at |Lambda| / (9 L), which at desk scales may fall short
+    of 2*delta; that is not fatal."""
     return _build(
         CornerAvoider, lambda length: behrend_sum_free(length).members, None, delta, c, length=length, q_max=q_max
     )
@@ -508,8 +474,13 @@ class AvoidanceReport:
     length: int
     rows: list  # (d, count, bound, count <= bound, transfer_ok, rational_ok)
 
+    def failing(self) -> list[int]:
+        """Indices of the rows that fail: a count past the bound, or a
+        failed transfer or rational check."""
+        return [k for k, r in enumerate(self.rows) if not (r[3] and r[4] and r[5])]
+
     def all_ok(self) -> bool:
-        return all(r[3] and r[4] and r[5] for r in self.rows)
+        return not self.failing()
 
     def max_count(self) -> tuple[int, int]:
         best = max(self.rows, key=lambda r: (r[1], -abs(r[0])))
@@ -518,27 +489,32 @@ class AvoidanceReport:
     def write_csv(self, fh) -> None:
         import csv
 
+        failed = set(self.failing())
         writer = csv.writer(fh)
         writer.writerow(["d", "count", "bound", "pass"])
-        for d, count, bound, ok_count, ok_transfer, ok_rational in self.rows:
-            writer.writerow([d, count, bound, int(ok_count and ok_transfer and ok_rational)])
+        writer.writerows([d, count, bound, int(k not in failed)] for k, (d, count, bound, *_) in enumerate(self.rows))
 
 
-def verify_corner_avoidance(avoider: CornerAvoider, *, d_values: Optional[Iterable[int]] = None) -> AvoidanceReport:
-    """Enumerate corners of the materialized set for every difference and
-    check the complete proof chain on each occurrence family.
+def verify_corner_avoidance(
+    avoider: CornerAvoider, grid: GridSet, *, d_values: Optional[Iterable[int]] = None
+) -> AvoidanceReport:
+    """Count the corners of `grid`, the set under test, for every difference
+    and check the corner avoider's complete proof chain on each class.
 
     For each d, every distinct first-coordinate difference n1 - n2 among
     corner anchors is checked against the transfer bound (norm of
     2*alpha*(n1-n2)*d below 1/(9L)) and its rational shadow (norm of
     2*(n1-n2)*d*p/q at most 3/L).  The per-d count is compared with the
-    14 N^3 / L ceiling.
+    14 N^3 / L ceiling.  `grid` must be a side-N 3-d set.
     """
-    grid = avoider.materialize()
+    if not isinstance(avoider, CornerAvoider):
+        raise ValueError(f"corner avoidance is certified for form {CornerAvoider.form!r}, not {avoider.form!r}")
     n = avoider.side
-    length = avoider.params.length
+    if grid.dim != 3 or grid.side != n:
+        raise ValueError(f"expected a side-{n} 3-d set, got {grid!r}")
+    length = avoider.system.length
     p, q = avoider.p, avoider.q
-    ds = list(d_values) if d_values is not None else [s * m for m in range(1, n) for s in (1, -1)]
+    ds = list(d_values) if d_values is not None else grid_differences(n)
     # distinct (slot, n1 - n2) classes over all corners, coded slot * 2n + n1 - n2 + n
     counts = np.zeros(len(ds), dtype=np.int64)
     classes = [np.zeros(0, dtype=np.int64)]
@@ -648,8 +624,6 @@ def lift_avoider(pattern: Pattern, base: GridSet) -> GridSet:
         if len(pattern.points) >= 5:
             raise ValueError("use a 1-d base for a 5-point pattern of low affine dimension")
         raise ValueError("pattern has fewer than 5 points and affine dimension below 3")
-    if k < 3:
-        raise ValueError("affine dimension 3 needs at least 3 ambient dimensions")
     n = base.side
     _check_lift_cells(n, k)
     # base x [N]^(k-3): the base's N^3 bits repeat once per trailing point

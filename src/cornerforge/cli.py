@@ -194,9 +194,9 @@ def _cmd_construct_qcfree(args):
 
 
 def _cmd_construct_alpha(args):
-    from .contfrac import build_alpha_hard
+    from .contfrac import build_alpha_hard, parse_scale
 
-    seq = build_alpha_hard(args.m, Fraction(args.r))
+    seq = build_alpha_hard(args.m, parse_scale(args.r))
     with _open_out(args) as fh:
         fh.write(seq.to_json() + "\n")
     _write_params(args, {"command": "construct alpha", "m": args.m, "r": str(args.r)})
@@ -218,10 +218,9 @@ def _cmd_construct_avoider(args):
     with _open_out(args) as fh:
         write_grid_set(fh, grid)
     _write_params(args, avoider.record())
-    report = avoider.density_report()
     print(
-        f"side {grid.side}, {len(grid)} members, density {float(report['measured']):.5f} "
-        f"(target {float(report['target']):.5f})",
+        f"side {grid.side}, {len(grid)} members, density {len(grid) / grid.side**grid.dim:.5f} "
+        f"(target {float(avoider.system.measure()):.5f})",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -230,11 +229,24 @@ def _cmd_construct_avoider(args):
 def _cmd_construct_lift(args):
     from .avoiders import lift_avoider
     from .formats import read_grid_set, write_grid_set
+    from .limits import _past_cell_limit
 
-    pattern = _parse_pattern(args.pattern)
     with open(args.base) as fh:
         base = read_grid_set(fh, args.base)
-    lifted = lift_avoider(pattern, base)
+    # refuse a cornerK or apK spec the base cannot lift to before its points
+    # are built: a side-N 1-d base needs the projection weight, c^(i+1) summed
+    # over the axes, at most N (c >= 2 past one axis, so N.bit_length() axes
+    # outweigh N); a 3-d base needs a corner, K >= 3, N^K <= MAX_CELLS (2^K at N = 1)
+    if spec := re.fullmatch(r"(corner|ap)([0-9]+)", args.pattern):
+        k, n = int(spec[2]), base.side
+        if base.dim == 1:
+            c, axes = (k + 1, k) if spec[1] == "corner" else (1 + k * (k - 1) // 2, 1)
+            fits = sum(c ** (i + 1) for i in range(min(axes, n.bit_length()))) <= n
+        else:
+            fits = base.dim == 3 and spec[1] == "corner" and k >= 3 and not _past_cell_limit(max(n, 2), k)
+        if not fits:
+            raise ValueError(f"a side-{n} {base.dim}-d base cannot be lifted to {args.pattern}")
+    lifted = lift_avoider(_parse_pattern(args.pattern), base)
     with _open_out(args) as fh:
         write_grid_set(fh, lifted)
     _write_params(
@@ -444,16 +456,13 @@ def _cmd_verify_avoidance(args):
 
     with open(args.set) as fh:
         grid = read_grid_set(fh, args.set)
-    avoider = _load_record(args.params, lambda text: load_avoider(text, grid))
-    report = verify_corner_avoidance(avoider)
+    avoider = _load_record(args.params, load_avoider)
+    report = verify_corner_avoidance(avoider, grid)
     with _open_out(args) as fh:
         report.write_csv(fh)
-    if not report.all_ok():
-        bad = [r for r in report.rows if not (r[3] and r[4] and r[5])]
-        raise VerificationFailure(
-            "avoidance bound or transfer check failed",
-            witness={"d": bad[0][0], "count": bad[0][1]},
-        )
+    if failing := report.failing():
+        d, count, *_ = report.rows[failing[0]]
+        raise VerificationFailure("avoidance bound or transfer check failed", witness={"d": d, "count": count})
     d, count = report.max_count()
     print(f"max corners {count} at d={d}; bound {float(report.rows[0][2]):.1f}", file=sys.stderr)
     return EXIT_OK

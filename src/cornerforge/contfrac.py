@@ -28,6 +28,7 @@ of integers v, for a rational or a sequence-given alpha.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,6 +41,7 @@ __all__ = [
     "AlphaSequence",
     "AlphaCheck",
     "build_alpha_hard",
+    "parse_scale",
     "verify_alpha",
     "frac_floors",
 ]
@@ -308,7 +310,7 @@ class AlphaSequence:
         a = int(obj["a"])
         if _lcm_upto(m, a) != a:
             raise ValueError("stored a does not match lcm(1..m)")
-        r = Fraction(obj["r"])
+        r = parse_scale(obj["r"])
         seq = AlphaSequence(
             m=m,
             r=r,
@@ -325,6 +327,15 @@ class AlphaSequence:
         if seq.y is not None and seq.convergent(seq.t + 1)[1] != seq.y:
             raise ValueError("stored y does not match the quotient prefix")
         return seq
+
+
+def parse_scale(text) -> Fraction:
+    """The scale r written as plain decimal p or p/q, 0 < p, q < _MR_LIMIT (an
+    avoider's r is 2^j, j <= 57); any other spelling is refused unevaluated."""
+    match = re.fullmatch(r"([0-9]{1,25})(?:/([0-9]{1,25}))?", text) if isinstance(text, str) else None
+    if match is None or not 0 < int(match[1]) < _MR_LIMIT or not 0 < int(match[2] or 1) < _MR_LIMIT:
+        raise ValueError(f"r is {text!r}; need p or p/q with 0 < p, q < {_MR_LIMIT}")
+    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 def _start_index(m: int, r: Fraction, a: int) -> int:

@@ -701,6 +701,11 @@ class Spectrum:
             yield key, c
 
 
+def grid_differences(side: int) -> list[int]:
+    """The differences 0 < |d| < N of a side-N grid in spectrum order: 1, -1, 2, -2, ..."""
+    return [s * m for m in range(1, side) for s in (1, -1)]
+
+
 def spectrum(carrier: Union[GridSet, GroupSet], pattern: Optional[Pattern] = None) -> Spectrum:
     """Pattern counts for every admissible difference.
 
@@ -711,8 +716,7 @@ def spectrum(carrier: Union[GridSet, GroupSet], pattern: Optional[Pattern] = Non
     if isinstance(carrier, GridSet):
         if pattern is None:
             raise ValueError("grid spectra need an explicit pattern")
-        ds = [s * m for m in range(1, carrier.side) for s in (1, -1)]
-        return Spectrum(_grid_counts(carrier, pattern, ds))
+        return Spectrum(_grid_counts(carrier, pattern, grid_differences(carrier.side)))
     if pattern is not None:
         raise ValueError("group spectra are corner spectra; omit the pattern")
     group = carrier.group

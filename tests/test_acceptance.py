@@ -224,12 +224,12 @@ def test_criterion_7_avoider_chain():
     grid = avoider.materialize()
     n = grid.side
     assert n <= 500
-    report = verify_corner_avoidance(avoider)
+    report = verify_corner_avoidance(avoider, grid)
     # the report checks the transfer norm for every corner's (a1 - a2, s)
     # class; the norm depends only on that pair, so this covers every
     # brute-force-found quadruple
     transfer_ok = all(r[4] for r in report.rows)
-    ceiling = Fraction(14 * n**3, avoider.params.length)
+    ceiling = Fraction(14 * n**3, avoider.system.length)
     max_d, max_count = report.max_count()
     bound_ok = all(Fraction(r[1]) <= ceiling for r in report.rows)
     rational_ok = all(r[5] for r in report.rows)

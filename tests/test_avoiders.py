@@ -196,7 +196,7 @@ def test_transfer_conclusion_fails_without_solution_free_lambda():
 def test_avoidance_report_counts_match_packed_kernel():
     avoider = build_corner_avoider(0.25, length=8, q_max=128)
     grid = avoider.materialize()
-    report = verify_corner_avoidance(avoider)
+    report = verify_corner_avoidance(avoider, grid)
     assert report.all_ok()
     # both callers of the grid kernel against the member-driven oracle
     oracle = corner3_count_oracle(grid, [r[0] for r in report.rows])
@@ -219,7 +219,7 @@ def test_verify_consults_exactly_the_transfer_classes(monkeypatch):
         return norm(alpha, values, bound)
 
     monkeypatch.setattr(avoiders, "_norm_below", recording)
-    report = verify_corner_avoidance(avoider)
+    report = verify_corner_avoidance(avoider, grid)
     classes = corner3_transfer_classes(grid, [r[0] for r in report.rows])
     expected = {2 * diff * d for d, diffs in classes.items() for diff in diffs}
     assert expected and asked == expected
@@ -232,7 +232,7 @@ def test_verify_d_values_keep_order_duplicates_and_range():
     # this set has corners for even d only, so 4 and -4 carry the nonzero
     # counts through the duplicate and the sign
     ds = [3, 3, -3, 4, -4, 4, n, -(n + 1)]
-    report = verify_corner_avoidance(avoider, d_values=ds)
+    report = verify_corner_avoidance(avoider, grid, d_values=ds)
     assert [r[0] for r in report.rows] == ds
     oracle = corner3_count_oracle(grid, ds)
     assert oracle[4] and oracle[-4] and not oracle[n]
@@ -241,7 +241,7 @@ def test_verify_d_values_keep_order_duplicates_and_range():
     with pytest.raises(ValueError):
         count_pattern(grid, Pattern.corner(3), 0)
     with pytest.raises(ValueError):
-        verify_corner_avoidance(avoider, d_values=[1, 0])
+        verify_corner_avoidance(avoider, grid, d_values=[1, 0])
 
 
 def test_theta_constants_values():
@@ -472,28 +472,29 @@ BUILDERS = {
 
 @pytest.mark.parametrize("name", BUILDERS)
 def test_builder_materializes_iff_the_cube_fits_the_cell_limit(name, monkeypatch):
-    # one rule for both avoiders, read at call time: side**dim <= MAX_CELLS
+    # one rule for both avoiders, read at call time: side**dim <= MAX_CELLS;
+    # the builder returns the predicate, and each materialize() builds anew
     build = BUILDERS[name]
-    small = build(200)
-    cells = small.side**small.dim
-    assert small.density_report()["measured"] is not None
-    monkeypatch.setattr(avoiders, "MAX_CELLS", cells)
-    assert build(200).density_report()["measured"] is not None
-    monkeypatch.setattr(avoiders, "MAX_CELLS", cells - 1)
     avoider = build(200)
-    assert avoider.side == small.side
-    assert avoider.density_report()["measured"] is None
-    with pytest.raises(ValueError, match=f"side {small.side} needs {cells} cells"):
+    cells = avoider.side**avoider.dim
+    first = avoider.materialize()
+    second = avoider.materialize()
+    assert first == second and first is not second
+    monkeypatch.setattr(avoiders, "MAX_CELLS", cells)
+    assert avoider.materialize() == first
+    monkeypatch.setattr(avoiders, "MAX_CELLS", cells - 1)
+    assert build(200).side == avoider.side
+    with pytest.raises(ValueError, match=f"side {avoider.side} needs {cells} cells"):
         avoider.materialize()
 
 
 def test_corner_builder_leaves_cubes_past_the_cell_limit_unmaterialized():
-    # sides 973 and 2735 both need more than MAX_CELLS cells: the builder
-    # leaves them to the membership predicate, and materializing refuses
+    # sides 973 and 2735 both need more than MAX_CELLS cells: the avoider
+    # still answers membership, and materializing refuses
     for q_max, side in ((1000, 973), (3000, 2735)):
         avoider = build_corner_avoider(0.25, q_max=q_max)
         assert avoider.side == side and side**3 > MAX_CELLS
-        assert avoider.density_report()["measured"] is None
+        assert ((1, 1, 1) in avoider) == avoider.system.decide_values(avoider.alpha, [0])[0]
         with pytest.raises(ValueError, match=f"side {side} needs {side**3} cells"):
             avoider.materialize()
 
@@ -522,13 +523,12 @@ def test_corner_ceiling_binds_at_length_16():
     avoider = build_corner_avoider(0.25, length=16, q_max=100)
     n = avoider.side
     assert n == 67 and Fraction(14 * n**3, 16) < n**3
-    assert verify_corner_avoidance(avoider).all_ok()
-    avoider.attach_grid(GridSet.full(3, n))
-    report = verify_corner_avoidance(avoider, d_values=[1, -1])
+    assert verify_corner_avoidance(avoider, avoider.materialize()).all_ok()
+    report = verify_corner_avoidance(avoider, GridSet.full(3, n), d_values=[1, -1])
     for d, count, ceiling, ok_count, _, _ in report.rows:
         assert count == 66**3 == 287_496 and count > ceiling
         assert ok_count is False
-    assert not report.all_ok()
+    assert not report.all_ok() and report.failing() == [0, 1]
 
 
 def full_approximant_scan(length, q_max):
@@ -550,24 +550,25 @@ def full_approximant_scan(length, q_max):
 @pytest.mark.parametrize("q_max", [100, 500, 5000, 100_000])
 @pytest.mark.parametrize("length", [4, 8, 16])
 def test_bounded_approximant_scan_equals_the_full_scan(length, q_max):
-    seq, j, i = avoiders._select_approximant(length, q_max)
-    assert (j, i, seq.p_q(i)[1]) == full_approximant_scan(length, q_max)
+    seq, i = avoiders._select_approximant(length, q_max)
+    j = seq.r.numerator.bit_length() - 1
+    assert seq.r == 2**j and (j, i, seq.p_q(i)[1]) == full_approximant_scan(length, q_max)
 
 
 @pytest.mark.parametrize(
     "length, q_max, chosen", [(8, 500, (8, 0, 257)), (16, 5000, (12, 0, 4099)), (16, 100_000, (16, 0, 65537))]
 )
 def test_approximant_scan_keeps_the_recorded_choices(length, q_max, chosen):
-    seq, j, i = avoiders._select_approximant(length, q_max)
-    assert (j, i, seq.p_q(i)[1]) == chosen
+    seq, i = avoiders._select_approximant(length, q_max)
+    assert (seq.r, i, seq.p_q(i)[1]) == (2 ** chosen[0], *chosen[1:])
 
 
 def test_corner_avoider_builds_at_length_28():
     # the full scan over j = 1..57 raised at j = 46, whose prime lies past
     # the certified primality range; the bounded scan stops at 2^7 >= q_max
     avoider = build_corner_avoider(0.25, length=28, q_max=100)
-    assert (avoider.params.j, avoider.params.i, avoider.q) == (6, 0, 67)
-    assert verify_corner_avoidance(avoider).all_ok()
+    assert (avoider.j, avoider.params.i, avoider.q) == (6, 0, 67)
+    assert verify_corner_avoidance(avoider, avoider.materialize()).all_ok()
 
 
 def test_builder_argument_validation():

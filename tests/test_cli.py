@@ -302,9 +302,9 @@ def test_verify_avoidance_fails_on_an_inserted_corner(tmp_path, capsys):
     assert code == 0
     with open(out) as fh:
         grid = read_grid_set(fh)
-    avoider = avoiders.load_avoider(params.read_text(), grid)
+    avoider = avoiders.load_avoider(params.read_text())
     n, d = grid.side, -3
-    bound = Fraction(1, 9 * avoider.params.length)
+    bound = Fraction(1, 9 * avoider.system.length)
 
     def corner(x, y, z):
         return [(x, y, z), (x + d, y, z), (x, y + d, z), (x, y, z + d)]
@@ -524,8 +524,8 @@ CONTRADICTIONS = [
     ("q", 65, "'q' is 65, but the inputs give 67"),
     ("N", 65, "'N' is 65, but the inputs give 67"),
     ("a", [0, 1, 2, 3, 4], "form 'corner3d' takes no pattern 'a'"),
-    ("L", 9, "alpha was built for m=8, r=64, not for L=9, j=6"),
-    ("j", 7, "alpha was built for m=8, r=64, not for L=8, j=7"),
+    ("L", 9, "'L' is 9, but the inputs give 8"),
+    ("j", 7, "'j' is 7, but the inputs give 6"),
     ("i", -9, "index -9 precedes the quotient stream"),
 ]
 
@@ -541,6 +541,98 @@ def test_verify_avoidance_refuses_a_record_that_contradicts_itself(tmp_path, cap
     code, stdout, stderr = run(capsys, "verify", "avoidance", "--set", str(grid), "--params", str(bad))
     assert code == 1 and stdout == ""
     assert stderr.startswith(f"error: {bad}: malformed record: {message}")
+
+
+def test_verify_avoidance_refuses_a_five_point_record(tmp_path, capsys):
+    # a five-point set with its own sidecar is a valid record of the wrong form
+    out = tmp_path / "F.set"
+    argv = ["construct", "fivepoint", "--a", "0,1,2,3,4", "--delta", "0.25", "--length", "8", "--q-max", "600"]
+    assert run(capsys, *argv, "-o", str(out))[0] == 0
+    code, stdout, stderr = run(capsys, "verify", "avoidance", "--set", str(out), "--params", f"{out}.params.json")
+    assert code == 1 and stdout == ""
+    assert stderr.strip() == "error: corner avoidance is certified for form 'corner3d', not 'x2'"
+
+
+def test_verify_avoidance_refuses_a_grid_of_another_side(tmp_path, capsys, corner_record):
+    _, params = corner_record
+    grid = tmp_path / "small.set"
+    grid.write_text("dim 3 side 5\n1 1 1\n")
+    code, stdout, stderr = run(capsys, "verify", "avoidance", "--set", str(grid), "--params", str(params))
+    assert code == 1 and stdout == ""
+    assert stderr.strip() == "error: expected a side-67 3-d set, got GridSet(dim=3, side=5, size=1)"
+
+
+def test_verify_avoidance_refuses_a_scale_that_is_not_a_power_of_two(tmp_path, capsys, corner_record):
+    # the record names the scale r = 2^j by j, so r = 3 has no record
+    grid, params = corner_record
+    record = json.loads(params.read_text())
+    record["alpha"]["r"] = "3"
+    bad = tmp_path / "bad.params.json"
+    bad.write_text(json.dumps(record, indent=2))
+    code, stdout, stderr = run(capsys, "verify", "avoidance", "--set", str(grid), "--params", str(bad))
+    assert code == 1 and stdout == ""
+    assert stderr.strip() == (
+        f"error: {bad}: malformed record: alpha's scale r = 3 is not a power of two, so the record cannot name it by j"
+    )
+
+
+@pytest.mark.parametrize("scale", ["1e3000000", "2.5", " 2", "0", "0/1", "2/0", "-2", "3317044064679887385961981", "1" * 26])
+def test_a_scale_that_is_not_plain_p_or_p_over_q_exits_1_within_a_second(tmp_path, capsys, scale):
+    record = tmp_path / "alpha.json"
+    assert run(capsys, "construct", "alpha", "--m", "5", "--r", "2", "-o", str(record))[0] == 0
+    text = json.loads(record.read_text())
+    text["r"] = scale
+    record.write_text(json.dumps(text))
+    refusal = f"r is {scale!r}; need p or p/q with 0 < p, q < 3317044064679887385961981"
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, "verify", "alpha", "--alpha", str(record))
+    assert (code, stdout, stderr.strip()) == (1, "", f"error: {record}: malformed record: {refusal}")
+    out = tmp_path / "a.json"
+    code, _, stderr = run(capsys, "construct", "alpha", "--m", "5", "--r", scale, "-o", str(out))
+    assert (code, stderr.strip()) == (1, f"error: {refusal}")
+    assert time.perf_counter() - start < 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header", ["dim 1 side 4099", "dim 3 side 4", "dim 3 side 1", "dim 2 side 4"])
+@pytest.mark.parametrize("spec", ["corner30000", "ap100000000"])
+def test_a_lift_spec_is_checked_against_the_base_before_it_is_built(tmp_path, capsys, header, spec):
+    # corner30000 would be 30,001 points of 30,000 coordinates, and
+    # ap100000000 a hundred million points; no base here lifts to either
+    base = tmp_path / "base.set"
+    base.write_text(header + "\n")
+    out = tmp_path / "lifted.set"
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, "construct", "lift", "--pattern", spec, "--base", str(base), "-o", str(out))
+    assert time.perf_counter() - start < 1
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error: ") and "Traceback" not in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "header, spec, lifted_side",
+    [("dim 1 side 780", "corner4", 1), ("dim 1 side 779", "corner4", None), ("dim 1 side 11", "ap5", 1),
+     ("dim 1 side 10", "ap5", None), ("dim 3 side 4", "corner5", 4), ("dim 3 side 4", "corner6", None),
+     ("dim 3 side 4", "corner2", None), ("dim 3 side 4", "ap5", None)],
+)
+def test_the_lift_spec_check_agrees_with_the_lift(tmp_path, capsys, monkeypatch, header, spec, lifted_side):
+    # at the edge of each rule: weight 5 + 25 + 125 + 625 = 780 for corner4,
+    # 1 + 10 = 11 for ap5, and, under a limit of 4^5 cells, 4^5 for corner5
+    from cornerforge import limits
+
+    monkeypatch.setattr(limits, "MAX_CELLS", 4**5)
+    monkeypatch.setattr(avoiders, "MAX_CELLS", 4**5)
+    base = tmp_path / "base.set"
+    base.write_text(header + "\n1" + " 1" * (int(header.split()[1]) - 1) + "\n")
+    out = tmp_path / "lifted.set"
+    code, _, stderr = run(capsys, "construct", "lift", "--pattern", spec, "--base", str(base), "-o", str(out))
+    if lifted_side is None:
+        assert code == 1 and stderr.startswith("error: ") and not out.exists()
+    else:
+        assert code == 0
+        with open(out) as fh:
+            assert read_grid_set(fh).side == lifted_side
 
 
 def test_construct_avoider_defaults_come_from_the_builders(tmp_path, capsys):
