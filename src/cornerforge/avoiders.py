@@ -470,8 +470,6 @@ def check_five_point_transfer(
 class AvoidanceReport:
     """Per-difference corner counts with the proof-chain checks."""
 
-    side: int
-    length: int
     rows: list  # (d, count, bound, count <= bound, transfer_ok, rational_ok)
 
     def failing(self) -> list[int]:
@@ -538,7 +536,7 @@ def verify_corner_avoidance(
         slot = first.setdefault(d, i)
         count = int(counts[slot])
         rows.append((d, count, ceiling, Fraction(count) <= ceiling, not bad_transfer[slot], not bad_rational[slot]))
-    return AvoidanceReport(n, length, rows)
+    return AvoidanceReport(rows)
 
 
 # ---------------------------------------------------------------------------

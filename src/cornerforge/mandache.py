@@ -17,6 +17,13 @@ inclusion coin, where elements print as decimal residues (Z/N) or
 comma-joined digit vectors (F_p^n).  A pair is included when its coin
 fraction is strictly below the kernel value, compared in exact integer
 arithmetic (u * denominator < numerator * 2^64).
+
+The sampler decides a row a at a time.  Each kernel value is turned once
+into the integer limit ceil(numerator * 2^64 / denominator), below which a
+coin u includes the pair; a value-0 cell (limit 0) is never included and a
+cell with limit 2^64 always is, so only the other pairs of the row are
+hashed, and their coins are compared with the limits in one numpy step.
+The report counts each draw's corners with the group corner spectrum.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import numpy as np
 
 from .hypergraph import StepKernel, triforce_weighted
 from .limits import MAX_CELLS, _past_cell_limit
-from .patterns import Group, GroupSet, RotationMasks, corner_count_group
+from .patterns import Group, GroupSet, _pack, spectrum
 
 __all__ = ["sample_mandache", "mandache_report", "MandacheReport", "kernel_fingerprint"]
 
@@ -79,13 +86,26 @@ def _check_pairs(group: Group) -> None:
         raise ValueError(f"{label} x {label} exceeds the {MAX_CELLS}-cell limit")
 
 
+def _coin_limit(value: Fraction) -> int:
+    """The kernel value as a coin limit: an integer coin u in [0, 2^64) has
+    u * den < num * 2^64 exactly when u < ceil(num * 2^64 / den).  Value 0
+    gives 0 (never included) and value 1 gives 2^64 (always); every other
+    limit is in [1, 2^64], and 2^64 only when every coin is below the value.
+    """
+    return -(-value.numerator * _SCALE // value.denominator)
+
+
 def sample_mandache(w: StepKernel, group: Group, seed: int) -> GroupSet:
     """One draw of the random pair set; bit-identical for identical seeds.
 
     Runs on element indices: every element is named once, its X/Y/Z cells
     are drawn into index arrays, and the pair (a, b) -- bit
     a * |G| + b of the mask -- reads its kernel cell through the -(a+b)
-    table, so only the inclusion coin is hashed per pair.
+    table.  Kernel values become integer coin limits, and a row a is decided
+    at once: only the pairs whose limit is neither 0 nor 2^64 are hashed,
+    their coins are read from the joined digests in one numpy step and
+    compared with the limits, and the row's member flats go to the packer,
+    so the scratch is O(|G|) per row.
     """
     _check_pairs(group)
     g = w.g
@@ -95,27 +115,31 @@ def sample_mandache(w: StepKernel, group: Group, seed: int) -> GroupSet:
         np.array([_cell(_u64(f"{seed}|{role}|{name}"), g) for name in names], dtype=np.int64)
         for role in "XYZ"
     )
-    # kernel cell x*g*g + y*g + z as (numerator, denominator) in lowest terms
-    cell_values = [(v.numerator, v.denominator) for plane in w.values for row in plane for v in row]
+    # kernel cell x*g*g + y*g + z: its coin limit when the coin decides, else
+    # 0, and whether its value is 1 (or so close that every coin is below it)
+    limits = [_coin_limit(v) for plane in w.values for row in plane for v in row]
+    always = np.array([limit == _SCALE for limit in limits], dtype=bool)
+    drawn_limit = np.array([0 if limit == _SCALE else limit for limit in limits], dtype=np.uint64)
     y_part = cy * g
     tails = [name.encode() for name in names]
-    buf = bytearray((order * order + 7) // 8)
-    for a, neg in enumerate(_neg_sum_rows(group)):
-        cells = (cx[a] * (g * g) + y_part + cz[neg]).tolist()
-        head = hashlib.sha256(f"{seed}|INC|{names[a]}|".encode())
-        flat = a * order
-        for cell, tail in zip(cells, tails):
-            num, den = cell_values[cell]
-            if num == den:  # kernel value 1: always included
-                buf[flat >> 3] |= 1 << (flat & 7)
-            elif num:  # kernel value 0 never is; others draw their coin
+
+    def rows() -> Iterator[np.ndarray]:
+        for a, neg in enumerate(_neg_sum_rows(group)):
+            cells = cx[a] * (g * g) + y_part + cz[neg]
+            limit = drawn_limit[cells]
+            drawn = np.flatnonzero(limit)
+            head = hashlib.sha256(f"{seed}|INC|{names[a]}|".encode())
+            digests = []
+            for b in drawn.tolist():
                 h = head.copy()  # key "<seed>|INC|<a>|<b>"
-                h.update(tail)
-                coin = _U64(h.digest())[0]
-                if coin * den < num * _SCALE:
-                    buf[flat >> 3] |= 1 << (flat & 7)
-            flat += 1
-    return GroupSet.from_packed(group, np.frombuffer(buf, dtype=np.uint8))
+                h.update(tails[b])
+                digests.append(h.digest())
+            # each coin is the first 8 of a digest's 32 bytes, big-endian
+            coins = np.frombuffer(b"".join(digests), dtype=">u8")[::4]
+            members = np.concatenate([np.flatnonzero(always[cells]), drawn[coins < limit[drawn]]])
+            yield members + a * order
+
+    return GroupSet.from_packed(group, _pack(rows(), order * order))
 
 
 @dataclass
@@ -179,12 +203,9 @@ def mandache_report(w: StepKernel, group: Group, seeds: Sequence[int]) -> Mandac
     _check_pairs(group)
     order = group.order
     norm = Fraction(1, order * order)
-    masks = RotationMasks(group)  # shared by every seed: they depend only on the group
     rows = []
     for seed in seeds:
-        pairs = sample_mandache(w, group, seed)
-        # index 0 is the identity
-        counts = [corner_count_group(pairs, group.element(i), masks) for i in range(1, order)]
+        counts = list(spectrum(sample_mandache(w, group, seed)).counts.values())
         if not counts:  # trivial group: only d = 0 exists
             rows.append({"seed": seed, "min": None, "max": None, "mean": None})
             continue

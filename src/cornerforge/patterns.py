@@ -15,13 +15,15 @@ Grid patterns are counted from the members: every copy x + d*T holds two
 members on one line parallel to t_1 - t_0, so the grid kernel pairs up
 members line by line and tests the other pattern points by bit lookups in
 the packed bytes.  A group set is one Python int, and group corners are
-counted by rotating that int.  A group is one digit-group model: element i
-has digit j = i // base**j % base, with Z/N the one-digit case, so the
-kernel, the readers and writers and the sampler all work on element
-indices; the public element shape (an int, or a digit tuple for F_p^n) is
-made only by `Group.element` and read only by `Group.index`.  The
-spectrum over all admissible differences d is the statistic of interest:
-its maximum entry is the best "popular difference" of the set.
+counted by rotating that int: a spectrum walks the differences d in
+reflected base-p Gray order, so each step changes one digit of d and costs
+one block rotation of each shifted mask.  A group is one digit-group
+model: element i has digit j = i // base**j % base, with Z/N the one-digit
+case, so the kernel, the readers and writers and the sampler all work on
+element indices; the public element shape (an int, or a digit tuple for
+F_p^n) is made only by `Group.element` and read only by `Group.index`.
+The spectrum over all admissible differences d is the statistic of
+interest: its maximum entry is the best "popular difference" of the set.
 """
 
 from __future__ import annotations
@@ -107,14 +109,16 @@ def _replicate(unit: int, block: int, count: int) -> int:
 class RotationMasks:
     """Keep/wrap mask pairs of `_rotate_blocks` by (nbits, block, amount).
 
-    They depend only on the group, so one instance shared by the corner
-    counts of an fp spectrum -- where each (digit, value) rotation recurs
-    for many d -- or of many sets on one fp group builds each pair once.
-    Caching stops once the cached masks would hold more than MAX_CELLS
-    bits; later pairs are built per call.  Only a group of more than one
-    digit caches: with one digit (Z/N, or F_p^1) no key repeats within a
-    set, and across sets the reuse measured no faster while a zN:500 cache
-    held 46 MB.
+    They depend only on the group.  The Gray walk of a group spectrum asks
+    for at most four keys per digit -- the x- and the y-shift of that digit,
+    one place up or down -- and asks again at every step that changes the
+    digit, so one instance per walk builds each pair once; a run of
+    `corner_count_group` calls on one group can share one too.  Caching
+    stops once the cached masks would hold more than MAX_CELLS bits; later
+    pairs are built per call.  Only a group of more than one digit caches:
+    shared by the one-d counts of a Z/N (or F_p^1) set, where no key
+    repeats within the set, a zN:500 cache held 46 MB, so a one-digit walk
+    builds its two pairs at every step.
     """
 
     __slots__ = ("_pairs", "_bits", "_cache")
@@ -661,11 +665,49 @@ def _shift(gs: GroupSet, d: int, unit: int, masks: RotationMasks) -> int:
     return mask
 
 
+def _group_counts(pairs: GroupSet) -> list[int]:
+    """Corner counts of every d, as a list by element index (entry 0 unset).
+
+    Walks d in reflected base-p Gray order, so that each step changes one
+    digit j of d by +1 or -1 and the two shifted masks each take one block
+    rotation of that digit; rotations on different digits commute, so no d
+    is shifted from the set again.  At step t (1 <= t < |G|), j is the
+    number of trailing zero base-p digits of t, and the digit rises when
+    t // p^(j+1) is even and falls (a rotation by p - 1) when it is odd.
+    That is 2 rotations per d, against one per nonzero digit of d for each
+    shifted mask, and only the two current masks are live.
+    """
+    g = pairs.group
+    base, _ = g.radix
+    order = g.order
+    nbits = order * order
+    masks = RotationMasks(g)
+    mask = pairs.mask
+    shifted_x = shifted_y = mask
+    counts = [0] * order
+    d = 0
+    for t in range(1, order):
+        j, q = 0, t
+        while q % base == 0:
+            q //= base
+            j += 1
+        place = base**j
+        rising = q // base % 2 == 0
+        step = 1 if rising else base - 1
+        shifted_x = _rotate_blocks(shifted_x, nbits, order * place * base, step * order * place, masks)
+        shifted_y = _rotate_blocks(shifted_y, nbits, place * base, step * place, masks)
+        d += place if rising else -place
+        counts[d] = (mask & shifted_x & shifted_y).bit_count()
+    return counts
+
+
 def corner_count_group(pairs: GroupSet, d, masks: Optional[RotationMasks] = None) -> int:
     """|{(x,y) : (x,y), (x+d,y), (x,y+d) all in the set}| with group arithmetic.
 
-    Pass one `RotationMasks` to a run of counts on the same group so the
-    rotation masks are built once, not per count.
+    The one-d entry point: each shifted mask is rotated once per nonzero
+    digit of d, where a spectrum's Gray walk rotates it once per d.  Pass
+    one `RotationMasks` to a run of counts on the same group so the rotation
+    masks are built once, not per count.
     """
     g = pairs.group
     d = g.index(d)
@@ -720,6 +762,6 @@ def spectrum(carrier: Union[GridSet, GroupSet], pattern: Optional[Pattern] = Non
     if pattern is not None:
         raise ValueError("group spectra are corner spectra; omit the pattern")
     group = carrier.group
-    masks = RotationMasks(group)
-    ds = map(group.element, range(1, group.order))  # index 0 is the identity
-    return Spectrum({d: corner_count_group(carrier, d, masks) for d in ds})
+    counts = _group_counts(carrier)
+    # index 0 is the identity; keys in index order
+    return Spectrum({group.element(i): counts[i] for i in range(1, group.order)})

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cornerforge.hypergraph import StepKernel, triforce_weighted
-from cornerforge.mandache import kernel_fingerprint, mandache_report, sample_mandache
+from cornerforge.mandache import _coin_limit, kernel_fingerprint, mandache_report, sample_mandache
 from cornerforge.patterns import Group
 from oracles import mandache_oracle
 
@@ -235,3 +235,37 @@ def test_sampled_masks_match_frozen_digests():
 def test_sampler_matches_key_string_oracle():
     for key, (w, group, seed) in _digest_cases():
         assert sample_mandache(w, group, seed).mask == mandache_oracle(w, group.kind, group.params, seed), key
+
+
+# Kernel values whose coin limit ceil(value * 2^64) is exact (1/2, 3/4), is 1
+# (only the coin 0 is below 2^-70) or is 2^64 (every coin is below 1 - 2^-70).
+EDGE_VALUES = (Fraction(1, 2), Fraction(3, 4), Fraction(1, 2**70), 1 - Fraction(1, 2**70))
+EDGE_GROUPS = (Group.zmod(12), Group.vector(3, 2))
+
+
+def _coin(seed, group, a, b):
+    key = f"{seed}|INC|{group.format_element(group.element(a))}|{group.format_element(group.element(b))}"
+    return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
+
+
+def test_coin_limits_at_the_edges_match_the_oracle():
+    assert [_coin_limit(v) for v in EDGE_VALUES] == [2**63, 3 * 2**62, 1, 2**64]
+    assert (_coin_limit(Fraction(0)), _coin_limit(Fraction(1)), _coin_limit(Fraction(1, 3))) == (0, 2**64, 2**64 // 3 + 1)
+    w = StepKernel(2, [[[EDGE_VALUES[(x + 2 * y + 3 * z) % 4] for z in range(2)] for y in range(2)] for x in range(2)])
+    for group in EDGE_GROUPS:
+        for seed in (0, 5, 77):
+            assert sample_mandache(w, group, seed).mask == mandache_oracle(w, group.kind, group.params, seed)
+
+
+def test_a_coin_equal_to_its_limit_is_excluded():
+    seed = 9
+    for group in EDGE_GROUPS:
+        a, b = 5, 7
+        coin = _coin(seed, group, a, b)
+        bit = 1 << (a * group.order + b)
+        for limit, included in ((coin, False), (coin + 1, True)):
+            w = StepKernel.constant(1, Fraction(limit, 2**64))
+            assert _coin_limit(w.values[0][0][0]) == limit
+            mask = sample_mandache(w, group, seed).mask
+            assert bool(mask & bit) is included, (group.label(), limit)
+            assert mask == mandache_oracle(w, group.kind, group.params, seed)

@@ -210,6 +210,35 @@ def test_translation_invariance():
         assert corner_count_group(pairs, d) == corner_count_group(translated, d)
 
 
+@pytest.mark.parametrize("group", [Group.zmod(7), Group.vector(2, 4), Group.vector(3, 3)], ids=Group.label)
+def test_group_spectrum_rotates_twice_per_difference(group, monkeypatch):
+    # the Gray walk shifts each mask by one digit rotation per step; counting
+    # every d from the set would take one rotation per nonzero digit of d
+    rotate = patterns._rotate_blocks
+    calls = []
+
+    def counting(*args):
+        calls.append(args[3])
+        return rotate(*args)
+
+    monkeypatch.setattr(patterns, "_rotate_blocks", counting)
+    spectrum(random_group_set(random.Random(group.order), group))
+    assert len(calls) == 2 * (group.order - 1)
+    assert 0 not in calls
+
+
+def test_group_spectrum_is_the_one_d_count_in_index_order():
+    rng = random.Random(29)
+    groups = SMALL_GROUPS + [Group.zmod(31), Group.vector(2, 5), Group.vector(5, 2), Group.vector(3, 3)]
+    for group in groups:
+        for density in (0.2, 0.6):
+            pairs = random_group_set(rng, group, density)
+            counts = spectrum(pairs).counts
+            ds = [group.element(i) for i in range(1, group.order)]
+            assert list(counts) == ds, group.label()
+            assert counts == {d: corner_count_group(pairs, d) for d in ds}, group.label()
+
+
 # -- spectra -----------------------------------------------------------------
 
 
