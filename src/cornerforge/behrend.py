@@ -25,6 +25,8 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .limits import MAX_CELLS
+
 __all__ = [
     "DigitSphereParams",
     "SphereSet",
@@ -158,6 +160,9 @@ def _int_root(x: int, d: int) -> int:
 def _digit_sphere_set(length: int, headroom: int) -> SphereSet:
     if length < 1:
         raise ValueError("length must be positive")
+    if length > MAX_CELLS:
+        # past the residue reader's limit the digit vectors alone run to 10^8 and more
+        raise ValueError(f"length {length} exceeds the limit of {MAX_CELLS} residues")
     if length <= headroom:
         # not enough room for even one nonzero digit; {0} is always valid
         return SphereSet({0}, DigitSphereParams(length, 1, headroom, headroom, 0))

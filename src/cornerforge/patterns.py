@@ -15,9 +15,10 @@ Grid patterns are counted from the members: every copy x + d*T holds two
 members on one line parallel to t_1 - t_0, so the grid kernel pairs up
 members line by line and tests the other pattern points by bit lookups in
 the packed bytes.  A group set is one Python int, and group corners are
-counted by rotating that int: a spectrum walks the differences d in
-reflected base-p Gray order, so each step changes one digit of d and costs
-one block rotation of each shifted mask.  A group is one digit-group
+counted by rotating that int in one walk over d, one digit step at a time,
+each step one block rotation of each shifted mask: a spectrum walks every
+d in reflected base-p Gray order, and a one-d count walks from the
+identity through the nonzero digits of its d.  A group is one digit-group
 model: element i has digit j = i // base**j % base, with Z/N the one-digit
 case, so the kernel, the readers and writers and the sampler all work on
 element indices; the public element shape (an int, or a digit tuple for
@@ -46,7 +47,6 @@ __all__ = [
     "count_pattern",
     "corner_count_group",
     "spectrum",
-    "RotationMasks",
     "MAX_CELLS",
 ]
 
@@ -106,50 +106,14 @@ def _replicate(unit: int, block: int, count: int) -> int:
     return out
 
 
-class RotationMasks:
-    """Keep/wrap mask pairs of `_rotate_blocks` by (nbits, block, amount).
-
-    They depend only on the group.  The Gray walk of a group spectrum asks
-    for at most four keys per digit -- the x- and the y-shift of that digit,
-    one place up or down -- and asks again at every step that changes the
-    digit, so one instance per walk builds each pair once; a run of
-    `corner_count_group` calls on one group can share one too.  Caching
-    stops once the cached masks would hold more than MAX_CELLS bits; later
-    pairs are built per call.  Only a group of more than one digit caches:
-    shared by the one-d counts of a Z/N (or F_p^1) set, where no key
-    repeats within the set, a zN:500 cache held 46 MB, so a one-digit walk
-    builds its two pairs at every step.
-    """
-
-    __slots__ = ("_pairs", "_bits", "_cache")
-
-    def __init__(self, group: Group) -> None:
-        self._pairs: dict[tuple[int, int, int], tuple[int, int]] = {}
-        self._bits = 0
-        self._cache = group.radix[1] > 1
-
-    def get(self, nbits: int, block: int, amount: int) -> tuple[int, int]:
-        key = (nbits, block, amount)
-        pair = self._pairs.get(key)
-        if pair is None:
-            keep = _replicate((1 << (block - amount)) - 1, block, nbits // block)
-            pair = keep, keep ^ ((1 << nbits) - 1)  # wrap: the complement
-            if self._cache and self._bits + 2 * nbits <= MAX_CELLS:
-                self._pairs[key] = pair
-                self._bits += 2 * nbits
-        return pair
-
-
-def _rotate_blocks(mask: int, nbits: int, block: int, amount: int, masks: RotationMasks) -> int:
+def _rotate_blocks(mask: int, block: int, amount: int, keep: int, wrap: int) -> int:
     """Rotate every aligned `block`-bit window of `mask` down by `amount`.
 
     Bit ``p`` of the result equals bit ``start + (offset + amount) % block``
-    of the input, where ``start = p - p % block``.  With block == nbits this
-    is a plain cyclic rotation.  `block` must divide `nbits`.
+    of the input, where ``start = p - p % block``; 0 < amount < block.
+    `keep` has the low block - amount bits of every window set and `wrap`
+    is its complement, as `_corner_walk` builds them.
     """
-    if amount == 0:
-        return mask
-    keep, wrap = masks.get(nbits, block, amount)
     return ((mask >> amount) & keep) | ((mask << (block - amount)) & wrap)
 
 
@@ -576,10 +540,11 @@ class GroupSet:
     """Subset of G x G, stored as one Python int: bit f is the pair with
     flat index f = index(x) * |G| + index(y).
 
-    Adding d to the first coordinate is then a whole-word rotation (or
-    per-digit block rotation for vector groups), and adding d to the second
-    is the same one level down.  Groups keep the int, unlike grid sets,
-    because the corner kernel rotates it hundreds of times per spectrum.
+    Adding one digit of d to the first coordinate is then a rotation of
+    every aligned block of |G| * base^(j+1) bits (the whole word for Z/N),
+    and adding it to the second is the same |G| times smaller.  Groups keep
+    the int, unlike grid sets, because the corner walk rotates it twice per
+    d of a spectrum.
     Packed bytes cross into it only through `from_packed`, and out of it
     only through `packed`.
     """
@@ -645,78 +610,78 @@ class GroupSet:
         return f"GroupSet({self.group.label()}, size={len(self)})"
 
 
-def _shift(gs: GroupSet, d: int, unit: int, masks: RotationMasks) -> int:
-    """Mask whose bit at (x, y) is the membership bit of (x + d, y) for
-    unit = |G|, or of (x, y + d) for unit = 1, where d is an element index.
+def _corner_walk(pairs: GroupSet, steps: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """Yield (d, corners of d) after each digit step of d: the one group
+    corner kernel, with d an element index.
 
-    Index digit j of a coordinate sits at place value unit * base^j of the
-    flat index, so adding digit d_j of d to it rotates every aligned block
-    of unit * base bits by d_j * unit.
-    """
-    g = gs.group
-    base, digits = g.radix
-    nbits = g.order**2
-    mask = gs.mask
-    for _ in range(digits):
-        d, dj = divmod(d, base)
-        if dj:
-            mask = _rotate_blocks(mask, nbits, unit * base, dj * unit, masks)
-        unit *= base
-    return mask
-
-
-def _group_counts(pairs: GroupSet) -> list[int]:
-    """Corner counts of every d, as a list by element index (entry 0 unset).
-
-    Walks d in reflected base-p Gray order, so that each step changes one
-    digit j of d by +1 or -1 and the two shifted masks each take one block
-    rotation of that digit; rotations on different digits commute, so no d
-    is shifted from the set again.  At step t (1 <= t < |G|), j is the
-    number of trailing zero base-p digits of t, and the digit rises when
-    t // p^(j+1) is even and falls (a rotation by p - 1) when it is odd.
-    That is 2 rotations per d, against one per nonzero digit of d for each
-    shifted mask, and only the two current masks are live.
+    d starts at the identity, and step (j, s), 0 < s < base, adds s to digit
+    j of d.  Index digit j of a coordinate sits at place value unit * base^j
+    of the flat index (unit = |G| for x, 1 for y), so the step rotates every
+    aligned block of unit * base^(j+1) bits of each shifted mask by
+    s * unit * base^j; rotations on different digits commute, so the two
+    shifted masks always hold the d reached.  A keep/wrap pair is built on
+    first use and held for the rest of the walk while the held pairs stay
+    within MAX_CELLS bits: a Gray walk asks for at most four per digit (the
+    x- and the y-shift of that digit, one place up or down), again at every
+    step that changes the digit.
     """
     g = pairs.group
     base, _ = g.radix
     order = g.order
     nbits = order * order
-    masks = RotationMasks(g)
+    held: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def rotate(mask: int, block: int, amount: int) -> int:
+        pair = held.get((block, amount))
+        if pair is None:
+            keep = _replicate((1 << (block - amount)) - 1, block, nbits // block)
+            pair = keep, keep ^ ((1 << nbits) - 1)  # wrap: the complement
+            if 2 * nbits * (len(held) + 1) <= MAX_CELLS:
+                held[block, amount] = pair
+        return _rotate_blocks(mask, block, amount, *pair)
+
     mask = pairs.mask
     shifted_x = shifted_y = mask
-    counts = [0] * order
     d = 0
-    for t in range(1, order):
+    for j, s in steps:
+        place = base**j
+        shifted_x = rotate(shifted_x, order * place * base, s * order * place)
+        shifted_y = rotate(shifted_y, place * base, s * place)
+        digit = d // place % base
+        d += ((digit + s) % base - digit) * place
+        yield d, (mask & shifted_x & shifted_y).bit_count()
+
+
+def _gray_steps(group: Group) -> Iterator[tuple[int, int]]:
+    """The digit steps of the reflected base-p Gray walk through every
+    nonidentity index: at step t (1 <= t < |G|), j is the number of
+    trailing zero base-p digits of t, and digit j rises (s = 1) when
+    t // p^(j+1) is even and falls (s = p - 1) when it is odd.  That is one
+    rotation of each shifted mask per d, against one per nonzero digit of d
+    for a walk from the identity."""
+    base, _ = group.radix
+    for t in range(1, group.order):
         j, q = 0, t
         while q % base == 0:
             q //= base
             j += 1
-        place = base**j
-        rising = q // base % 2 == 0
-        step = 1 if rising else base - 1
-        shifted_x = _rotate_blocks(shifted_x, nbits, order * place * base, step * order * place, masks)
-        shifted_y = _rotate_blocks(shifted_y, nbits, place * base, step * place, masks)
-        d += place if rising else -place
-        counts[d] = (mask & shifted_x & shifted_y).bit_count()
-    return counts
+        yield j, 1 if q // base % 2 == 0 else base - 1
 
 
-def corner_count_group(pairs: GroupSet, d, masks: Optional[RotationMasks] = None) -> int:
+def corner_count_group(pairs: GroupSet, d) -> int:
     """|{(x,y) : (x,y), (x+d,y), (x,y+d) all in the set}| with group arithmetic.
 
-    The one-d entry point: each shifted mask is rotated once per nonzero
-    digit of d, where a spectrum's Gray walk rotates it once per d.  Pass
-    one `RotationMasks` to a run of counts on the same group so the rotation
-    masks are built once, not per count.
+    The one-d entry point: a walk from the identity with one step per
+    nonzero digit of d.
     """
     g = pairs.group
     d = g.index(d)
     if d == 0:
         raise ValueError("difference d must not be the identity")
-    if masks is None:
-        masks = RotationMasks(g)
-    acc = pairs.mask & _shift(pairs, d, g.order, masks) & _shift(pairs, d, 1, masks)
-    return acc.bit_count()
+    base, digits = g.radix
+    steps = [(j, s) for j in range(digits) if (s := d // base**j % base)]
+    *_, (_, count) = _corner_walk(pairs, steps)
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -762,6 +727,6 @@ def spectrum(carrier: Union[GridSet, GroupSet], pattern: Optional[Pattern] = Non
     if pattern is not None:
         raise ValueError("group spectra are corner spectra; omit the pattern")
     group = carrier.group
-    counts = _group_counts(carrier)
+    counts = dict(_corner_walk(carrier, _gray_steps(group)))
     # index 0 is the identity; keys in index order
     return Spectrum({group.element(i): counts[i] for i in range(1, group.order)})

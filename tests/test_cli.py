@@ -166,6 +166,29 @@ def test_oversized_residue_header_exits_1_naming_the_limit(tmp_path, capsys, arg
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["behrend"],
+        ["sumfree"],
+        ["qcfree", "--a", "0,1,2,3,4"],
+        ["corner3d", "--delta", "0.25"],
+        ["fivepoint", "--a", "0,1,2,3,4", "--delta", "0.25"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_oversized_length_exits_1_within_a_second(tmp_path, capsys, argv):
+    # a residue set past the reader's limit could not be read back, and its
+    # digit vectors alone would run to 10^8 and more
+    out = tmp_path / "out.set"
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, "construct", *argv, "--length", "1000000000000", "-o", str(out))
+    assert time.perf_counter() - start < 1
+    assert (code, stdout) == (1, "")
+    assert stderr.strip() == "error: length 1000000000000 exceeds the limit of 400000000 residues"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "header,column,message",
     [
         ("dim 0 side 5", 5, "dim must be positive, got 0"),

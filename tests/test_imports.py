@@ -8,6 +8,7 @@ fresh interpreters.
 
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -101,6 +102,18 @@ def test_star_import_binds_every_public_name():
     exec("from cornerforge import *", namespace)
     for name in cornerforge.__all__:
         assert namespace[name] is getattr(cornerforge, name), name
+
+
+SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(cornerforge.__path__))
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_every_submodule_all_name_resolves(module):
+    # a star import raises AttributeError for a stale name in __all__; a
+    # module without __all__ (cli, limits) exports nothing by name
+    namespace = {}
+    exec(f"from cornerforge.{module} import *", namespace)
+    assert set(getattr(importlib.import_module(f"cornerforge.{module}"), "__all__", ())) <= set(namespace)
 
 
 def test_an_unknown_name_raises_attribute_error():

@@ -16,7 +16,6 @@ from cornerforge.patterns import (
     Group,
     GroupSet,
     Pattern,
-    RotationMasks,
     corner_count_group,
     count_pattern,
     spectrum,
@@ -212,19 +211,33 @@ def test_translation_invariance():
 
 @pytest.mark.parametrize("group", [Group.zmod(7), Group.vector(2, 4), Group.vector(3, 3)], ids=Group.label)
 def test_group_spectrum_rotates_twice_per_difference(group, monkeypatch):
-    # the Gray walk shifts each mask by one digit rotation per step; counting
-    # every d from the set would take one rotation per nonzero digit of d
-    rotate = patterns._rotate_blocks
-    calls = []
+    # the Gray walk shifts each mask by one digit rotation per step; a one-d
+    # count walks from the identity through the same kernel, one rotation
+    # per nonzero digit of d
+    rotate, walk = patterns._rotate_blocks, patterns._corner_walk
+    calls, walks = [], []
 
     def counting(*args):
-        calls.append(args[3])
+        calls.append(args[2])
         return rotate(*args)
 
+    def counting_walk(*args):
+        walks.append(args)
+        return walk(*args)
+
     monkeypatch.setattr(patterns, "_rotate_blocks", counting)
-    spectrum(random_group_set(random.Random(group.order), group))
-    assert len(calls) == 2 * (group.order - 1)
+    monkeypatch.setattr(patterns, "_corner_walk", counting_walk)
+    pairs = random_group_set(random.Random(group.order), group)
+    spectrum(pairs)
+    assert len(calls) == 2 * (group.order - 1) and len(walks) == 1
     assert 0 not in calls
+    base, digits = group.radix
+    for i in range(1, group.order):
+        del calls[:]
+        corner_count_group(pairs, group.element(i))
+        assert len(calls) == 2 * sum(1 for j in range(digits) if i // base**j % base)
+        assert 0 not in calls
+    assert len(walks) == group.order
 
 
 def test_group_spectrum_is_the_one_d_count_in_index_order():
@@ -449,32 +462,38 @@ def test_group_spectrum_matches_oracle(case):
     assert spec.counts == group_corner_oracle(members, group.kind, group.params)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.sampled_from(SMALL_GROUPS).flatmap(
-        lambda g: st.tuples(st.just(g), st.lists(group_member_sets(g), min_size=2, max_size=4))
-    )
-)
-def test_shared_rotation_masks_across_sets(case):
-    # the report loop: several sets on one group, one mask cache for all
-    group, sets = case
-    masks = RotationMasks(group)
-    ds = [d for d in group.elements() if d != group.identity]
-    for members in sets:
-        pairs = GroupSet(group, members)
-        got = {d: corner_count_group(pairs, d, masks) for d in ds}
-        assert got == group_corner_oracle(members, group.kind, group.params)
-    if group.kind == "zN":  # no key repeats within a zN set: nothing is held
-        assert not masks._pairs
+@pytest.fixture
+def built_pairs(monkeypatch):
+    """The (unit, block) of every keep/wrap pair built, in order."""
+    replicate = patterns._replicate
+    built = []
+
+    def counting(*args):
+        built.append(args[:2])
+        return replicate(*args)
+
+    monkeypatch.setattr(patterns, "_replicate", counting)
+    return built
 
 
-def test_rotation_masks_stop_caching_at_the_cell_limit(monkeypatch):
+@pytest.mark.parametrize("group, most", [(Group.zmod(31), 4), (Group.vector(3, 3), 4 * 3)], ids=["zN 31", "fp 3 3"])
+def test_a_walk_builds_each_rotation_pair_once(group, most, built_pairs):
+    # a Gray walk asks for at most four keep/wrap pairs per digit; each is
+    # built on first use and held for the rest of the walk
+    spectrum(random_group_set(random.Random(5), group))
+    assert len(built_pairs) == len(set(built_pairs)) <= most
+
+
+def test_rotation_masks_stop_caching_at_the_cell_limit(monkeypatch, built_pairs):
     group = Group.vector(3, 2)
     rng = random.Random(7)
     pairs = GroupSet(group, [(a, b) for a in group.elements() for b in group.elements() if rng.random() < 0.6])
     expected = spectrum(pairs).counts
-    nbits = group.order**2
-    monkeypatch.setattr(patterns, "MAX_CELLS", 5 * nbits)  # room for two keep/wrap pairs
-    masks = RotationMasks(group)
-    assert {d: corner_count_group(pairs, d, masks) for d in expected} == expected
-    assert len(masks._pairs) == 2 and masks._bits == 4 * nbits
+    del built_pairs[:]
+    monkeypatch.setattr(patterns, "MAX_CELLS", 5 * group.order**2)  # room for two keep/wrap pairs
+    assert spectrum(pairs).counts == expected
+    # d walks 1, 2, 5, 4, 3, 6, 7, 8: the digit-0 rise is held from the first
+    # step, and the digit-1 rise (steps 3, 6) and the digit-0 fall (steps 4,
+    # 5) are built at every use
+    assert len(built_pairs) == 2 * (1 + 4)
+    assert len(set(built_pairs)) == 2 * 3
