@@ -49,4 +49,4 @@ w = kernels["random 2x2x2"]
 a = sample_mandache(w, group, seed=123)
 b = sample_mandache(w, group, seed=123)
 c = sample_mandache(w, group, seed=124)
-print(f"\nseed 123 twice -> identical masks: {a.mask == b.mask}; seed 124 differs: {a.mask != c.mask}")
+print(f"\nseed 123 twice -> identical sets: {a == b}; seed 124 differs: {a != c}")

@@ -135,14 +135,13 @@ def _load_record(path: str, loader):
 
 
 def _sniff_set(path: str):
-    from .formats import read_grid_set, read_group_set
+    """The grid or group set at `path`, by the first word of its first data line."""
+    from .formats import _is_data, read_grid_set, read_group_set
 
     with open(path) as fh:
-        head = fh.readline().split()
-    with open(path) as fh:
-        if head and head[0] == "group":
-            return read_group_set(fh, path)
-        return read_grid_set(fh, path)
+        head = next(filter(_is_data, fh), "").split()
+        fh.seek(0)
+        return (read_group_set if head[:1] == ["group"] else read_grid_set)(fh, path)
 
 
 # -- construct ----------------------------------------------------------------
@@ -311,20 +310,17 @@ def _cmd_count_density(args):
 
 def _cmd_count_homs(args):
     from .formats import read_hypergraph
-    from .hypergraph import edge_density, hom_count, kforce_density, kforce_motif, single_edge_motif, triforce_motif
+    from .hypergraph import _check_motif, edge_density, hom_count, kforce_density, kforce_motif, single_edge_motif
 
     with open(args.hypergraph) as fh:
         h = read_hypergraph(fh, args.hypergraph)
     name = args.motif
-    family = re.fullmatch(r"(kforce|edge)([0-9]+)", name)
-    if name == "triforce":
-        motif = triforce_motif()
-    elif family and family[1] == "kforce":
-        motif = kforce_motif(int(family[2]))
-    elif family:
-        motif = single_edge_motif(int(family[2]))
-    else:
+    family = re.fullmatch(r"(kforce|edge)([0-9]+)", "kforce3" if name == "triforce" else name)
+    if not family:
         raise ValueError(f"unknown motif {name!r}; use triforce, kforceK, or edgeK")
+    k = int(family[2])
+    _check_motif(k, 2 * k if family[1] == "kforce" else k, h)  # before a motif of 2k or k vertices is built
+    motif = kforce_motif(k) if family[1] == "kforce" else single_edge_motif(k)
     count = hom_count(motif, h)
     print(
         json.dumps(
@@ -333,7 +329,7 @@ def _cmd_count_homs(args):
                 "hom_count": count,
                 "density": str(Fraction(count, h.n**motif.n)),
                 "edge_density": str(edge_density(h)),
-                "kforce_density": str(kforce_density(h)) if motif.k == h.k else None,
+                "kforce_density": str(kforce_density(h)),
             }
         )
     )

@@ -91,6 +91,17 @@ def edge_density(h: Hypergraph) -> Fraction:
     return Fraction(factorial(h.k) * len(h.edges), h.n**h.k)
 
 
+MAX_MOTIF_VERTICES = 10  # hom_count names each motif vertex by one of the letters a..j
+
+
+def _check_motif(k: int, vertices: int, h: Hypergraph) -> None:
+    """Refuse a k-uniform motif on `vertices` vertices that hom_count cannot count in `h`."""
+    if k != h.k:
+        raise ValueError(f"uniformity mismatch: motif {k}, target {h.k}")
+    if vertices > MAX_MOTIF_VERTICES:
+        raise ValueError(f"motif too large (at most {MAX_MOTIF_VERTICES} vertices)")
+
+
 def hom_count(motif: Hypergraph, h: Hypergraph) -> int:
     """Number of vertex maps V(motif) -> V(h) sending every motif edge onto
     an edge of h (k distinct images per edge).
@@ -115,10 +126,7 @@ def hom_count(motif: Hypergraph, h: Hypergraph) -> int:
 
     from .limits import MAX_CELLS
 
-    if motif.k != h.k:
-        raise ValueError(f"uniformity mismatch: motif {motif.k}, target {h.k}")
-    if motif.n > 10:
-        raise ValueError("motif too large (at most 10 vertices)")
+    _check_motif(motif.k, motif.n, h)
     k, n = h.k, h.n
     degree = Counter(v for e in motif.edges for v in e)
     if not degree:

@@ -3,8 +3,11 @@
 Draw three independent uniform labels X_a, Y_a, Z_a in [0,1) for every group
 element a, then include each pair (a, b) independently with probability
 W(X_a, Y_b, Z_{-a-b}).  For any fixed nonzero d the normalized corner count
-|S_d| / |G|^2 then has expectation exactly the weighted triforce integral of
-W, and it concentrates around it; the report measures this across seeds.
+|S_d| / |G|^2 then has expectation the weighted triforce integral of W, and
+it concentrates around it; the report measures this across seeds.  That
+is exact only when g and every value's denominator are powers of two (as in
+the benchmark kernel: g = 2, sixteenths), since a label's cell is
+floor(u * g / 2^64) and a coin's limit ceil(numerator * 2^64 / denominator).
 
 Reproducibility (including across languages): every uniform label is the
 first 8 bytes, big-endian, of SHA-256 over a key string, taken as a 64-bit

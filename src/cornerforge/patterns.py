@@ -8,23 +8,22 @@ Two kinds of carrier set are supported:
   (``Z/N`` or a vector group ``F_p^n``), counted against corners
   ``(x,y), (x+d,y), (x,y+d)`` with group arithmetic (wraparound).
 
-A grid set is stored as its packed bits, a read-only little-endian uint8
-array; every grid consumer (the kernel, the writers, the readers, the
-avoiders' materializers and the lift) reads or fills those bytes directly.
-Grid patterns are counted from the members: every copy x + d*T holds two
-members on one line parallel to t_1 - t_0, so the grid kernel pairs up
-members line by line and tests the other pattern points by bit lookups in
-the packed bytes.  A group set is one Python int, and group corners are
-counted by rotating that int in one walk over d, one digit step at a time,
-each step one block rotation of each shifted mask: a spectrum walks every
-d in reflected base-p Gray order, and a one-d count walks from the
-identity through the nonzero digits of its d.  A group is one digit-group
-model: element i has digit j = i // base**j % base, with Z/N the one-digit
-case, so the kernel, the readers and writers and the sampler all work on
-element indices; the public element shape (an int, or a digit tuple for
-F_p^n) is made only by `Group.element` and read only by `Group.index`.
-The spectrum over all admissible differences d is the statistic of
-interest: its maximum entry is the best "popular difference" of the set.
+Both kinds are stored as their packed bits, a read-only little-endian uint8
+array that every consumer reads or fills directly.  Grid patterns are
+counted from the members: every copy x + d*T holds two members on one line
+parallel to t_1 - t_0, so the grid kernel pairs up members line by line and
+tests the other pattern points by bit lookups in the packed bytes.  Group
+corners are counted in one walk over d, on the bytes read into one int, one
+digit step at a time, each step one block rotation of each shifted copy: a
+spectrum walks every d in reflected base-p Gray order, and a one-d count
+walks from the identity through the nonzero digits of its d.  A group is
+one digit-group model: element i has digit j = i // base**j % base, with
+Z/N the one-digit case, so the kernel, the readers and writers and the
+sampler all work on element indices; the public element shape (an int, or a
+digit tuple for F_p^n) is made only by `Group.element` and read only by
+`Group.index`.  The spectrum over all admissible differences d is the
+statistic of interest: its maximum entry is the best "popular difference"
+of the set.
 """
 
 from __future__ import annotations
@@ -537,46 +536,32 @@ class Group:
 
 
 class GroupSet:
-    """Subset of G x G, stored as one Python int: bit f is the pair with
-    flat index f = index(x) * |G| + index(y).
-
-    Adding one digit of d to the first coordinate is then a rotation of
-    every aligned block of |G| * base^(j+1) bits (the whole word for Z/N),
-    and adding it to the second is the same |G| times smaller.  Groups keep
-    the int, unlike grid sets, because the corner walk rotates it twice per
-    d of a spectrum.
-    Packed bytes cross into it only through `from_packed`, and out of it
-    only through `packed`.
+    """Subset of G x G, stored as a grid set is: a read-only little-endian
+    uint8 array whose bit f is the pair with flat index
+    f = index(x) * |G| + index(y), with zero bits past |G|^2.
     """
 
-    __slots__ = ("group", "_mask")
+    __slots__ = ("group", "_packed")
 
     def __init__(self, group: Group, members: Iterable[tuple] = ()):
         self.group = group
-        w = group.order
         flats = np.fromiter(map(self._checked_flat, members), dtype=np.int64)
-        self._mask = GroupSet.from_packed(group, _pack([flats], w * w))._mask
+        self._packed = _pack([flats], group.order**2)
 
     @classmethod
     def from_packed(cls, group: Group, packed: np.ndarray) -> "GroupSet":
-        """The set whose pair f is bit f of the little-endian bytes `packed`."""
+        """The set whose pair f is bit f of `packed`, taken over and frozen."""
         obj = cls.__new__(cls)
-        obj.group = group
-        obj._mask = int.from_bytes(_checked_packed(packed, group.order**2), "little")
+        obj.group, obj._packed = group, _checked_packed(packed, group.order**2)
         return obj
 
     @classmethod
     def full(cls, group: Group) -> "GroupSet":
         return cls.from_packed(group, np.packbits(np.ones(group.order**2, dtype=bool), bitorder="little"))
 
-    @property
-    def mask(self) -> int:
-        return self._mask
-
     def packed(self) -> np.ndarray:
-        """The set as little-endian bytes: bit f of the array is pair f."""
-        w = self.group.order
-        return np.frombuffer(self._mask.to_bytes((w * w + 7) // 8, "little"), dtype=np.uint8)
+        """The stored read-only bytes, not a copy: bit f is pair f."""
+        return self._packed
 
     def _checked_flat(self, pair) -> int:
         """The flat index of `pair`: two elements whose digits are integers
@@ -595,16 +580,19 @@ class GroupSet:
             f = self._checked_flat(pair)
         except ValueError:
             return False
-        return bool(self._mask >> f & 1)
+        return bool(self._packed[f >> 3] >> (f & 7) & 1)
 
     def __len__(self) -> int:
-        return self._mask.bit_count()
+        return _popcount(self._packed)
 
     def __iter__(self) -> Iterator[tuple]:
         elems = list(self.group.elements())
         # flat index x * |G| + y: the first column is y's
-        ys, xs = _member_columns(self.packed(), self.group.order, 2)
+        ys, xs = _member_columns(self._packed, self.group.order, 2)
         return ((elems[x], elems[y]) for x, y in zip(xs.tolist(), ys.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, GroupSet) and self.group == other.group and np.array_equal(self._packed, other._packed)
 
     def __repr__(self) -> str:
         return f"GroupSet({self.group.label()}, size={len(self)})"
@@ -614,12 +602,13 @@ def _corner_walk(pairs: GroupSet, steps: Iterable[tuple[int, int]]) -> Iterator[
     """Yield (d, corners of d) after each digit step of d: the one group
     corner kernel, with d an element index.
 
-    d starts at the identity, and step (j, s), 0 < s < base, adds s to digit
-    j of d.  Index digit j of a coordinate sits at place value unit * base^j
-    of the flat index (unit = |G| for x, 1 for y), so the step rotates every
-    aligned block of unit * base^(j+1) bits of each shifted mask by
-    s * unit * base^j; rotations on different digits commute, so the two
-    shifted masks always hold the d reached.  A keep/wrap pair is built on
+    The set's bytes are read once into one int, the mask.  d starts at the
+    identity, and step (j, s), 0 < s < base, adds s to digit j of d.  Index
+    digit j of a coordinate sits at place value unit * base^j of the flat
+    index (unit = |G| for x, 1 for y), so the step rotates every aligned
+    block of unit * base^(j+1) bits of each shifted mask by s * unit *
+    base^j; rotations on different digits commute, so the two shifted
+    masks always hold the d reached.  A keep/wrap pair is built on
     first use and held for the rest of the walk while the held pairs stay
     within MAX_CELLS bits: a Gray walk asks for at most four per digit (the
     x- and the y-shift of that digit, one place up or down), again at every
@@ -640,7 +629,7 @@ def _corner_walk(pairs: GroupSet, steps: Iterable[tuple[int, int]]) -> Iterator[
                 held[block, amount] = pair
         return _rotate_blocks(mask, block, amount, *pair)
 
-    mask = pairs.mask
+    mask = int.from_bytes(pairs.packed(), "little")
     shifted_x = shifted_y = mask
     d = 0
     for j, s in steps:

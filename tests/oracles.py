@@ -96,6 +96,17 @@ def group_corner_oracle(members, kind, params):
     }
 
 
+def corner_hypergraph_oracle(members, kind, params):
+    """(vertex count, edges) of the 3-partite 3-graph H_S of a pair set S in
+    G x G: vertex i, |G| + i or 2|G| + i stands for the i-th element of the
+    first, second or third part, and each member (x, y) is one edge
+    {x, |G| + y, 2|G| + (x + y)}, with the group written out by hand."""
+    elements, _, add = _group_by_hand(kind, params)
+    pos = {e: i for i, e in enumerate(elements)}
+    w = len(elements)
+    return 3 * w, frozenset(frozenset({pos[x], w + pos[y], 2 * w + pos[add(x, y)]}) for x, y in members)
+
+
 def hom_count_oracle(motif, target):
     """Enumerate every vertex map and test every edge image."""
     count = 0

@@ -413,6 +413,55 @@ def test_homs_oversized_target_exits_1(tmp_path, capsys):
     assert stderr.strip() == "error: adjacency tensor of 100000^3 cells exceeds the 6250000-cell limit (MAX_CELLS // 64)"
 
 
+@pytest.mark.parametrize(
+    "motif,header,message",
+    [
+        ("kforce30000", "3 5 1\n0 1 2\n", "uniformity mismatch: motif 30000, target 3"),
+        ("edge300000000", "3 5 1\n0 1 2\n", "uniformity mismatch: motif 300000000, target 3"),
+        ("kforce30000", "30000 5 0\n", "motif too large (at most 10 vertices)"),
+        ("edge300000000", "300000000 5 0\n", "motif too large (at most 10 vertices)"),
+        ("kforce6", "6 7 1\n0 1 2 3 4 5\n", "motif too large (at most 10 vertices)"),
+    ],
+    ids=["kforce-mismatch", "edge-mismatch", "kforce-too-large", "edge-too-large", "kforce6-too-large"],
+)
+def test_homs_refuses_an_unusable_motif_before_building_it(tmp_path, capsys, monkeypatch, motif, header, message):
+    # a k-force motif holds O(K^2) vertex slots and an edge motif O(K), so
+    # building either at these K would not fit in memory
+    from cornerforge import hypergraph
+
+    def refuse(k):
+        raise AssertionError(f"motif of K = {k} built")
+
+    monkeypatch.setattr(hypergraph, "kforce_motif", refuse)
+    monkeypatch.setattr(hypergraph, "single_edge_motif", refuse)
+    hg = tmp_path / "h.hg"
+    hg.write_text(header)
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, "count", "homs", "--motif", motif, "--hypergraph", str(hg))
+    assert time.perf_counter() - start < 1
+    assert (code, stdout, stderr.strip()) == (1, "", f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "text,pattern",
+    [
+        ("group zN 5\n0 1\n1 2\n2 2\n3 2\n", None),
+        ("group fp 2 2\n0,1 1,1\n1,1 1,1\n", None),
+        ("dim 2 side 4\n1 1\n2 1\n1 2\n", "corner2"),
+    ],
+    ids=["zN", "fp", "grid"],
+)
+def test_a_set_file_led_by_comments_is_read_by_its_own_reader(tmp_path, capsys, text, pattern):
+    # the kind is the first word of the first data line, as the readers see it
+    plain, led = tmp_path / "plain.set", tmp_path / "led.set"
+    plain.write_text(text)
+    led.write_text("# a comment\n\n  # another\n" + text)
+    extra = ["--pattern", pattern] if pattern else []
+    for command in (["count", "density"], ["count", "spectrum", *extra]):
+        outputs = [run(capsys, *command, "--set", str(path)) for path in (plain, led)]
+        assert outputs[0][0] == 0 and outputs[0] == outputs[1], command
+
+
 def test_spec_spelled_invocation(tmp_path, capsys):
     # --L alias and positional set path
     out = tmp_path / "lam.set"

@@ -249,10 +249,10 @@ def test_residue_parse_error_positions(text, line, column, message):
 def test_group_set_round_trips():
     zset = GroupSet(Group.zmod(6), [(0, 3), (5, 1)])
     again = round_trip(write_group_set, read_group_set, zset)
-    assert again.group == zset.group and again.mask == zset.mask
+    assert again == zset
     vset = GroupSet(Group.vector(3, 2), [((0, 1), (2, 2)), ((1, 0), (0, 0))])
     again = round_trip(write_group_set, read_group_set, vset)
-    assert again.group == vset.group and again.mask == vset.mask
+    assert again == vset
 
 
 def test_group_set_diagnostics():
@@ -286,7 +286,7 @@ def test_group_set_write_read_round_trip(case):
     assert buf.getvalue() == f"group {group.label()}\n" + "".join(f"{fmt(x)} {fmt(y)}\n" for x, y in gset)
     buf.seek(0)
     again = read_group_set(buf)
-    assert again.group == group and again.mask == gset.mask
+    assert again == gset
 
 
 @st.composite
@@ -318,7 +318,7 @@ def noisy_group_texts(draw):
 def test_group_set_reader_accepts_non_canonical_input(case):
     group, pairs, text = case
     got = read_group_set(io.StringIO(text))
-    assert got.group == group and got.mask == GroupSet(group, pairs).mask
+    assert got == GroupSet(group, pairs)
 
 
 # (text, line, column, message) as the group-set reader has always reported them
@@ -577,7 +577,7 @@ def test_lines_straddling_chunk_edges(chunk, monkeypatch):
     monkeypatch.setattr(formats, "_CHUNK_CHARS", chunk)
     assert read_grid_set(io.StringIO(texts[0])) == grid
     assert read_grid_set(io.StringIO(texts[0].rstrip("\n"))) == grid
-    assert read_group_set(io.StringIO(texts[1])).mask == vset.mask
+    assert read_group_set(io.StringIO(texts[1])) == vset
     with pytest.raises(ParseError) as err:
         read_grid_set(io.StringIO(texts[0] + "# c\n1 1 x\n"), "g.set")
     assert str(err.value) == f"g.set:{len(grid) + 3}:5: expected an integer, got 'x'"

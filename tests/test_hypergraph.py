@@ -21,7 +21,15 @@ from cornerforge.hypergraph import (
     triforce_motif,
     triforce_weighted,
 )
-from oracles import hom_count_dfs_oracle, hom_count_oracle, prune_oracle, triforce_weighted_oracle
+from cornerforge.mandache import sample_mandache
+from cornerforge.patterns import Group, GroupSet, spectrum
+from oracles import (
+    corner_hypergraph_oracle,
+    hom_count_dfs_oracle,
+    hom_count_oracle,
+    prune_oracle,
+    triforce_weighted_oracle,
+)
 
 SINGLE_TRIPLE = Hypergraph(3, 3, frozenset({frozenset({0, 1, 2})}))
 
@@ -165,6 +173,43 @@ def test_kforce_density_matches_hom_count_on_a_sparse_target():
     count = hom_count(triforce_motif(), h)
     assert count > 6 * 300
     assert kforce_density(h) == Fraction(count, 120**6)
+
+
+def corner_hypergraph(pairs):
+    """H_S of the group set `pairs`, by the oracle's hand-written group."""
+    g = pairs.group
+    n, edges = corner_hypergraph_oracle(pairs, g.kind, g.params)
+    return Hypergraph(3, n, edges)
+
+
+# every group of order at most 12
+CORNER_GROUPS = [Group.zmod(m) for m in range(1, 13)] + [Group.vector(2, 2), Group.vector(2, 3), Group.vector(3, 2)]
+
+
+@st.composite
+def small_group_sets(draw):
+    group = draw(st.sampled_from(CORNER_GROUPS))
+    cells = list(itertools.product(group.elements(), repeat=2))
+    keep = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    return GroupSet(group, [c for c, k in zip(cells, keep) if k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_group_sets())
+def test_corners_are_triforces(pairs):
+    # a triforce on base (x, y, z) of H_S is the corner of d = z - x - y at
+    # (x, y), once per order of the three parts; d = 0 is the member itself
+    h = corner_hypergraph(pairs)
+    count = hom_count(triforce_motif(), h)
+    assert count == kforce_density(h) * h.n**6 == 6 * (len(pairs) + spectrum(pairs).total())
+
+
+def test_corners_are_triforces_on_a_mandache_sample():
+    # F_3^4: H_S has 243 vertices, and hom_count refuses its 243^3-cell
+    # adjacency tensor, so only the codegree route is checked
+    pairs = sample_mandache(StepKernel.constant(2, Fraction(1, 2)), Group.vector(3, 4), 7)
+    h = corner_hypergraph(pairs)
+    assert kforce_density(h) * h.n**6 == 6 * (len(pairs) + spectrum(pairs).total())
 
 
 def test_kforce_sparse_path_agrees_with_subset_oracle():

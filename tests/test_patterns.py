@@ -130,8 +130,14 @@ def test_group_set_crosses_bytes_only_through_packed():
     group = Group.vector(3, 2)  # 81 pairs: the last byte holds one bit
     pairs = GroupSet(group, [((0, 0), (2, 2)), ((1, 2), (0, 1))])
     again = GroupSet.from_packed(group, pairs.packed())
-    assert again.mask == pairs.mask and set(again) == set(pairs)
-    assert GroupSet.full(group).mask == (1 << 81) - 1
+    assert again == pairs and set(again) == set(pairs)
+    assert pairs.packed() is pairs.packed() and not pairs.packed().flags.writeable
+    # same bytes, other group: Z/9 pairs (0, 8) and (7, 3) are flat 8 and 66 too
+    same_bytes = GroupSet(Group.zmod(9), [(0, 8), (7, 3)])
+    assert np.array_equal(same_bytes.packed(), pairs.packed()) and same_bytes != pairs
+    assert again != GroupSet(group, [((0, 0), (2, 2))])
+    full = GroupSet.full(group)
+    assert full.packed().tobytes() == b"\xff" * 10 + b"\x01" and len(full) == 81
     with pytest.raises(ValueError, match="bits past its 81 cells"):
         GroupSet.from_packed(group, np.full(11, 255, dtype=np.uint8))
 
