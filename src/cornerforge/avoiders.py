@@ -39,7 +39,8 @@ import numpy as np
 
 from .behrend import behrend_qc_free, behrend_sum_free, qc_coefficients
 from .contfrac import AlphaSequence, build_alpha_hard, frac_floors, verify_alpha
-from .patterns import MAX_CELLS, GridSet, Pattern, _grid_hits, _member_columns, _pack, grid_differences
+from . import limits
+from .patterns import GridSet, Pattern, _grid_hits, _member_columns, _pack, grid_differences
 
 __all__ = [
     "f_quad",
@@ -194,11 +195,10 @@ class _AvoiderBase:
 
     def materialize(self) -> GridSet:
         """The whole set, built on every call, one exact interval decision
-        per statistic value; a grid past MAX_CELLS is refused before
-        anything is decided."""
-        cells = self.side**self.dim
-        if cells > MAX_CELLS:
-            raise ValueError(f"side {self.side} needs {cells} cells; use the membership predicate")
+        per statistic value; a grid past `limits.MAX_CELLS`, read at call
+        time, is refused before anything is decided."""
+        if limits._past_cell_limit(self.side, self.dim):
+            raise ValueError(f"side {self.side} needs {self.side**self.dim} cells; use the membership predicate")
         return GridSet.from_packed(self.dim, self.side, self._fill())
 
 
@@ -230,7 +230,7 @@ class CornerAvoider(_AvoiderBase):
             values = range(start - vmax, min(start + _DECIDE_CHUNK, lookup.size) - vmax)
             lookup[start : start + len(values)] = self.system.decide_values(self.alpha, values)
         # every lookup index (x - y)(x + y - 2z) + vmax lies in [0, 2 * vmax],
-        # which int32 holds at any side within MAX_CELLS
+        # which int32 holds at any side within the cell limit
         coords = np.arange(1, n + 1, dtype=np.int32)
         xs = coords[None, :]  # x varies fastest
         ys = coords[:, None]
@@ -342,7 +342,7 @@ def _build(
     """
     if not 0 < delta < 0.5:
         raise ValueError("need 0 < delta < 1/2")
-    length = length or max(1, math.ceil(math.exp(c * math.log(1 / delta) ** 2)))
+    length = max(1, math.ceil(math.exp(c * math.log(1 / delta) ** 2))) if length is None else length
     lam = tuple(sorted(solution_free(length)))
     seq, i = _select_approximant(length, q_max)
     return kind(AvoiderParams(delta=delta, c=c, lam=lam, i=i, a=a), seq)
@@ -493,11 +493,10 @@ class AvoidanceReport:
         writer.writerows([d, count, bound, int(k not in failed)] for k, (d, count, bound, *_) in enumerate(self.rows))
 
 
-def verify_corner_avoidance(
-    avoider: CornerAvoider, grid: GridSet, *, d_values: Optional[Iterable[int]] = None
-) -> AvoidanceReport:
+def verify_corner_avoidance(avoider: CornerAvoider, grid: GridSet) -> AvoidanceReport:
     """Count the corners of `grid`, the set under test, for every difference
-    and check the corner avoider's complete proof chain on each class.
+    0 < |d| < N in `grid_differences` order, and check the corner avoider's
+    complete proof chain on each class.
 
     For each d, every distinct first-coordinate difference n1 - n2 among
     corner anchors is checked against the transfer bound (norm of
@@ -512,7 +511,7 @@ def verify_corner_avoidance(
         raise ValueError(f"expected a side-{n} 3-d set, got {grid!r}")
     length = avoider.system.length
     p, q = avoider.p, avoider.q
-    ds = list(d_values) if d_values is not None else grid_differences(n)
+    ds = grid_differences(n)
     # distinct (slot, n1 - n2) classes over all corners, coded slot * 2n + n1 - n2 + n
     counts = np.zeros(len(ds), dtype=np.int64)
     classes = [np.zeros(0, dtype=np.int64)]
@@ -520,9 +519,9 @@ def verify_corner_avoidance(
         counts += np.bincount(slots, minlength=len(ds))
         classes.append(np.unique(slots * 2 * n + anchors[:, 0] - anchors[:, 1] + n))
     slot_classes, diffs = np.divmod(np.unique(np.concatenate(classes)), 2 * n)
-    # each class's value 2(n1 - n2)d, checked once per distinct value; an
-    # object array keeps the Python ints of d_values exact
-    values, which = np.unique(2 * (diffs - n) * np.array(ds, dtype=object)[slot_classes], return_inverse=True)
+    # each class's value 2(n1 - n2)d, checked once per distinct value;
+    # |2(n1 - n2)d| < 2N^2 fits int64 at any N within the cell limit
+    values, which = np.unique(2 * (diffs - n) * np.array(ds, dtype=np.int64)[slot_classes], return_inverse=True)
     values = values.tolist()
     transfer = np.array(_norm_below(avoider.alpha, values, Fraction(1, 9 * length)), dtype=bool)
     rational = np.array([norm_to_nearest_int(Fraction(v * p, q)) <= Fraction(3, length) for v in values], dtype=bool)
@@ -531,11 +530,9 @@ def verify_corner_avoidance(
     bad_rational = np.bincount(slot_classes[~rational[which]], minlength=len(ds))
     rows = []
     ceiling = Fraction(14 * n**3, length)
-    first: dict[int, int] = {}
     for i, d in enumerate(ds):
-        slot = first.setdefault(d, i)
-        count = int(counts[slot])
-        rows.append((d, count, ceiling, Fraction(count) <= ceiling, not bad_transfer[slot], not bad_rational[slot]))
+        count = int(counts[i])
+        rows.append((d, count, ceiling, Fraction(count) <= ceiling, not bad_transfer[i], not bad_rational[i]))
     return AvoidanceReport(rows)
 
 
@@ -593,8 +590,8 @@ def lift_avoider(pattern: Pattern, base: GridSet) -> GridSet:
 
     Occurrences of the pattern in the lifted set map to occurrences in the
     base (both maps are linear, so they commute with dilation), which is how
-    the base's avoidance carries over.  A lifted grid of more than MAX_CELLS
-    cells is refused before it is allocated.
+    the base's avoidance carries over.  A lifted grid past the cell limit
+    is refused before it is allocated.
     """
     k = pattern.dim
     if base.dim == 1:
@@ -603,7 +600,7 @@ def lift_avoider(pattern: Pattern, base: GridSet) -> GridSet:
         side = base.side // weight
         if side < 1:
             raise ValueError("base side too small for even one lifted layer")
-        _check_lift_cells(side, k)
+        limits.check_cells(side, k, f"lifted grid of side {side} in dim {k}")
         # phi(x) - 1 over axes [x_{k-1} .. x_1]: the 0-based base cell of each
         # point, less its x_k term, which each row below adds
         inner = np.full((side,) * (k - 1), -1, dtype=np.int64)
@@ -623,7 +620,7 @@ def lift_avoider(pattern: Pattern, base: GridSet) -> GridSet:
             raise ValueError("use a 1-d base for a 5-point pattern of low affine dimension")
         raise ValueError("pattern has fewer than 5 points and affine dimension below 3")
     n = base.side
-    _check_lift_cells(n, k)
+    limits.check_cells(n, k, f"lifted grid of side {n} in dim {k}")
     # base x [N]^(k-3): the base's N^3 bits repeat once per trailing point
     padded = base if k == 3 else GridSet.from_packed(k, n, _tile_bits(base.packed(), n**3, n ** (k - 3)))
     corner3 = {(0,) * k} | {tuple(1 if j == i else 0 for j in range(k)) for i in range(3)}
@@ -652,7 +649,7 @@ def lift_avoider(pattern: Pattern, base: GridSet) -> GridSet:
     bounds = np.array([(img.min(axis=1), img.max(axis=1)) for img in images()])
     lows, highs = bounds[:, 0].min(axis=0), bounds[:, 1].max(axis=0)
     side = int((highs - lows).max()) + 1
-    _check_lift_cells(side, k)
+    limits.check_cells(side, k, f"lifted grid of side {side} in dim {k}")
     weights = side ** np.arange(k, dtype=np.int64)
     return GridSet.from_packed(k, side, _pack((weights @ (img - lows[:, None]) for img in images()), side**k))
 
@@ -668,8 +665,3 @@ def _tile_bits(raw: np.ndarray, nbits: int, count: int) -> np.ndarray:
     bits = np.unpackbits(raw, count=nbits, bitorder="little")
     eight = np.packbits(np.tile(bits, 8), bitorder="little")
     return np.concatenate([np.tile(eight, count // 8), np.packbits(np.tile(bits, count % 8), bitorder="little")])
-
-
-def _check_lift_cells(side: int, k: int) -> None:
-    if side**k > MAX_CELLS:
-        raise ValueError(f"lifted grid of side {side} in dim {k} exceeds the {MAX_CELLS}-cell limit")

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .limits import MAX_CELLS
+from . import limits
 
 __all__ = [
     "DigitSphereParams",
@@ -160,9 +160,9 @@ def _int_root(x: int, d: int) -> int:
 def _digit_sphere_set(length: int, headroom: int) -> SphereSet:
     if length < 1:
         raise ValueError("length must be positive")
-    if length > MAX_CELLS:
+    if limits._past_cell_limit(length, 1):
         # past the residue reader's limit the digit vectors alone run to 10^8 and more
-        raise ValueError(f"length {length} exceeds the limit of {MAX_CELLS} residues")
+        raise ValueError(f"length {length} exceeds the limit of {limits.MAX_CELLS} residues")
     if length <= headroom:
         # not enough room for even one nonzero digit; {0} is always valid
         return SphereSet({0}, DigitSphereParams(length, 1, headroom, headroom, 0))

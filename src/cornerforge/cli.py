@@ -88,11 +88,15 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
-def _parse_seeds(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":")
-        return list(range(int(lo), int(hi)))
-    return [int(v) for v in text.split(",")]
+def _parse_seeds(text: str) -> range | list[int]:
+    """`lo:hi` as a range, never listed, or a comma list of seeds."""
+    try:
+        if ":" in text:
+            lo, hi = text.split(":")
+            return range(int(lo), int(hi))
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"bad seeds {text!r}; use 'lo:hi' or a comma list like '0,1,2'") from None
 
 
 def _seed(args) -> int:

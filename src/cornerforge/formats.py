@@ -30,7 +30,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, TextIO
 
-from .limits import MAX_CELLS, _past_cell_limit
+from . import limits
 
 # each reader and writer imports what it builds when it runs (see above)
 if TYPE_CHECKING:
@@ -92,10 +92,10 @@ def _int(path: str, lineno: int, col: int, token: str) -> int:
 
 
 def _check_cells(path: str, lineno: int, col: int, base: int, exp: int, what: str) -> None:
-    """Refuse a header whose carrier, base**exp cells, exceeds MAX_CELLS,
-    before anything is allocated; a huge exponent is refused unevaluated."""
-    if _past_cell_limit(base, exp):
-        raise ParseError(path, lineno, col, f"{what} exceeds the {MAX_CELLS}-cell limit")
+    """Refuse a header whose carrier, base**exp cells, exceeds the cell
+    limit, before anything is allocated; a huge exponent is refused unevaluated."""
+    if limits._past_cell_limit(base, exp):
+        raise ParseError(path, lineno, col, f"{what} exceeds the {limits.MAX_CELLS}-cell limit")
 
 
 def _is_data(line: str) -> bool:

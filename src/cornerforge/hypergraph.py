@@ -124,14 +124,14 @@ def hom_count(motif: Hypergraph, h: Hypergraph) -> int:
     """
     import numpy as np
 
-    from .limits import MAX_CELLS
+    from . import limits
 
     _check_motif(motif.k, motif.n, h)
     k, n = h.k, h.n
     degree = Counter(v for e in motif.edges for v in e)
     if not degree:
         return n**motif.n
-    limit = MAX_CELLS // 64
+    limit = limits.MAX_CELLS // 64
     if n**k > limit:
         raise ValueError(f"adjacency tensor of {n}^{k} cells exceeds the {limit}-cell limit (MAX_CELLS // 64)")
     terms = ["".join("abcdefghij"[v] for v in sorted(e) if degree[v] > 1) for e in motif.edges]

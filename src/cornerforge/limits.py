@@ -1,5 +1,6 @@
-"""The cell limit every reader and materializer checks, in plain integers,
-so readers that need no numpy (residues, kernels, graphs) can check it."""
+"""The one cell limit, in plain integers, so readers that need no numpy
+(residues, kernels, graphs) can check it.  Every size refusal decides here
+and reads `limits.MAX_CELLS` at call time; no module keeps a copy."""
 
 # Largest carrier (grid cells or |G|^2 pairs) any reader or materializer
 # will allocate.  The grid kernel needs one more copy of the packed mask
@@ -11,3 +12,9 @@ def _past_cell_limit(base: int, exp: int) -> bool:
     """Whether a carrier of base**exp cells exceeds MAX_CELLS; a huge
     exponent is judged without evaluating the power."""
     return base > 1 and (exp >= MAX_CELLS.bit_length() or base**exp > MAX_CELLS)
+
+
+def check_cells(base: int, exp: int, what: str) -> None:
+    """Refuse, with ValueError, a carrier `what` of base**exp cells past MAX_CELLS."""
+    if _past_cell_limit(base, exp):
+        raise ValueError(f"{what} exceeds the {MAX_CELLS}-cell limit")

@@ -42,7 +42,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .hypergraph import StepKernel, triforce_weighted
-from .limits import MAX_CELLS, _past_cell_limit
+from . import limits
 from .patterns import Group, GroupSet, _pack, spectrum
 
 __all__ = ["sample_mandache", "mandache_report", "MandacheReport", "kernel_fingerprint"]
@@ -80,15 +80,6 @@ def _neg_sum_rows(group: Group) -> Iterator[np.ndarray]:
         yield ((-(row + digits)) % p) @ weights
 
 
-def _check_pairs(group: Group) -> None:
-    """Refuse a group whose |G|^2 pairs exceed MAX_CELLS, before |G| is
-    evaluated or any element is named."""
-    base, digits = group.radix
-    if _past_cell_limit(base, 2 * digits):
-        label = group.label()
-        raise ValueError(f"{label} x {label} exceeds the {MAX_CELLS}-cell limit")
-
-
 def _coin_limit(value: Fraction) -> int:
     """The kernel value as a coin limit: an integer coin u in [0, 2^64) has
     u * den < num * 2^64 exactly when u < ceil(num * 2^64 / den).  Value 0
@@ -108,9 +99,11 @@ def sample_mandache(w: StepKernel, group: Group, seed: int) -> GroupSet:
     at once: only the pairs whose limit is neither 0 nor 2^64 are hashed,
     their coins are read from the joined digests in one numpy step and
     compared with the limits, and the row's member flats go to the packer,
-    so the scratch is O(|G|) per row.
+    so the scratch is O(|G|) per row.  A group whose |G|^2 pairs pass the
+    cell limit is refused before |G| is evaluated or any element is named.
     """
-    _check_pairs(group)
+    label = group.label()
+    limits.check_cells(group.radix[0], 2 * group.radix[1], f"{label} x {label}")
     g = w.g
     order = group.order
     names = [group._name(i) for i in range(order)]
@@ -120,9 +113,9 @@ def sample_mandache(w: StepKernel, group: Group, seed: int) -> GroupSet:
     )
     # kernel cell x*g*g + y*g + z: its coin limit when the coin decides, else
     # 0, and whether its value is 1 (or so close that every coin is below it)
-    limits = [_coin_limit(v) for plane in w.values for row in plane for v in row]
-    always = np.array([limit == _SCALE for limit in limits], dtype=bool)
-    drawn_limit = np.array([0 if limit == _SCALE else limit for limit in limits], dtype=np.uint64)
+    coin_limits = [_coin_limit(v) for plane in w.values for row in plane for v in row]
+    always = np.array([limit == _SCALE for limit in coin_limits], dtype=bool)
+    drawn_limit = np.array([0 if limit == _SCALE else limit for limit in coin_limits], dtype=np.uint64)
     y_part = cy * g
     tails = [name.encode() for name in names]
 
@@ -199,12 +192,18 @@ class MandacheReport:
 
 
 def mandache_report(w: StepKernel, group: Group, seeds: Sequence[int]) -> MandacheReport:
-    """Sample once per seed and summarize |S_d|/|G|^2 over all nonzero d."""
-    seeds = tuple(int(s) for s in seeds)
+    """Sample once per seed and summarize |S_d|/|G|^2 over all nonzero d.
+
+    A report that would sample more pairs than one set may hold, seeds x
+    |G|^2 past the cell limit, is refused before any seed is read.
+    """
     if len(seeds) < 2:
         raise ValueError("need at least 2 seeds for a spread estimate")
-    _check_pairs(group)
+    label = group.label()
+    limits.check_cells(group.radix[0], 2 * group.radix[1], f"{label} x {label}")
     order = group.order
+    limits.check_cells(len(seeds) * order * order, 1, f"{len(seeds)} seeds x {label} x {label}")
+    seeds = tuple(int(s) for s in seeds)
     norm = Fraction(1, order * order)
     rows = []
     for seed in seeds:
@@ -221,7 +220,7 @@ def mandache_report(w: StepKernel, group: Group, seeds: Sequence[int]) -> Mandac
             }
         )
     return MandacheReport(
-        group=group.label(),
+        group=label,
         kernel_hash=kernel_fingerprint(w),
         seeds=seeds,
         triforce_value=triforce_weighted(w),

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .contfrac import _is_prime
-from .limits import MAX_CELLS, _past_cell_limit  # noqa: F401 (re-exported)
+from . import limits
 
 __all__ = [
     "Pattern",
@@ -46,7 +46,6 @@ __all__ = [
     "count_pattern",
     "corner_count_group",
     "spectrum",
-    "MAX_CELLS",
 ]
 
 # ---------------------------------------------------------------------------
@@ -309,9 +308,8 @@ def _grid_hits(
     """Yield (slots, anchors) chunks of pattern copies, the one grid kernel.
 
     Each row is one anchor x (1-based, shape (hits, k)) with x + d*t in the
-    set for every pattern point t, where d = ds[slot] and slot is the first
-    position of d in `ds`: a d repeated in `ds` is reported once.  Every
-    copy is yielded once, in no fixed order.
+    set for every pattern point t, where d = ds[slot]; the d of `ds` are
+    distinct.  Every copy is yielded once, in no fixed order.
 
     The members are read once into coordinate columns and sorted into lines
     parallel to v = t_1 - t_0, ordered by their position along the line.
@@ -338,9 +336,9 @@ def _grid_hits(
     # slot of d at slot_of[d + reach]; no two members are n or more apart
     reach = min(n - 1, max(map(abs, ds), default=0))
     slot_of = np.full(2 * reach + 1, -1, dtype=np.int64)
-    for i in reversed(range(len(ds))):  # the first position of d wins
-        if abs(ds[i]) <= reach:
-            slot_of[ds[i] + reach] = i
+    for i, d in enumerate(ds):
+        if abs(d) <= reach:
+            slot_of[d + reach] = i
     raw = grid.packed()
     cols = _member_columns(raw, n, k)
     t0 = pattern.points[0]
@@ -351,10 +349,8 @@ def _grid_hits(
 
     if not offsets:  # one point: every member anchors a copy for every d
         every = np.arange(cols[0].size)
-        first: dict[int, int] = {}
         for i, d in enumerate(ds):
-            if first.setdefault(d, i) == i:
-                yield np.full(every.size, i), anchors(every, d)
+            yield np.full(every.size, i), anchors(every, d)
         return
     v, rest = offsets[0], offsets[1:]
     if v == (1,) + (0,) * (k - 1):
@@ -608,11 +604,11 @@ def _corner_walk(pairs: GroupSet, steps: Iterable[tuple[int, int]]) -> Iterator[
     index (unit = |G| for x, 1 for y), so the step rotates every aligned
     block of unit * base^(j+1) bits of each shifted mask by s * unit *
     base^j; rotations on different digits commute, so the two shifted
-    masks always hold the d reached.  A keep/wrap pair is built on
-    first use and held for the rest of the walk while the held pairs stay
-    within MAX_CELLS bits: a Gray walk asks for at most four per digit (the
-    x- and the y-shift of that digit, one place up or down), again at every
-    step that changes the digit.
+    masks always hold the d reached.  A keep/wrap pair is built on first use
+    and held for the rest of the walk while the held pairs stay within
+    `limits.MAX_CELLS` bits, read at call time: a Gray walk asks for at most
+    four per digit (the x- and the y-shift of that digit, one place up or
+    down), again at every step that changes the digit.
     """
     g = pairs.group
     base, _ = g.radix
@@ -625,7 +621,7 @@ def _corner_walk(pairs: GroupSet, steps: Iterable[tuple[int, int]]) -> Iterator[
         if pair is None:
             keep = _replicate((1 << (block - amount)) - 1, block, nbits // block)
             pair = keep, keep ^ ((1 << nbits) - 1)  # wrap: the complement
-            if 2 * nbits * (len(held) + 1) <= MAX_CELLS:
+            if 2 * nbits * (len(held) + 1) <= limits.MAX_CELLS:
                 held[block, amount] = pair
         return _rotate_blocks(mask, block, amount, *pair)
 

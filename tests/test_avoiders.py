@@ -23,8 +23,8 @@ from cornerforge.avoiders import (
     verify_corner_avoidance,
 )
 from cornerforge.contfrac import build_alpha_hard, verify_alpha
-from cornerforge.patterns import MAX_CELLS, GridSet, Pattern, count_pattern, spectrum
-from cornerforge import avoiders
+from cornerforge.patterns import GridSet, Pattern, count_pattern, grid_differences, spectrum
+from cornerforge import avoiders, limits
 from oracles import corner3_count_oracle, corner3_transfer_classes, lift_oracle
 
 
@@ -225,23 +225,29 @@ def test_verify_consults_exactly_the_transfer_classes(monkeypatch):
     assert expected and asked == expected
 
 
-def test_verify_d_values_keep_order_duplicates_and_range():
+def test_verify_rows_are_every_grid_difference_in_order():
     avoider = build_corner_avoider(0.25, length=8, q_max=128)
     grid = avoider.materialize()
     n = grid.side
-    # this set has corners for even d only, so 4 and -4 carry the nonzero
-    # counts through the duplicate and the sign
-    ds = [3, 3, -3, 4, -4, 4, n, -(n + 1)]
-    report = verify_corner_avoidance(avoider, grid, d_values=ds)
-    assert [r[0] for r in report.rows] == ds
+    report = verify_corner_avoidance(avoider, grid)
+    ds = [r[0] for r in report.rows]
+    assert ds == grid_differences(n)
     oracle = corner3_count_oracle(grid, ds)
-    assert oracle[4] and oracle[-4] and not oracle[n]
+    # this set has corners for even d only, of both signs
+    assert oracle[4] and oracle[-4] and not oracle[3] and not oracle[-3]
     assert [r[1] for r in report.rows] == [oracle[d] for d in ds]
     assert report.all_ok()
+    for d in (n, -(n + 1)):  # past the grid, no corner fits
+        assert count_pattern(grid, Pattern.corner(3), d) == 0
     with pytest.raises(ValueError):
         count_pattern(grid, Pattern.corner(3), 0)
-    with pytest.raises(ValueError):
-        verify_corner_avoidance(avoider, grid, d_values=[1, 0])
+
+
+def test_length_0_is_refused_not_replaced_by_the_default():
+    with pytest.raises(ValueError, match="^length must be positive$"):
+        build_corner_avoider(0.3, length=0)
+    with pytest.raises(ValueError, match="^length must be positive$"):
+        build_five_point_avoider((0, 1, 2, 3, 4), 0.3, length=0)
 
 
 def test_theta_constants_values():
@@ -437,22 +443,22 @@ def test_tile_bits_matches_tiling_the_cells():
             assert avoiders._tile_bits(raw, nbits, count).tolist() == want.tolist(), (nbits, count)
 
 
-def test_lift_refuses_grids_past_the_cell_limit(monkeypatch):
+def test_lift_refuses_grids_past_the_cell_limit(cell_limit):
     proj = GridSet(1, (7 + 49) * 10, [(v,) for v in range(1, 561, 3)])
     pat5 = Pattern(2, ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0)))
     cube = GridSet(3, 4, [(1, 2, 3), (4, 4, 4)])
     general = Pattern(4, ((0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, 1)))
     assert lift_avoider(pat5, proj).side == 10
-    monkeypatch.setattr(avoiders, "MAX_CELLS", 99)  # one cell short of the 10 x 10 lift
+    cell_limit(99)  # one cell short of the 10 x 10 lift
     with pytest.raises(ValueError, match="side 10 in dim 2 exceeds the 99-cell limit"):
         lift_avoider(pat5, proj)
-    monkeypatch.setattr(avoiders, "MAX_CELLS", 255)  # padding needs 4^4 = 256 cells
+    cell_limit(255)  # padding needs 4^4 = 256 cells
     with pytest.raises(ValueError, match="side 4 in dim 4 exceeds"):
         lift_avoider(Pattern.corner(4), cube)
     with pytest.raises(ValueError, match="side 4 in dim 4 exceeds"):
         lift_avoider(general, cube)
     # the general route's image can be wider than the padded grid
-    monkeypatch.setattr(avoiders, "MAX_CELLS", 256)
+    cell_limit(256)
     with pytest.raises(ValueError, match="exceeds the 256-cell limit"):
         lift_avoider(general, cube)
 
@@ -471,7 +477,7 @@ BUILDERS = {
 
 
 @pytest.mark.parametrize("name", BUILDERS)
-def test_builder_materializes_iff_the_cube_fits_the_cell_limit(name, monkeypatch):
+def test_builder_materializes_iff_the_cube_fits_the_cell_limit(name, cell_limit):
     # one rule for both avoiders, read at call time: side**dim <= MAX_CELLS;
     # the builder returns the predicate, and each materialize() builds anew
     build = BUILDERS[name]
@@ -480,9 +486,9 @@ def test_builder_materializes_iff_the_cube_fits_the_cell_limit(name, monkeypatch
     first = avoider.materialize()
     second = avoider.materialize()
     assert first == second and first is not second
-    monkeypatch.setattr(avoiders, "MAX_CELLS", cells)
+    cell_limit(cells)
     assert avoider.materialize() == first
-    monkeypatch.setattr(avoiders, "MAX_CELLS", cells - 1)
+    cell_limit(cells - 1)
     assert build(200).side == avoider.side
     with pytest.raises(ValueError, match=f"side {avoider.side} needs {cells} cells"):
         avoider.materialize()
@@ -493,7 +499,7 @@ def test_corner_builder_leaves_cubes_past_the_cell_limit_unmaterialized():
     # still answers membership, and materializing refuses
     for q_max, side in ((1000, 973), (3000, 2735)):
         avoider = build_corner_avoider(0.25, q_max=q_max)
-        assert avoider.side == side and side**3 > MAX_CELLS
+        assert avoider.side == side and side**3 > limits.MAX_CELLS
         assert ((1, 1, 1) in avoider) == avoider.system.decide_values(avoider.alpha, [0])[0]
         with pytest.raises(ValueError, match=f"side {side} needs {side**3} cells"):
             avoider.materialize()
@@ -524,11 +530,12 @@ def test_corner_ceiling_binds_at_length_16():
     n = avoider.side
     assert n == 67 and Fraction(14 * n**3, 16) < n**3
     assert verify_corner_avoidance(avoider, avoider.materialize()).all_ok()
-    report = verify_corner_avoidance(avoider, GridSet.full(3, n), d_values=[1, -1])
-    for d, count, ceiling, ok_count, _, _ in report.rows:
+    # the full grid, certified over every d: d = 1 and -1 come first
+    report = verify_corner_avoidance(avoider, GridSet.full(3, n))
+    for d, count, ceiling, ok_count, _, _ in report.rows[:2]:
         assert count == 66**3 == 287_496 and count > ceiling
         assert ok_count is False
-    assert not report.all_ok() and report.failing() == [0, 1]
+    assert not report.all_ok() and report.failing()[:2] == [0, 1]
 
 
 def full_approximant_scan(length, q_max):

@@ -217,12 +217,18 @@ def test_composite_or_degenerate_vector_group_exits_1(tmp_path, capsys, group):
     assert not out.exists()
 
 
-def test_lift_past_the_cell_limit_exits_1(tmp_path, capsys, monkeypatch):
+def test_lift_past_the_cell_limit_exits_1(tmp_path, capsys, monkeypatch, cell_limit):
     # a 2-d five-point pattern (C = 7, weight 56) over a base of side 560
     # lifts to side 10: 100 cells, one more than the patched limit
     base = tmp_path / "base.set"
     base.write_text("dim 1 side 560\n" + "".join(f"{v}\n" for v in range(1, 561, 3)))
-    monkeypatch.setattr(avoiders, "MAX_CELLS", 99)
+    lift = avoiders.lift_avoider
+
+    def lift_under_99_cells(pattern, grid):
+        cell_limit(99)  # once the 560-cell base is read
+        return lift(pattern, grid)
+
+    monkeypatch.setattr(avoiders, "lift_avoider", lift_under_99_cells)
     out = tmp_path / "lifted.set"
     pattern = "points:0,0;1,0;0,1;1,1;2,0"
     code, _, stderr = run(capsys, "construct", "lift", "--pattern", pattern, "--base", str(base), "-o", str(out))
@@ -568,6 +574,39 @@ def test_mandache_refuses_groups_past_the_cell_limit_at_once(tmp_path, capsys, g
     assert not out.exists()
 
 
+def test_report_seeds_past_the_cell_limit_are_refused_unlisted(tmp_path, capsys, monkeypatch):
+    # 10^8 seeds of 81 pairs each: listing the seeds alone would take gigabytes
+    from cornerforge import mandache
+
+    def refuse(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(mandache, "sample_mandache", refuse)
+    kern = tmp_path / "w.kern"
+    kern.write_text("1\n1/2\n")
+    argv = ["report", "mandache", "--kernel", str(kern), "--group", "fp:3:2", "--seeds"]
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, *argv, "0:100000000")
+    assert time.perf_counter() - start < 1
+    message = "error: 100000000 seeds x fp 3 2 x fp 3 2 exceeds the 400000000-cell limit"
+    assert (code, stdout, stderr.strip()) == (1, "", message)
+    for bad in ("1:2:3", "a:b"):
+        code, stdout, stderr = run(capsys, *argv, bad)
+        message = f"error: bad seeds {bad!r}; use 'lo:hi' or a comma list like '0,1,2'"
+        assert (code, stdout, stderr.strip()) == (1, "", message)
+
+
+@pytest.mark.parametrize("what", [["corner3d"], ["fivepoint", "--a", "0,1,2,3,4"]], ids=["corner3d", "fivepoint"])
+def test_construct_avoider_refuses_length_0(tmp_path, capsys, what):
+    # L = 0 reaches the solution-free builder, as `construct sumfree` does,
+    # rather than falling back to the delta-derived default
+    out = tmp_path / "A.set"
+    argv = ["construct", *what, "--delta", "0.3", "--length", "0", "--q-max", "200", "-o", str(out)]
+    code, stdout, stderr = run(capsys, *argv)
+    assert (code, stdout, stderr.strip()) == (1, "", "error: length must be positive")
+    assert not out.exists() and not (tmp_path / "A.set.params.json").exists()
+
+
 @pytest.fixture(scope="module")
 def corner_record(tmp_path_factory):
     """A constructed corner set of side 67 and its sidecar."""
@@ -688,13 +727,10 @@ def test_a_lift_spec_is_checked_against_the_base_before_it_is_built(tmp_path, ca
      ("dim 1 side 10", "ap5", None), ("dim 3 side 4", "corner5", 4), ("dim 3 side 4", "corner6", None),
      ("dim 3 side 4", "corner2", None), ("dim 3 side 4", "ap5", None)],
 )
-def test_the_lift_spec_check_agrees_with_the_lift(tmp_path, capsys, monkeypatch, header, spec, lifted_side):
+def test_the_lift_spec_check_agrees_with_the_lift(tmp_path, capsys, cell_limit, header, spec, lifted_side):
     # at the edge of each rule: weight 5 + 25 + 125 + 625 = 780 for corner4,
     # 1 + 10 = 11 for ap5, and, under a limit of 4^5 cells, 4^5 for corner5
-    from cornerforge import limits
-
-    monkeypatch.setattr(limits, "MAX_CELLS", 4**5)
-    monkeypatch.setattr(avoiders, "MAX_CELLS", 4**5)
+    cell_limit(4**5)
     base = tmp_path / "base.set"
     base.write_text(header + "\n1" + " 1" * (int(header.split()[1]) - 1) + "\n")
     out = tmp_path / "lifted.set"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cornerforge import hypergraph, patterns
+from cornerforge import hypergraph, limits
 from cornerforge.hypergraph import (
     Hypergraph,
     StepKernel,
@@ -120,7 +120,7 @@ def test_hom_count_on_the_benchmark_graph():
 
 
 def test_hom_count_refuses_an_oversized_target():
-    limit = patterns.MAX_CELLS // 64
+    limit = limits.MAX_CELLS // 64
     with pytest.raises(ValueError, match=f"200\\^3 cells exceeds the {limit}-cell limit"):
         hom_count(triforce_motif(), Hypergraph(3, 200, frozenset()))  # T alone: 8.0e6 cells
     assert hom_count(single_edge_motif(2), Hypergraph(2, 2000, frozenset({frozenset({0, 1})}))) == 2

@@ -468,20 +468,6 @@ def test_group_spectrum_matches_oracle(case):
     assert spec.counts == group_corner_oracle(members, group.kind, group.params)
 
 
-@pytest.fixture
-def built_pairs(monkeypatch):
-    """The (unit, block) of every keep/wrap pair built, in order."""
-    replicate = patterns._replicate
-    built = []
-
-    def counting(*args):
-        built.append(args[:2])
-        return replicate(*args)
-
-    monkeypatch.setattr(patterns, "_replicate", counting)
-    return built
-
-
 @pytest.mark.parametrize("group, most", [(Group.zmod(31), 4), (Group.vector(3, 3), 4 * 3)], ids=["zN 31", "fp 3 3"])
 def test_a_walk_builds_each_rotation_pair_once(group, most, built_pairs):
     # a Gray walk asks for at most four keep/wrap pairs per digit; each is
@@ -490,13 +476,13 @@ def test_a_walk_builds_each_rotation_pair_once(group, most, built_pairs):
     assert len(built_pairs) == len(set(built_pairs)) <= most
 
 
-def test_rotation_masks_stop_caching_at_the_cell_limit(monkeypatch, built_pairs):
+def test_rotation_masks_stop_caching_at_the_cell_limit(cell_limit, built_pairs):
     group = Group.vector(3, 2)
     rng = random.Random(7)
     pairs = GroupSet(group, [(a, b) for a in group.elements() for b in group.elements() if rng.random() < 0.6])
     expected = spectrum(pairs).counts
     del built_pairs[:]
-    monkeypatch.setattr(patterns, "MAX_CELLS", 5 * group.order**2)  # room for two keep/wrap pairs
+    cell_limit(5 * group.order**2)  # room for two keep/wrap pairs
     assert spectrum(pairs).counts == expected
     # d walks 1, 2, 5, 4, 3, 6, 7, 8: the digit-0 rise is held from the first
     # step, and the digit-1 rise (steps 3, 6) and the digit-0 fall (steps 4,
