@@ -61,13 +61,16 @@ def _parse_group(text: str) -> Group:
 
 def _parse_pattern(text: str, carrier=None) -> Pattern:
     """The pattern `text` names.  A cornerK or apK spec is checked against
-    `carrier`, the set it will be counted in, before its points are built."""
-    from .patterns import GridSet, Pattern
+    `carrier`, the set it will be counted in, and the carrier against the
+    spectrum's difference budget, before its points are built."""
+    from .patterns import GridSet, Pattern, _check_differences
 
     if not re.fullmatch(r"(corner|ap)-?[0-9]+|a:-?[0-9]+(,-?[0-9]+)*|points:-?[0-9]+([,;]-?[0-9]+)*", text):
         raise ValueError(f"unknown pattern {text!r}; use cornerK, apK, a:..., or points:...")
-    if carrier is not None and not isinstance(carrier, GridSet):
-        raise ValueError("group spectra are corner spectra; omit the pattern")
+    if carrier is not None:
+        if not isinstance(carrier, GridSet):
+            raise ValueError("group spectra are corner spectra; omit the pattern")
+        _check_differences(carrier.side)
     if text.startswith("corner"):
         k = int(text[len("corner") :])
         if carrier is not None and k != carrier.dim:
@@ -239,14 +242,14 @@ def _cmd_construct_lift(args):
     # refuse a cornerK or apK spec the base cannot lift to before its points
     # are built: a side-N 1-d base needs the projection weight, c^(i+1) summed
     # over the axes, at most N (c >= 2 past one axis, so N.bit_length() axes
-    # outweigh N); a 3-d base needs a corner, K >= 3, N^K <= MAX_CELLS (2^K at N = 1)
+    # outweigh N); a 3-d base needs a corner, K >= 3 and a lifted grid within the cell limit
     if spec := re.fullmatch(r"(corner|ap)([0-9]+)", args.pattern):
         k, n = int(spec[2]), base.side
         if base.dim == 1:
             c, axes = (k + 1, k) if spec[1] == "corner" else (1 + k * (k - 1) // 2, 1)
             fits = sum(c ** (i + 1) for i in range(min(axes, n.bit_length()))) <= n
         else:
-            fits = base.dim == 3 and spec[1] == "corner" and k >= 3 and not _past_cell_limit(max(n, 2), k)
+            fits = base.dim == 3 and spec[1] == "corner" and k >= 3 and not _past_cell_limit(n, k)
         if not fits:
             raise ValueError(f"a side-{n} {base.dim}-d base cannot be lifted to {args.pattern}")
     lifted = lift_avoider(_parse_pattern(args.pattern), base)

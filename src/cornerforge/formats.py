@@ -285,7 +285,8 @@ def read_group_set(fh: TextIO, path: str = "<group set>") -> GroupSet:
         n = _int(path, lineno, toks[3][0], toks[3][1])
         if n < 1:
             raise ParseError(path, lineno, toks[3][0], f"exponent must be positive, got {n}")
-        _check_cells(path, lineno, toks[3][0], p, 2 * n, f"fp {p} {n} x fp {p} {n}")
+        if p > 1:  # a p below 2 is refused as not prime below, not as the 2^(2n) cells the limit counts
+            _check_cells(path, lineno, toks[3][0], p, 2 * n, f"fp {p} {n} x fp {p} {n}")
         if not _is_prime(p):
             raise ParseError(path, lineno, toks[2][0], f"p must be prime, got {p}")
         group = Group.vector(p, n)

@@ -9,9 +9,10 @@ MAX_CELLS = 400_000_000
 
 
 def _past_cell_limit(base: int, exp: int) -> bool:
-    """Whether a carrier of base**exp cells exceeds MAX_CELLS; a huge
-    exponent is judged without evaluating the power."""
-    return base > 1 and (exp >= MAX_CELLS.bit_length() or base**exp > MAX_CELLS)
+    """Whether a carrier of base**exp cells exceeds MAX_CELLS, counting a
+    base below 2 as 2 (a side-1 grid of huge dimension still builds its
+    dim-sized corner); a huge exponent is judged without evaluating the power."""
+    return exp >= MAX_CELLS.bit_length() or max(base, 2) ** exp > MAX_CELLS
 
 
 def check_cells(base: int, exp: int, what: str) -> None:

@@ -693,6 +693,15 @@ class Spectrum:
             yield key, c
 
 
+def _check_differences(side: int) -> None:
+    """Refuse a side-N grid spectrum whose 2(N - 1) differences pass
+    MAX_CELLS // 64, read at call time, before the differences or a pattern
+    counted against them are built."""
+    limit, count = limits.MAX_CELLS // 64, 2 * (side - 1)
+    if count > limit:
+        raise ValueError(f"{count} differences of a side-{side} grid exceed the {limit}-difference limit (MAX_CELLS // 64)")
+
+
 def grid_differences(side: int) -> list[int]:
     """The differences 0 < |d| < N of a side-N grid in spectrum order: 1, -1, 2, -2, ..."""
     return [s * m for m in range(1, side) for s in (1, -1)]
@@ -703,11 +712,13 @@ def spectrum(carrier: Union[GridSet, GroupSet], pattern: Optional[Pattern] = Non
 
     Grid sets take |d| < N (both signs); group sets take every nonidentity d
     against the corner configuration (`pattern` must be omitted).  Entries
-    are in canonical order, so results are reproducible.
+    are in canonical order, so results are reproducible.  A grid whose
+    2(N - 1) differences pass MAX_CELLS // 64 is refused with ValueError.
     """
     if isinstance(carrier, GridSet):
         if pattern is None:
             raise ValueError("grid spectra need an explicit pattern")
+        _check_differences(carrier.side)
         return Spectrum(_grid_counts(carrier, pattern, grid_differences(carrier.side)))
     if pattern is not None:
         raise ValueError("group spectra are corner spectra; omit the pattern")

@@ -777,6 +777,9 @@ def test_a_pattern_spec_without_its_numbers_exits_1_with_usage(tmp_path, capsys,
     assert stderr.strip() == f"error: unknown pattern {spec!r}; use cornerK, apK, a:..., or points:..."
 
 
+LONG = "799999998 differences of a side-400000000 grid exceed the 6250000-difference limit (MAX_CELLS // 64)"
+
+
 @pytest.mark.parametrize(
     "header, spec, message",
     [
@@ -785,11 +788,15 @@ def test_a_pattern_spec_without_its_numbers_exits_1_with_usage(tmp_path, capsys,
         ("dim 1 side 4", "ap100000000", "ap100000000 needs a 1-d set of side 100000000 or more"),
         ("dim 1 side 4", "ap5", "ap5 needs a 1-d set of side 5 or more"),
         ("group zN 5", "corner2", "group spectra are corner spectra; omit the pattern"),
+        ("dim 1 side 400000000", "ap3", LONG),
+        ("dim 1 side 400000000", "ap300000000", LONG),
     ],
 )
 def test_a_pattern_spec_is_checked_against_the_set_before_it_is_built(tmp_path, capsys, header, spec, message):
     # corner30000 would be 30,001 points of 30,000 coordinates, and
-    # ap100000000 a hundred million points; both are refused first
+    # ap100000000 a hundred million points; both are refused first.  A legal
+    # 4*10^8-cell 1-d set is refused for any pattern: its 2(N - 1) differences
+    # alone would be 8*10^8 Python ints
     carrier = tmp_path / "s.set"
     carrier.write_text(header + "\n")
     start = time.perf_counter()
@@ -797,6 +804,21 @@ def test_a_pattern_spec_is_checked_against_the_set_before_it_is_built(tmp_path, 
     assert time.perf_counter() - start < 1
     assert code == 1 and stdout == ""
     assert stderr.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize("command", [["count", "spectrum", "--set"], ["construct", "lift", "--base"]], ids=" ".join)
+def test_a_side_1_grid_of_huge_dimension_is_refused_at_its_header(tmp_path, capsys, command):
+    # a side below 2 counts as 2, so 2^20000 cells; the corner20000 pattern
+    # alone would be 20,001 points of 20,000 coordinates
+    grid = tmp_path / "one.set"
+    grid.write_text("dim 20000 side 1\n")
+    out = tmp_path / "out.set"
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, *command, str(grid), "--pattern", "corner20000", "-o", str(out))
+    assert time.perf_counter() - start < 1
+    message = f"error: {grid}:1:16: side 1 in dim 20000 exceeds the 400000000-cell limit"
+    assert (code, stdout, stderr.strip()) == (1, "", message)
+    assert not out.exists()
 
 
 def test_an_ap_as_long_as_the_side_still_counts(tmp_path, capsys):

@@ -111,6 +111,7 @@ BAD_HEADERS = [
     (read_group_set, "group zN 0\n", 1, 10, "modulus must be positive, got 0"),
     (read_group_set, "group zN -3\n0 0\n", 1, 10, "modulus must be positive, got -3"),
     (read_group_set, "group fp 1 3\n", 1, 10, "p must be prime, got 1"),
+    (read_group_set, "group fp 1 30\n", 1, 10, "p must be prime, got 1"),
     (read_group_set, "group fp 4 2\n0,0 0,0\n", 1, 10, "p must be prime, got 4"),
     (read_group_set, "group fp 91 1\n", 1, 10, "p must be prime, got 91"),
     (read_group_set, "\ngroup fp 3 0\n", 2, 12, "exponent must be positive, got 0"),

@@ -1,9 +1,9 @@
 """What importing the package and running a command loads.
 
-The package names its public objects lazily (PEP 562), and each CLI handler
-imports what it runs, so commands that compute in plain integers never load
-numpy.  numpy is loaded by this test process already, so the commands run in
-fresh interpreters.
+The package names its submodules' public objects lazily (PEP 562), and each
+CLI handler imports what it runs, so commands that compute in plain integers
+never load numpy.  numpy is loaded by this test process already, so the
+commands run in fresh interpreters.
 """
 
 import importlib
@@ -79,17 +79,48 @@ def test_a_grid_count_loads_numpy(inputs):
     assert probe(inputs, "count", "spectrum", "--set", "b.set", "--pattern", "ap3") == (0, True)
 
 
-def test_importing_the_package_loads_no_submodule():
-    probe_src = "import sys, cornerforge; print(sorted(m for m in sys.modules if m.startswith('cornerforge')))"
+# the submodules whose __all__ the package exports; the first four load no numpy
+EXPORTING = ["behrend", "contfrac", "diamond", "hypergraph", "patterns", "avoiders", "mandache"]
+LOADED = "print(sorted(m for m in sys.modules if m.startswith('cornerforge')), 'numpy' in sys.modules)"
+
+
+def fresh(source: str) -> str:
+    """What `source` prints in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": SRC}
-    out = subprocess.run([sys.executable, "-c", probe_src], capture_output=True, text=True, env=env, timeout=120)
-    assert out.stdout.strip() == "['cornerforge']", out.stderr
+    proc = subprocess.run([sys.executable, "-c", source], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert fresh(f"import sys, cornerforge\n{LOADED}") == "['cornerforge'] False"
+
+
+def test_importing_cli_from_the_package_loads_only_cli():
+    # the import system asks the package for the name before it imports the submodule
+    assert fresh(f"import sys\nfrom cornerforge import cli\n{LOADED}") == "['cornerforge', 'cornerforge.cli'] False"
+
+
+def test_the_names_of_the_numpy_free_modules_load_no_numpy():
+    names = ", ".join(name for module in EXPORTING[:4] for name in importlib.import_module(f"cornerforge.{module}").__all__)
+    assert fresh(f"import sys\nfrom cornerforge import {names}\nprint('numpy' in sys.modules)") == "False"
+
+
+def test_all_is_the_union_of_the_submodules_lists():
+    # the first list that has a name wins, so a name in two lists would hide one
+    union = f"[name for m in {EXPORTING!r} for name in importlib.import_module('cornerforge.' + m).__all__]"
+    source = f"import importlib, cornerforge\nunion = {union}\nprint(sorted(cornerforge.__all__) == sorted(set(union)) == sorted(union))"
+    assert fresh(source) == "True"
+
+
+def test_frac_floors_is_exported():
+    assert fresh("import cornerforge, cornerforge.contfrac\nprint(cornerforge.frac_floors is cornerforge.contfrac.frac_floors)") == "True"
 
 
 def test_every_public_name_is_the_submodules_object():
-    for name, module in cornerforge._MODULE_OF.items():
-        assert getattr(cornerforge, name) is getattr(importlib.import_module(f"cornerforge.{module}"), name), name
-    assert sorted(cornerforge.__all__) == sorted(cornerforge._MODULE_OF)
+    for module in map(importlib.import_module, [f"cornerforge.{module}" for module in EXPORTING]):
+        for name in module.__all__:
+            assert getattr(cornerforge, name) is getattr(module, name), name
 
 
 def test_dir_lists_every_public_name():
@@ -120,3 +151,4 @@ def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         cornerforge.no_such_name
     assert not hasattr(cornerforge, "MAX_CELLS")  # defined in submodules, not exported here
+    assert not hasattr(cornerforge, "limits.MAX_CELLS")  # a dotted name is no attribute either

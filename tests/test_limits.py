@@ -21,6 +21,8 @@ HALF = StepKernel.constant(1, 0.5)
 REFUSALS = {
     "grid header": (1000, lambda: read_grid_set(io.StringIO("dim 3 side 11\n"), "g.set"),
                     "g.set:1:12: side 11 in dim 3 exceeds the 1000-cell limit"),
+    "side-1 grid header": (1000, lambda: read_grid_set(io.StringIO("dim 10 side 1\n"), "g.set"),
+                           "g.set:1:13: side 1 in dim 10 exceeds the 1000-cell limit"),
     "group header": (1000, lambda: read_group_set(io.StringIO("group zN 40\n"), "s.gset"),
                      "s.gset:1:10: zN 40 x zN 40 exceeds the 1000-cell limit"),
     "residue length": (1000, lambda: behrend_sum_free(5000), "length 5000 exceeds the limit of 1000 residues"),
@@ -32,6 +34,8 @@ REFUSALS = {
                         "zN 40 x zN 40 exceeds the 1000-cell limit"),
     "report seeds": (1000, lambda: mandache_report(HALF, Group.zmod(10), range(11)),
                      "11 seeds x zN 10 x zN 10 exceeds the 1000-cell limit"),
+    "grid spectrum": (64 * 1000, lambda: spectrum(GridSet(1, 1001, [(1,)]), Pattern.arithmetic(3)),
+                      "2000 differences of a side-1001 grid exceed the 1000-difference limit (MAX_CELLS // 64)"),
     "hom_count": (64 * 1000, lambda: hom_count(triforce_motif(), Hypergraph(3, 11, frozenset())),
                   "adjacency tensor of 11^3 cells exceeds the 1000-cell limit (MAX_CELLS // 64)"),
 }
