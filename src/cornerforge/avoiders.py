@@ -342,7 +342,12 @@ def _build(
     """
     if not 0 < delta < 0.5:
         raise ValueError("need 0 < delta < 1/2")
-    length = max(1, math.ceil(math.exp(c * math.log(1 / delta) ** 2))) if length is None else length
+    if not 0 < c < math.inf:
+        raise ValueError(f"need a finite c > 0, got {c}")
+    try:
+        length = max(1, math.ceil(math.exp(c * math.log(1 / delta) ** 2))) if length is None else length
+    except OverflowError:
+        raise ValueError(f"the default L overflows at delta={delta}, c={c}; give L with --length") from None
     lam = tuple(sorted(solution_free(length)))
     seq, i = _select_approximant(length, q_max)
     return kind(AvoiderParams(delta=delta, c=c, lam=lam, i=i, a=a), seq)

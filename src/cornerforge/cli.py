@@ -1,10 +1,10 @@
 """Command-line surface: construct / count / verify / report.
 
-Exit codes: 0 success, 1 malformed input (with a file:line:column diagnostic
-where one exists), 2 verification failure (witness included in the output).
-Every construct subcommand writes a parameter sidecar sufficient to
-reproduce its artifact bit-exactly; randomness always flows from --seed
-(or the CORNERFORGE_SEED environment variable).
+Exit codes: 0 success, 1 malformed input (a file:line:column diagnostic where
+one exists, else the path), 2 verification failure (witness in the output).
+A construct subcommand writes a sidecar that reproduces its artifact exactly
+to --params-out, else to <output>.params.json (none for stdout output without
+--params-out); randomness flows from --seed (or CORNERFORGE_SEED).
 """
 
 from __future__ import annotations
@@ -46,17 +46,10 @@ class VerificationFailure(Exception):
 def _parse_group(text: str) -> Group:
     from .patterns import Group
 
-    unknown = ValueError(f"unknown group {text!r}; use 'zN:<N>' or 'fp:<p>:<n>'")
-    kind, *parts = text.replace(":", " ").split() or [""]
-    try:
-        numbers = [int(part) for part in parts]
-    except ValueError:
-        raise unknown from None
-    if kind == "zN" and len(numbers) == 1:
-        return Group.zmod(*numbers)
-    if kind == "fp" and len(numbers) == 2:
-        return Group.vector(*numbers)
-    raise unknown
+    if spec := re.fullmatch(r"zN:([0-9]+)|fp:([0-9]+):([0-9]+)", text):
+        modulus, p, n = spec.groups()
+        return Group.zmod(int(modulus)) if modulus else Group.vector(int(p), int(n))
+    raise ValueError(f"unknown group {text!r}; use 'zN:<N>' or 'fp:<p>:<n>'")
 
 
 def _parse_pattern(text: str, carrier=None) -> Pattern:
@@ -127,28 +120,24 @@ def _open_out(args):
     return contextlib.nullcontext(sys.stdout)
 
 
+def _read(reader, path: str):
+    """reader(fh, path) on the input file at `path`, the one place a command
+    opens one; a byte that is not UTF-8 reads as U+FFFD (see `formats`)."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        return reader(fh, path)
+
+
 def _load_record(path: str, loader):
     """`loader` applied to the text of the JSON record at `path`; a record
     of the wrong shape (not an object, a missing field, a bad value) is
     malformed input named by its path."""
-    with open(path) as fh:
-        text = fh.read()
+    text = _read(lambda fh, _: fh.read(), path)
     try:
         return loader(text)
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed record: {exc}") from None
-
-
-def _sniff_set(path: str):
-    """The grid or group set at `path`, by the first word of its first data line."""
-    from .formats import _is_data, read_grid_set, read_group_set
-
-    with open(path) as fh:
-        head = next(filter(_is_data, fh), "").split()
-        fh.seek(0)
-        return (read_group_set if head[:1] == ["group"] else read_grid_set)(fh, path)
 
 
 # -- construct ----------------------------------------------------------------
@@ -237,8 +226,7 @@ def _cmd_construct_lift(args):
     from .formats import read_grid_set, write_grid_set
     from .limits import _past_cell_limit
 
-    with open(args.base) as fh:
-        base = read_grid_set(fh, args.base)
+    base = _read(read_grid_set, args.base)
     # refuse a cornerK or apK spec the base cannot lift to before its points
     # are built: a side-N 1-d base needs the projection weight, c^(i+1) summed
     # over the axes, at most N (c >= 2 past one axis, so N.bit_length() axes
@@ -266,8 +254,7 @@ def _cmd_construct_mandache(args):
     from .formats import read_kernel, write_group_set
     from .mandache import kernel_fingerprint, sample_mandache
 
-    with open(args.kernel) as fh:
-        kernel = read_kernel(fh, args.kernel)
+    kernel = _read(read_kernel, args.kernel)
     group = _parse_group(args.group)
     seed = _seed(args)
     pairs = sample_mandache(kernel, group, seed)
@@ -290,10 +277,10 @@ def _cmd_construct_mandache(args):
 
 
 def _cmd_count_spectrum(args):
-    from .formats import write_spectrum_csv, write_spectrum_json
+    from .formats import read_set, write_spectrum_csv, write_spectrum_json
     from .patterns import spectrum
 
-    carrier = _sniff_set(args.set)
+    carrier = _read(read_set, args.set)
     pattern = _parse_pattern(args.pattern, carrier) if args.pattern else None
     spec = spectrum(carrier, pattern)
     with _open_out(args) as fh:
@@ -306,9 +293,10 @@ def _cmd_count_spectrum(args):
 
 
 def _cmd_count_density(args):
+    from .formats import read_set
     from .patterns import GridSet
 
-    carrier = _sniff_set(args.set)
+    carrier = _read(read_set, args.set)
     total = carrier.side**carrier.dim if isinstance(carrier, GridSet) else carrier.group.order**2
     density = Fraction(len(carrier), total)
     print(json.dumps({"members": len(carrier), "cells": total, "density": str(density), "density_float": float(density)}))
@@ -319,8 +307,7 @@ def _cmd_count_homs(args):
     from .formats import read_hypergraph
     from .hypergraph import _check_motif, edge_density, hom_count, kforce_density, kforce_motif, single_edge_motif
 
-    with open(args.hypergraph) as fh:
-        h = read_hypergraph(fh, args.hypergraph)
+    h = _read(read_hypergraph, args.hypergraph)
     name = args.motif
     family = re.fullmatch(r"(kforce|edge)([0-9]+)", "kforce3" if name == "triforce" else name)
     if not family:
@@ -347,8 +334,7 @@ def _cmd_count_triforce(args):
     from .formats import read_kernel
     from .hypergraph import triforce_weighted
 
-    with open(args.kernel) as fh:
-        kernel = read_kernel(fh, args.kernel)
+    kernel = _read(read_kernel, args.kernel)
     value = triforce_weighted(kernel)
     print(
         json.dumps(
@@ -377,9 +363,7 @@ def _cmd_verify_diamondfree(args):
     from .diamond import verify_diamond_free
     from .formats import read_tripartite
 
-    path = _input_path(args, "graph", "graph_path")
-    with open(path) as fh:
-        graph = read_tripartite(fh, path)
+    graph = _read(read_tripartite, _input_path(args, "graph", "graph_path"))
     verdict = verify_diamond_free(graph)
     if verdict is True:
         print(json.dumps({"diamond_free": True, "edges": graph.edge_count()}))
@@ -396,9 +380,7 @@ def _cmd_verify_relationfree(args):
     from .formats import read_residues
 
     relation = _parse_ints(args.relation)
-    path = _input_path(args, "set", "set_path")
-    with open(path) as fh:
-        members, _ = read_residues(fh, path)
+    members, _ = _read(read_residues, _input_path(args, "set", "set_path"))
     witness = find_relation_witness(members, relation)
     if witness is None:
         print(json.dumps({"relation_free": True, "relation": list(relation), "size": len(members)}))
@@ -411,9 +393,7 @@ def _cmd_verify_qcfree(args):
     from .formats import read_residues
 
     a = _parse_ints(args.a)
-    path = _input_path(args, "set", "set_path")
-    with open(path) as fh:
-        members, _ = read_residues(fh, path)
+    members, _ = _read(read_residues, _input_path(args, "set", "set_path"))
     witness = find_qc_witness(qc_coefficients(a), members)
     if witness is None:
         print(json.dumps({"qc_free": True, "a": list(a), "size": len(members)}))
@@ -457,8 +437,7 @@ def _cmd_verify_avoidance(args):
     from .avoiders import load_avoider, verify_corner_avoidance
     from .formats import read_grid_set
 
-    with open(args.set) as fh:
-        grid = read_grid_set(fh, args.set)
+    grid = _read(read_grid_set, args.set)
     avoider = _load_record(args.params, load_avoider)
     report = verify_corner_avoidance(avoider, grid)
     with _open_out(args) as fh:
@@ -478,8 +457,7 @@ def _cmd_report_mandache(args):
     from .formats import read_kernel
     from .mandache import mandache_report
 
-    with open(args.kernel) as fh:
-        kernel = read_kernel(fh, args.kernel)
+    kernel = _read(read_kernel, args.kernel)
     group = _parse_group(args.group)
     report = mandache_report(kernel, group, _parse_seeds(args.seeds))
     with _open_out(args) as fh:
@@ -490,8 +468,8 @@ def _cmd_report_mandache(args):
 # -- wiring -------------------------------------------------------------------
 
 
-def _add_output(p, required=False):
-    p.add_argument("-o", "--output", required=required, help="output path (default stdout)")
+def _add_output(p):
+    p.add_argument("-o", "--output", help="output path (default stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -610,7 +588,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, FileNotFoundError) as exc:  # a ParseError is a ValueError
+    except (ValueError, ArithmeticError, OSError) as exc:  # a ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except VerificationFailure as exc:

@@ -16,6 +16,11 @@ grid format with side L by storing value+1; translation-invariant relations
 are unaffected by the shift, and loaders undo it.  Parse errors carry
 line/column positions.
 
+`read_set` reads either kind of set: a group set when the first word of
+its first data line is ``group``.  Text is UTF-8; opened with
+errors="replace", a byte that is not UTF-8 reads as U+FFFD, which no format
+accepts outside a comment, so it is refused at its line and column.
+
 Grid and group sets in the canonical form the writers emit are parsed in
 bulk with numpy; text in any other spelling goes through the per-line
 reader, which yields the same set and gives every diagnostic.  Only the
@@ -46,6 +51,7 @@ __all__ = [
     "write_grid_set",
     "read_group_set",
     "write_group_set",
+    "read_set",
     "read_residues",
     "write_residues",
     "read_hypergraph",
@@ -315,6 +321,13 @@ def read_group_set(fh: TextIO, path: str = "<group set>") -> GroupSet:
     weights = [base ** (n + j) for j in range(n)] + [base**j for j in range(n)]
     flats = _read_flats(fh, lineno, seps, 0, base - 1, weights, flat_of_line)
     return GroupSet.from_packed(group, _pack(flats, order * order))
+
+
+def read_set(fh: TextIO, path: str = "<set>") -> GridSet | GroupSet:
+    """The grid or group set in `fh`, read from its start (see above)."""
+    head = next(filter(_is_data, fh), "").split()
+    fh.seek(0)
+    return (read_group_set if head[:1] == ["group"] else read_grid_set)(fh, path)
 
 
 def write_group_set(fh: TextIO, pairs: GroupSet) -> None:

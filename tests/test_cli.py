@@ -1,14 +1,16 @@
 import itertools
+import shlex
 import sys
 import time
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cornerforge import avoiders
 from cornerforge.behrend import behrend_3ap_free, is_qc, qc_coefficients
-from cornerforge.cli import main
+from cornerforge.cli import build_parser, main
 from cornerforge.diamond import TripartiteGraph, diamond_free_from_ap_free
 from cornerforge.formats import read_grid_set, read_residues, write_grid_set, write_residues, write_tripartite
 from cornerforge.patterns import GridSet
@@ -546,7 +548,11 @@ def test_internal_index_errors_still_surface(tmp_path, capsys, monkeypatch):
         main(["verify", "alpha", "--alpha", str(record)])
 
 
-@pytest.mark.parametrize("group", ["zN:abc", "fp:3:x", "fp:x:2", "zN:5:1", "fp:3", "zN", ""])
+@pytest.mark.parametrize(
+    "group",
+    ["zN:abc", "fp:3:x", "fp:x:2", "zN:5:1", "fp:3", "zN", ""]
+    + ["zN 7", "zN: 7", " zN:7", "zN::7", "zN:+7", "fp:3::2", "fp 3 2", "zN:7_0"],
+)
 @pytest.mark.parametrize("command", ["construct", "report"])
 def test_mandache_unknown_group_spelling_exits_1_with_usage(tmp_path, capsys, group, command):
     kern = tmp_path / "w.kern"
@@ -827,3 +833,73 @@ def test_an_ap_as_long_as_the_side_still_counts(tmp_path, capsys):
     code, stdout, _ = run(capsys, "count", "spectrum", "--set", str(grid), "--pattern", "ap4")
     assert code == 0
     assert json.loads(stdout)["counts"] == {"1": 1, "-1": 1, "2": 0, "-2": 0, "3": 0, "-3": 0}
+
+
+BAD_C = [
+    (["--c", "inf", "--length", "4"], "need a finite c > 0, got inf"),
+    (["--c", "nan", "--length", "4"], "need a finite c > 0, got nan"),
+    (["--c", "-1"], "need a finite c > 0, got -1.0"),
+    (["--c", "inf"], "need a finite c > 0, got inf"),
+    (["--delta", "1e-300"], "the default L overflows at delta=1e-300, c=0.1; give L with --length"),
+    (["--c", "1e9"], "the default L overflows at delta=0.25, c=1000000000.0; give L with --length"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_C, ids=[" ".join(argv) for argv, _ in BAD_C])
+def test_a_bad_c_or_an_overflowing_default_length_exits_1(tmp_path, capsys, argv, message):
+    # an infinite or nan c was written to the sidecar as JSON's invalid
+    # Infinity / NaN; the others failed deep inside the build
+    out = tmp_path / "A.set"
+    delta = [] if "--delta" in argv else ["--delta", "0.25"]
+    code, stdout, stderr = run(capsys, "construct", "corner3d", *delta, *argv, "--q-max", "40", "-o", str(out))
+    assert (code, stdout) == (1, "")
+    assert stderr.strip() == f"error: {message}"
+    assert not out.exists() and not (tmp_path / "A.set.params.json").exists()
+
+
+# (argv with DIR where a directory goes); every file-taking command, each input option, -o and --params-out
+DIRECTORY_CASES = [
+    ["construct", "lift", "--pattern", "corner3", "--base", "DIR"],
+    ["construct", "mandache", "--kernel", "DIR", "--group", "zN:5"],
+    ["count", "spectrum", "--set", "DIR"],
+    ["count", "density", "--set", "DIR"],
+    ["count", "homs", "--motif", "triforce", "--hypergraph", "DIR"],
+    ["count", "triforce", "--kernel", "DIR"],
+    ["verify", "diamondfree", "--graph", "DIR"],
+    ["verify", "diamondfree", "DIR"],
+    ["verify", "relationfree", "--relation", "1,1,-2", "--set", "DIR"],
+    ["verify", "relationfree", "--relation", "1,1,-2", "DIR"],
+    ["verify", "qcfree", "--a", "0,1,2,3,4", "--set", "DIR"],
+    ["verify", "qcfree", "--a", "0,1,2,3,4", "DIR"],
+    ["verify", "alpha", "--alpha", "DIR"],
+    ["verify", "avoidance", "--set", "DIR", "--params", "GRID"],
+    ["verify", "avoidance", "--set", "GRID", "--params", "DIR"],
+    ["report", "mandache", "--kernel", "DIR", "--group", "zN:5", "--seeds", "0:2"],
+    ["construct", "sumfree", "--length", "8", "-o", "DIR"],
+    ["construct", "sumfree", "--length", "8", "-o", "OUT", "--params-out", "DIR"],
+]
+
+
+@pytest.mark.parametrize("argv", DIRECTORY_CASES, ids=" ".join)
+def test_a_directory_for_a_file_exits_1_naming_it(tmp_path, capsys, argv):
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    grid = tmp_path / "g.set"
+    grid.write_text("dim 3 side 2\n")
+    paths = {"DIR": directory, "GRID": grid, "OUT": tmp_path / "out.set"}
+    code, stdout, stderr = run(capsys, *(str(paths.get(arg, arg)) for arg in argv))
+    assert (code, stdout) == (1, "")
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ") and str(directory) in stderr, stderr
+
+
+def test_every_readme_command_parses():
+    # parsed, not run: an option renamed or removed leaves no stale command
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = [line for line in readme.replace("\\\n", " ").splitlines() if line.startswith("cornerforge ")]
+    assert len(lines) >= 13
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
