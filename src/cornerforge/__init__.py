@@ -14,7 +14,7 @@ import importlib.util
 
 __version__ = "0.1.0"
 
-_PUBLIC = ("behrend", "contfrac", "diamond", "hypergraph", "patterns", "avoiders", "mandache")
+_PUBLIC = ("behrend", "contfrac", "diamond", "hypergraph", "patterns", "mandache", "avoiders")
 
 
 def _modules():

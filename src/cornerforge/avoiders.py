@@ -283,15 +283,24 @@ class FivePointAvoider(_AvoiderBase):
 DEFAULT_C = 0.1  # keeps L desk-sized; the asymptotic statement tunes c to delta
 
 
+def _check_delta_c(delta: float, c: float) -> None:
+    """Refuse a delta outside (0, 1/2) or a c that is not finite and positive."""
+    if not 0 < delta < 0.5:
+        raise ValueError(f"need 0 < delta < 1/2, got {delta}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"need a finite c > 0, got {c}")
+
+
 def load_avoider(params_json: str):
-    """Rebuild a constructed avoider from the inputs in its sidecar, refusing a
-    derived field that disagrees."""
+    """Rebuild a constructed avoider from the inputs in its sidecar, refusing
+    a delta or c that `_build` refuses, or a derived field that disagrees."""
     obj = json.loads(params_json)
     alpha = AlphaSequence.from_json(json.dumps(obj["alpha"]))
     kinds = {cls.form: cls for cls in (CornerAvoider, FivePointAvoider)}
     if obj["form"] not in kinds:
         raise ValueError(f"unknown avoider form {obj['form']!r}; expected one of {sorted(kinds)}")
     a = None if obj["a"] is None else tuple(obj["a"])
+    _check_delta_c(obj["delta"], obj["c"])
     params = AvoiderParams(obj["delta"], obj["c"], tuple(obj["lambda"]), obj["i"], a)
     avoider = kinds[obj["form"]](params, alpha)
     rebuilt = avoider.record()
@@ -340,10 +349,7 @@ def _build(
     L defaults to ceil(exp(c * ln(1/delta)^2)) but may be pinned directly
     with `length`.  q is the largest verified denominator at most q_max.
     """
-    if not 0 < delta < 0.5:
-        raise ValueError("need 0 < delta < 1/2")
-    if not 0 < c < math.inf:
-        raise ValueError(f"need a finite c > 0, got {c}")
+    _check_delta_c(delta, c)
     try:
         length = max(1, math.ceil(math.exp(c * math.log(1 / delta) ** 2))) if length is None else length
     except OverflowError:
@@ -498,6 +504,15 @@ class AvoidanceReport:
         writer.writerows([d, count, bound, int(k not in failed)] for k, (d, count, bound, *_) in enumerate(self.rows))
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of `values`, ascending: np.unique's answer
+    without its import of numpy.ma, which a plain np.unique call makes."""
+    values = np.sort(values)
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
 def verify_corner_avoidance(avoider: CornerAvoider, grid: GridSet) -> AvoidanceReport:
     """Count the corners of `grid`, the set under test, for every difference
     0 < |d| < N in `grid_differences` order, and check the corner avoider's
@@ -522,8 +537,8 @@ def verify_corner_avoidance(avoider: CornerAvoider, grid: GridSet) -> AvoidanceR
     classes = [np.zeros(0, dtype=np.int64)]
     for slots, anchors in _grid_hits(grid, Pattern.corner(3), ds):
         counts += np.bincount(slots, minlength=len(ds))
-        classes.append(np.unique(slots * 2 * n + anchors[:, 0] - anchors[:, 1] + n))
-    slot_classes, diffs = np.divmod(np.unique(np.concatenate(classes)), 2 * n)
+        classes.append(_distinct(slots * 2 * n + anchors[:, 0] - anchors[:, 1] + n))
+    slot_classes, diffs = np.divmod(_distinct(np.concatenate(classes)), 2 * n)
     # each class's value 2(n1 - n2)d, checked once per distinct value;
     # |2(n1 - n2)d| < 2N^2 fits int64 at any N within the cell limit
     values, which = np.unique(2 * (diffs - n) * np.array(ds, dtype=np.int64)[slot_classes], return_inverse=True)

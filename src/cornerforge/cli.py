@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 malformed input (a file:line:column diagnostic where
 one exists, else the path), 2 verification failure (witness in the output).
 A construct subcommand writes a sidecar that reproduces its artifact exactly
 to --params-out, else to <output>.params.json (none for stdout output without
---params-out); randomness flows from --seed (or CORNERFORGE_SEED).
+--params-out); a sidecar path that cannot be opened is refused before the
+artifact is written.  Randomness flows from --seed (or CORNERFORGE_SEED).
 """
 
 from __future__ import annotations
@@ -102,22 +103,38 @@ def _seed(args) -> int:
     return int(env) if env else 0
 
 
-def _write_params(args, payload: dict) -> None:
-    path = getattr(args, "params_out", None)
-    if path is None and getattr(args, "output", None):
-        path = args.output + ".params.json"
-    if path is None:
-        return
-    payload = {"tool_version": __version__, **payload}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
 def _open_out(args):
     if getattr(args, "output", None):
         return open(args.output, "w")
     return contextlib.nullcontext(sys.stdout)
+
+
+@contextlib.contextmanager
+def _open_artifact(args, payload: dict):
+    """The handle a construct command writes its artifact to (see
+    `_open_out`); after the artifact, the sidecar `payload` is written to
+    --params-out, else to <output>.params.json (none for stdout output
+    without --params-out).  The sidecar path is opened, unchanged, before
+    the artifact's, so a path that cannot take it is refused before any
+    artifact is written; a sidecar file made for a command that then fails
+    is removed again."""
+    path = args.params_out
+    if path is None and args.output:
+        path = args.output + ".params.json"
+    made = path is not None and not os.path.exists(path)
+    if path is not None:
+        open(path, "a").close()
+    try:
+        with _open_out(args) as fh:
+            yield fh
+    except BaseException:
+        if made:
+            os.remove(path)
+        raise
+    if path is not None:
+        with open(path, "w") as fh:
+            json.dump({"tool_version": __version__, **payload}, fh, indent=2)
+            fh.write("\n")
 
 
 def _read(reader, path: str):
@@ -148,22 +165,19 @@ def _cmd_construct_residue(args, builder_name, name):
     from .formats import write_residues
 
     out = getattr(behrend, builder_name)(args.length)
-    with _open_out(args) as fh:
-        write_residues(fh, out.members, args.length)
-    _write_params(
-        args,
-        {
-            "command": f"construct {name}",
-            "length": args.length,
-            "size": len(out),
-            "params": {
-                "dim": out.params.dim,
-                "base": out.params.base,
-                "headroom": out.params.headroom,
-                "radius_sq": out.params.radius_sq,
-            },
+    payload = {
+        "command": f"construct {name}",
+        "length": args.length,
+        "size": len(out),
+        "params": {
+            "dim": out.params.dim,
+            "base": out.params.base,
+            "headroom": out.params.headroom,
+            "radius_sq": out.params.radius_sq,
         },
-    )
+    }
+    with _open_artifact(args, payload) as fh:
+        write_residues(fh, out.members, args.length)
     return EXIT_OK
 
 
@@ -173,18 +187,15 @@ def _cmd_construct_qcfree(args):
 
     a = _parse_ints(args.a)
     out = behrend_qc_free(a, args.length)
-    with _open_out(args) as fh:
+    payload = {
+        "command": "construct qcfree",
+        "a": list(a),
+        "length": args.length,
+        "size": len(out),
+        "qc_system": json.loads(qc_coefficients(a).to_json()),
+    }
+    with _open_artifact(args, payload) as fh:
         write_residues(fh, out.members, args.length)
-    _write_params(
-        args,
-        {
-            "command": "construct qcfree",
-            "a": list(a),
-            "length": args.length,
-            "size": len(out),
-            "qc_system": json.loads(qc_coefficients(a).to_json()),
-        },
-    )
     return EXIT_OK
 
 
@@ -192,9 +203,8 @@ def _cmd_construct_alpha(args):
     from .contfrac import build_alpha_hard, parse_scale
 
     seq = build_alpha_hard(args.m, parse_scale(args.r))
-    with _open_out(args) as fh:
+    with _open_artifact(args, {"command": "construct alpha", "m": args.m, "r": str(args.r)}) as fh:
         fh.write(seq.to_json() + "\n")
-    _write_params(args, {"command": "construct alpha", "m": args.m, "r": str(args.r)})
     return EXIT_OK
 
 
@@ -210,9 +220,8 @@ def _cmd_construct_avoider(args):
     else:
         avoider = build_five_point_avoider(_parse_ints(args.a), args.delta, **given)
     grid = avoider.materialize()
-    with _open_out(args) as fh:
+    with _open_artifact(args, avoider.record()) as fh:
         write_grid_set(fh, grid)
-    _write_params(args, avoider.record())
     print(
         f"side {grid.side}, {len(grid)} members, density {len(grid) / grid.side**grid.dim:.5f} "
         f"(target {float(avoider.system.measure()):.5f})",
@@ -241,12 +250,9 @@ def _cmd_construct_lift(args):
         if not fits:
             raise ValueError(f"a side-{n} {base.dim}-d base cannot be lifted to {args.pattern}")
     lifted = lift_avoider(_parse_pattern(args.pattern), base)
-    with _open_out(args) as fh:
+    payload = {"command": "construct lift", "pattern": args.pattern, "base": args.base, "side": lifted.side}
+    with _open_artifact(args, payload) as fh:
         write_grid_set(fh, lifted)
-    _write_params(
-        args,
-        {"command": "construct lift", "pattern": args.pattern, "base": args.base, "side": lifted.side},
-    )
     return EXIT_OK
 
 
@@ -258,18 +264,15 @@ def _cmd_construct_mandache(args):
     group = _parse_group(args.group)
     seed = _seed(args)
     pairs = sample_mandache(kernel, group, seed)
-    with _open_out(args) as fh:
+    payload = {
+        "command": "construct mandache",
+        "kernel_hash": kernel_fingerprint(kernel),
+        "group": group.label(),
+        "seed": seed,
+        "size": len(pairs),
+    }
+    with _open_artifact(args, payload) as fh:
         write_group_set(fh, pairs)
-    _write_params(
-        args,
-        {
-            "command": "construct mandache",
-            "kernel_hash": kernel_fingerprint(kernel),
-            "group": group.label(),
-            "seed": seed,
-            "size": len(pairs),
-        },
-    )
     return EXIT_OK
 
 

@@ -22,18 +22,21 @@ errors="replace", a byte that is not UTF-8 reads as U+FFFD, which no format
 accepts outside a comment, so it is refused at its line and column.
 
 Grid and group sets in the canonical form the writers emit are parsed in
-bulk with numpy; text in any other spelling goes through the per-line
-reader, which yields the same set and gives every diagnostic.  Only the
-grid- and group-set readers and writers load numpy (and `patterns`); the
-residue, hypergraph, kernel, graph and spectrum formats run without it.
+bulk, a chunk of text at a time: grid text with numpy, group text through a
+dict of the group's canonical element names.  Text in any other spelling
+goes through the per-line reader, which yields the same set and gives every
+diagnostic.  Only the grid-set readers and writers load numpy; the group
+set, residue, hypergraph, kernel, graph and spectrum formats run without it.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import limits
 
@@ -75,7 +78,7 @@ class ParseError(ValueError):
 # scratch arrays stay far below the mask they fill
 _CHUNK_CHARS = 1 << 13
 
-# members written at a time by the grid- and group-set writers
+# members written at a time by the grid-set writer
 _WRITE_ROWS = 1 << 13
 
 
@@ -174,27 +177,46 @@ def _strict_flats(text: str, seps: bytes, low: int, high: int, weights: list[int
     return flats
 
 
-def _read_flats(
-    fh: TextIO,
-    lineno: int,
-    seps: bytes,
-    low: int,
-    high: int,
-    weights: list[int],
-    flat_of_line: Callable[[int, str], int],
-) -> Iterator[np.ndarray]:
-    """The flat indices of the set lines after the header, which is line
-    `lineno`, one array per chunk.  Chunks in strict form are parsed in
-    bulk; any other chunk goes line by line through flat_of_line(lineno,
-    line), which raises the ParseError of a bad line, so every input reads
-    as the per-line reader alone would read it."""
-    import numpy as np
+def _strict_pairs(text: str, x_flat: dict[bytes, int], y_flat: dict[bytes, int]) -> Optional[list[int]]:
+    """Flat indices of the group-set lines of `text` if all of it is in
+    strict form, else None.
 
+    Strict form is what the writer emits: every line two canonical element
+    names and '\\n', one space between them.  The separators are checked
+    first: with the digits and commas deleted, the ASCII text must be
+    exactly one ' \\n' per line.  Every token must then be a key of the name
+    dicts, which map a name to its flat part as x and as y.
+    """
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    lines = raw.count(b"\n")
+    if raw.translate(None, b"0123456789,") != b" \n" * lines:
+        return None
+    tokens = raw.split()
+    if len(tokens) != 2 * lines:  # an empty name
+        return None
+    try:
+        return list(map(operator.add, map(x_flat.__getitem__, tokens[0::2]), map(y_flat.__getitem__, tokens[1::2])))
+    except KeyError:
+        return None
+
+
+def _read_flats(
+    fh: TextIO, lineno: int, strict: Callable[[str], Optional[Sequence[int]]], flat_of_line: Callable[[int, str], int]
+) -> Iterator[Sequence[int]]:
+    """The flat indices of the set lines after the header, which is line
+    `lineno`, one sequence per chunk.  strict(text) parses a chunk in strict
+    form in bulk and returns None for any other chunk; that chunk goes line
+    by line through flat_of_line(lineno, line), which raises the ParseError
+    of a bad line, so every input reads as the per-line reader alone would
+    read it."""
     for text in _line_chunks(fh):
-        flats = _strict_flats(text, seps, low, high, weights)
+        flats = strict(text)
         if flats is None:
             lines = enumerate(text.split("\n")[:-1], start=lineno + 1)
-            flats = np.array([flat_of_line(n, line) for n, line in lines if _is_data(line)], dtype=np.int64)
+            flats = [flat_of_line(n, line) for n, line in lines if _is_data(line)]
         yield flats
         lineno += text.count("\n")
 
@@ -227,6 +249,8 @@ def _grid_header(fh: TextIO, path: str) -> tuple[int, int, int, list[tuple[int, 
 
 
 def read_grid_set(fh: TextIO, path: str = "<grid set>") -> GridSet:
+    import numpy as np
+
     from .patterns import GridSet, _pack
 
     lineno, dim, side, _, _ = _grid_header(fh, path)
@@ -236,8 +260,8 @@ def read_grid_set(fh: TextIO, path: str = "<grid set>") -> GridSet:
         return sum((c - 1) * w for c, w in zip(_grid_point(path, lineno, line, dim, side), weights))
 
     seps = b" " * (dim - 1) + b"\n"
-    flats = _read_flats(fh, lineno, seps, 1, side, weights, flat_of_line)
-    return GridSet.from_packed(dim, side, _pack(flats, side**dim))
+    flats = _read_flats(fh, lineno, lambda text: _strict_flats(text, seps, 1, side, weights), flat_of_line)
+    return GridSet.from_packed(dim, side, _pack((np.asarray(chunk, dtype=np.int64) for chunk in flats), side**dim))
 
 
 def write_grid_set(fh: TextIO, grid: GridSet) -> None:
@@ -275,7 +299,7 @@ def write_residues(fh: TextIO, members: Iterable[int], length: int) -> None:
 
 def read_group_set(fh: TextIO, path: str = "<group set>") -> GroupSet:
     from .contfrac import _is_prime
-    from .patterns import Group, GroupSet, _pack
+    from .patterns import Group, GroupSet, _set_bits
 
     lineno, toks, _ = _header(fh, path)
     if not toks or toks[0][1] != "group":
@@ -314,13 +338,11 @@ def read_group_set(fh: TextIO, path: str = "<group set>") -> GroupSet:
         (cx, x), (cy, y) = toks
         return element_index(lineno, cx, x) * order + element_index(lineno, cy, y)
 
-    # digits least significant first, x's then y's; Z/N is one digit base N
-    base, n = group.radix
-    digits = b"," * (n - 1)
-    seps = digits + b" " + digits + b"\n"
-    weights = [base ** (n + j) for j in range(n)] + [base**j for j in range(n)]
-    flats = _read_flats(fh, lineno, seps, 0, base - 1, weights, flat_of_line)
-    return GroupSet.from_packed(group, _pack(flats, order * order))
+    names = [group._name(i).encode() for i in range(order)]
+    x_flat = {name: i * order for i, name in enumerate(names)}
+    y_flat = {name: i for i, name in enumerate(names)}
+    flats = _read_flats(fh, lineno, lambda text: _strict_pairs(text, x_flat, y_flat), flat_of_line)
+    return GroupSet.from_packed(group, _set_bits(chain.from_iterable(flats), order * order))
 
 
 def read_set(fh: TextIO, path: str = "<set>") -> GridSet | GroupSet:
@@ -331,18 +353,14 @@ def read_set(fh: TextIO, path: str = "<set>") -> GridSet | GroupSet:
 
 
 def write_group_set(fh: TextIO, pairs: GroupSet) -> None:
-    import numpy as np
-
-    from .patterns import _member_columns
-
+    """The header, then one line 'x y' per member in flat order, written a
+    row x at a time."""
     group = pairs.group
-    order = group.order
-    names = np.array([group._name(i) for i in range(order)], dtype=object)
+    names = [group._name(i) for i in range(group.order)]
     fh.write(f"group {group.label()}\n")
-    ys, xs = _member_columns(pairs.packed(), order, 2)
-    for start in range(0, xs.size, _WRITE_ROWS):
-        block = slice(start, start + _WRITE_ROWS)
-        fh.writelines(f"{x} {y}\n" for x, y in zip(names[xs[block]].tolist(), names[ys[block]].tolist()))
+    for x, ys in pairs._rows():
+        lead = names[x] + " "
+        fh.write(lead + f"\n{lead}".join(map(names.__getitem__, ys)) + "\n")
 
 
 def read_hypergraph(fh: TextIO, path: str = "<hypergraph>") -> Hypergraph:

@@ -21,12 +21,15 @@ comma-joined digit vectors (F_p^n).  A pair is included when its coin
 fraction is strictly below the kernel value, compared in exact integer
 arithmetic (u * denominator < numerator * 2^64).
 
-The sampler decides a row a at a time.  Each kernel value is turned once
-into the integer limit ceil(numerator * 2^64 / denominator), below which a
-coin u includes the pair; a value-0 cell (limit 0) is never included and a
-cell with limit 2^64 always is, so only the other pairs of the row are
-hashed, and their coins are compared with the limits in one numpy step.
-The report counts each draw's corners with the group corner spectrum.
+The sampler decides a row a at a time, in plain Python: numpy is never
+loaded.  Each kernel value is turned once into the integer limit
+ceil(numerator * 2^64 / denominator), below which a coin u includes the
+pair; a value-0 cell (limit 0) is never included and a cell with limit 2^64
+always is, so only the other pairs of the row are hashed.  A limit L in
+[1, 2^64) is kept as its 8 big-endian bytes, and the coin is below L exactly
+when the digest is below them: bytes compare lexicographically, and a digest
+whose first 8 bytes equal them sorts after them.  The report counts each
+draw's corners with the group corner spectrum.
 """
 
 from __future__ import annotations
@@ -34,20 +37,20 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
 from .hypergraph import StepKernel, triforce_weighted
 from . import limits
-from .patterns import Group, GroupSet, _pack, spectrum
+from .patterns import Group, GroupSet, _gray_steps, spectrum
 
 __all__ = ["sample_mandache", "mandache_report", "MandacheReport", "kernel_fingerprint"]
 
 _SCALE = 1 << 64
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # 0/1 bytes to binary digits
 _U64 = struct.Struct(">Q").unpack_from  # first 8 digest bytes, big-endian
 
 
@@ -66,18 +69,50 @@ def kernel_fingerprint(w: StepKernel) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _neg_sum_rows(group: Group) -> Iterator[np.ndarray]:
-    """Row a of the index table b -> index(-(a + b)), one row at a time.
+def _shift_digit(row: list, base: int, place: int, step: int) -> list:
+    """The list whose entry b is row[b'], where b' is b with `step` added
+    mod base to its digit of place value `place` (a power of base).  Moved
+    as whole slices: every block of place * base entries rotated by
+    step * place, or, when those blocks are many and short, place * base
+    strided slices; O(len(row)) either way."""
+    block = place * base
+    if 2 * len(row) // block <= block:
+        out = []
+        for start in range(0, len(row), block):
+            out += row[start + step * place : start + block]
+            out += row[start : start + step * place]
+        return out
+    out = [None] * len(row)
+    for low in range(place):
+        for digit in range(base):
+            out[low + digit * place :: block] = row[low + (digit + step) % base * place :: block]
+    return out
+
+
+def _neg_sum_rows(group: Group, values: list) -> Iterator[tuple[int, list]]:
+    """(a, the row b -> values[index(-(a + b))]) for every a, one row at a
+    time, a in reflected Gray order (`patterns._gray_steps`).
 
     Digit j of element index i is i // p^j % p (Z/N is one digit base N),
-    so negated sums are digitwise arithmetic on the index arrays; a row costs
-    O(|G|) memory where the whole table would cost O(|G|^2).
+    and sums are digitwise.  Row 0 is values at the digitwise negations.  A
+    Gray step adds s to digit j of a, so entry b of the next row is the
+    entry of this one at b with s added to its digit j: one `_shift_digit`.
+    A row costs O(|G|) time and memory where the whole table would cost
+    O(|G|^2).
     """
     p, n = group.radix
-    weights = p ** np.arange(n)
-    digits = np.arange(group.order)[:, None] // weights % p
-    for row in digits:
-        yield ((-(row + digits)) % p) @ weights
+    negs = [0]
+    for j in range(n):
+        negs = [i + (-b) % p * p**j for b in range(p) for i in negs]
+    row = [values[i] for i in negs]
+    a = 0
+    yield a, row
+    for j, s in _gray_steps(group):
+        place = p**j
+        row = _shift_digit(row, p, place, s)
+        digit = a // place % p
+        a += ((digit + s) % p - digit) * place
+        yield a, row
 
 
 def _coin_limit(value: Fraction) -> int:
@@ -93,49 +128,57 @@ def sample_mandache(w: StepKernel, group: Group, seed: int) -> GroupSet:
     """One draw of the random pair set; bit-identical for identical seeds.
 
     Runs on element indices: every element is named once, its X/Y/Z cells
-    are drawn into index arrays, and the pair (a, b) -- bit
-    a * |G| + b of the mask -- reads its kernel cell through the -(a+b)
-    table.  Kernel values become integer coin limits, and a row a is decided
-    at once: only the pairs whose limit is neither 0 nor 2^64 are hashed,
-    their coins are read from the joined digests in one numpy step and
-    compared with the limits, and the row's member flats go to the packer,
-    so the scratch is O(|G|) per row.  A group whose |G|^2 pairs pass the
-    cell limit is refused before |G| is evaluated or any element is named.
+    are drawn into lists, and the pair (a, b) -- bit a * |G| + b of the
+    mask -- reads its kernel cell through the -(a+b) row.  Kernel values
+    become coin limits, and a row a is decided at once: only the pairs whose
+    limit is neither 0 nor 2^64 are hashed, each digest is compared with its
+    limit's bytes, and the row's 0/1 bytes are read as one int and ORed
+    into the packed mask.  The scratch is O(|G|) per row and O(g * |G|) for
+    the kernel cells regrouped by element.  A group whose |G|^2 pairs pass
+    the cell limit is refused before |G| is evaluated or any element is
+    named.
     """
     label = group.label()
     limits.check_cells(group.radix[0], 2 * group.radix[1], f"{label} x {label}")
     g = w.g
     order = group.order
     names = [group._name(i) for i in range(order)]
-    cx, cy, cz = (
-        np.array([_cell(_u64(f"{seed}|{role}|{name}"), g) for name in names], dtype=np.int64)
-        for role in "XYZ"
-    )
-    # kernel cell x*g*g + y*g + z: its coin limit when the coin decides, else
-    # 0, and whether its value is 1 (or so close that every coin is below it)
+    cx, cy, cz = ([_cell(_u64(f"{seed}|{role}|{name}"), g) for name in names] for role in "XYZ")
+    # kernel cell (x, y, z), at x*g*g + y*g + z: whether every coin is below
+    # its value (1, or within 2^-64 of it), and the 8 big-endian bytes of its
+    # coin limit when the coin decides, else b"" (the pair is not hashed)
     coin_limits = [_coin_limit(v) for plane in w.values for row in plane for v in row]
-    always = np.array([limit == _SCALE for limit in coin_limits], dtype=bool)
-    drawn_limit = np.array([0 if limit == _SCALE else limit for limit in coin_limits], dtype=np.uint64)
-    y_part = cy * g
+    always = [limit == _SCALE for limit in coin_limits]
+    drawn_limit = [limit.to_bytes(8, "big") if 0 < limit < _SCALE else b"" for limit in coin_limits]
+
+    def by_z(cells: list) -> list:
+        """`cells` regrouped for the rows: entry [x][b] is the tuple of the
+        g cells (x, Y(b), z), z = 0 .. g-1, shared by every b of one Y."""
+        runs = [tuple(cells[start : start + g]) for start in range(0, g**3, g)]
+        return [[runs[x * g + y] for y in cy] for x in range(g)]
+
+    always_by_z = by_z(always) if any(always) else None
+    limits_by_z = by_z(drawn_limit)
     tails = [name.encode() for name in names]
 
-    def rows() -> Iterator[np.ndarray]:
-        for a, neg in enumerate(_neg_sum_rows(group)):
-            cells = cx[a] * (g * g) + y_part + cz[neg]
-            limit = drawn_limit[cells]
-            drawn = np.flatnonzero(limit)
-            head = hashlib.sha256(f"{seed}|INC|{names[a]}|".encode())
-            digests = []
-            for b in drawn.tolist():
-                h = head.copy()  # key "<seed>|INC|<a>|<b>"
+    packed = bytearray((order * order + 7) // 8)
+    for a, z_part in _neg_sum_rows(group, cz):
+        # byte b of the row is 1 when the pair (a, b) is included
+        row = bytearray(map(operator.getitem, always_by_z[cx[a]], z_part)) if always_by_z else bytearray(order)
+        head = hashlib.sha256(f"{seed}|INC|{names[a]}|".encode())
+        copy = head.copy
+        for b, limit in enumerate(map(operator.getitem, limits_by_z[cx[a]], z_part)):
+            if limit:
+                h = copy()  # key "<seed>|INC|<a>|<b>"
                 h.update(tails[b])
-                digests.append(h.digest())
-            # each coin is the first 8 of a digest's 32 bytes, big-endian
-            coins = np.frombuffer(b"".join(digests), dtype=">u8")[::4]
-            members = np.concatenate([np.flatnonzero(always[cells]), drawn[coins < limit[drawn]]])
-            yield members + a * order
-
-    return GroupSet.from_packed(group, _pack(rows(), order * order))
+                if h.digest() < limit:
+                    row[b] = 1
+        # OR the row's bits into the bytes that hold bits a*|G| .. (a+1)*|G| - 1
+        low = a * order
+        window = slice(low >> 3, (low + order + 7) >> 3)
+        bits = int(row[::-1].translate(_DIGITS), 2) << (low & 7) | int.from_bytes(packed[window], "little")
+        packed[window] = bits.to_bytes(window.stop - window.start, "little")
+    return GroupSet.from_packed(group, packed)
 
 
 @dataclass

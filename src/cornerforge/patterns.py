@@ -8,8 +8,9 @@ Two kinds of carrier set are supported:
   (``Z/N`` or a vector group ``F_p^n``), counted against corners
   ``(x,y), (x+d,y), (x,y+d)`` with group arithmetic (wraparound).
 
-Both kinds are stored as their packed bits, a read-only little-endian uint8
-array that every consumer reads or fills directly.  Grid patterns are
+Both kinds are stored as their packed bits, little-endian, that every
+consumer reads or fills directly: a grid set as a read-only uint8 numpy
+array, a group set as immutable `bytes`.  Grid patterns are
 counted from the members: every copy x + d*T holds two members on one line
 parallel to t_1 - t_0, so the grid kernel pairs up members line by line and
 tests the other pattern points by bit lookups in the packed bytes.  Group
@@ -24,18 +25,25 @@ digit tuple for F_p^n) is made only by `Group.element` and read only by
 `Group.index`.  The spectrum over all admissible differences d is the
 statistic of interest: its maximum entry is the best "popular difference"
 of the set.
+
+Only the grid code computes with numpy, and it imports numpy in its
+function bodies: group sets, their corner walk and `Group` run on `bytes`
+and ints, so importing this module, or counting a group set, loads no numpy.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Union
-
-import numpy as np
+from itertools import compress
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
 from .contfrac import _is_prime
 from . import limits
+
+# the grid functions import numpy when they run (see above)
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Pattern",
@@ -52,21 +60,37 @@ __all__ = [
 # bit-array helpers
 # ---------------------------------------------------------------------------
 
-_BITS = np.array([1 << b for b in range(8)], dtype=np.uint8)
-
-
 def _pack(flats: Iterable[np.ndarray], nbits: int) -> np.ndarray:
     """The read-only little-endian packed array of `nbits` bits with bit f
     set for every f in every array of `flats` (each in [0, nbits))."""
+    import numpy as np
+
+    bits = np.array([1 << b for b in range(8)], dtype=np.uint8)
     buf = np.zeros((nbits + 7) // 8, dtype=np.uint8)
     for chunk in flats:
-        np.bitwise_or.at(buf, chunk >> 3, _BITS[chunk & 7])
+        np.bitwise_or.at(buf, chunk >> 3, bits[chunk & 7])
     buf.flags.writeable = False
     return buf
 
 
+def _set_bits(flats: Iterable[int], nbits: int) -> bytes:
+    """The little-endian packed bytes of `nbits` bits with bit f set for
+    every f of `flats` (each in [0, nbits)): `_pack` in plain Python."""
+    buf = bytearray((nbits + 7) // 8)
+    bits = (1, 2, 4, 8, 16, 32, 64, 128)  # a lookup is faster than a shift here
+    for f in flats:
+        buf[f >> 3] |= bits[f & 7]
+    return bytes(buf)
+
+
+# ASCII binary digits to the bytes 0 and 1, for itertools.compress
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _popcount(raw: np.ndarray) -> int:
     """Set bits of a packed array, unpacked a chunk of bytes at a time."""
+    import numpy as np
+
     chunks = (raw[start : start + _UNPACK_CHUNK] for start in range(0, raw.size, _UNPACK_CHUNK))
     return sum(int(np.count_nonzero(np.unpackbits(chunk))) for chunk in chunks)
 
@@ -74,6 +98,8 @@ def _popcount(raw: np.ndarray) -> int:
 def _checked_packed(raw: np.ndarray, nbits: int) -> np.ndarray:
     """`raw` frozen read-only, once it is uint8 bytes of exactly `nbits`
     bits with zero tail bits."""
+    import numpy as np
+
     raw = np.asarray(raw)
     if raw.dtype != np.uint8 or raw.shape != ((nbits + 7) // 8,):
         raise ValueError(f"packed set must be {(nbits + 7) // 8} uint8 bytes, got {raw.dtype} of shape {raw.shape}")
@@ -179,6 +205,8 @@ class GridSet:
     __slots__ = ("dim", "side", "_packed")
 
     def __init__(self, dim: int, side: int, members: Iterable[tuple[int, ...]] = ()):
+        import numpy as np
+
         if dim < 1 or side < 1:
             raise ValueError("dim and side must be positive")
         self.dim = dim
@@ -194,6 +222,8 @@ class GridSet:
 
     @classmethod
     def full(cls, dim: int, side: int) -> "GridSet":
+        import numpy as np
+
         return cls.from_cells(np.ones((side,) * dim, dtype=bool))
 
     @classmethod
@@ -204,6 +234,8 @@ class GridSet:
     def from_cells(cls, cells: np.ndarray) -> "GridSet":
         """The set whose membership is the bool array `cells`, with axes
         [x_k .. x_1] (first coordinate fastest, as in the flat index)."""
+        import numpy as np
+
         if len(set(cells.shape)) != 1:  # also refuses a 0-d array
             raise ValueError(f"cells must be a cube, got shape {cells.shape}")
         return cls.from_packed(cells.ndim, cells.shape[0], np.packbits(cells.reshape(-1), bitorder="little"))
@@ -215,6 +247,8 @@ class GridSet:
     def cells(self) -> np.ndarray:
         """The set as a fresh bool array with axes [x_k .. x_1] (first
         coordinate fastest), one byte per cell."""
+        import numpy as np
+
         n, k = self.side, self.dim
         return np.unpackbits(self._packed, count=n**k, bitorder="little").view(bool).reshape((n,) * k)
 
@@ -251,6 +285,8 @@ class GridSet:
         return zip(*((column + 1).tolist() for column in columns))
 
     def __eq__(self, other: object) -> bool:
+        import numpy as np
+
         return (
             isinstance(other, GridSet)
             and (self.dim, self.side) == (other.dim, other.side)
@@ -262,6 +298,8 @@ class GridSet:
 
     def reflect(self, axis: int = 0) -> "GridSet":
         """Negate one coordinate and translate back into range (p -> N+1-p)."""
+        import numpy as np
+
         return GridSet.from_cells(np.flip(self.cells(), axis=self.dim - 1 - axis))
 
 
@@ -278,6 +316,8 @@ def _member_columns(raw: np.ndarray, side: int, dim: int) -> list[np.ndarray]:
     still fits, but any other arithmetic on them must widen first.  The mask
     is unpacked a chunk of bytes at a time, never as a whole bool grid, and
     each chunk's members are written straight into the columns."""
+    import numpy as np
+
     columns = np.empty((dim, _popcount(raw)), dtype=np.int16 if side < 1 << 15 else np.int32)
     end = 0
     for start in range(0, raw.size, _UNPACK_CHUNK):
@@ -296,6 +336,8 @@ def _member_columns(raw: np.ndarray, side: int, dim: int) -> list[np.ndarray]:
 def _line_numbers(keys: Iterable[np.ndarray], size: int) -> np.ndarray:
     """int32 line number of each of `size` members sorted by line: 0 at the
     first, one more wherever any key changes."""
+    import numpy as np
+
     line = np.zeros(size, dtype=np.int32)
     for key in keys:
         line[1:] |= key[1:] != key[:-1]
@@ -328,6 +370,8 @@ def _grid_hits(
     one int32 line number and one int32 survivor per member, and a chunk's
     arrays: about 20 bytes per member on the 3-d corner.
     """
+    import numpy as np
+
     if grid.dim != pattern.dim:
         raise ValueError(f"dimension mismatch: set {grid.dim}, pattern {pattern.dim}")
     if 0 in ds:
@@ -416,6 +460,8 @@ def _grid_hits(
 
 def _grid_counts(grid: GridSet, pattern: Pattern, ds: Sequence[int]) -> dict[int, int]:
     """{d: copies of `pattern` in `grid`} for the distinct d of `ds`, in order."""
+    import numpy as np
+
     counts = dict.fromkeys(ds, 0)
     for slots, _ in _grid_hits(grid, pattern, ds):
         for slot, count in zip(*(a.tolist() for a in np.unique(slots, return_counts=True))):
@@ -532,31 +578,46 @@ class Group:
 
 
 class GroupSet:
-    """Subset of G x G, stored as a grid set is: a read-only little-endian
-    uint8 array whose bit f is the pair with flat index
-    f = index(x) * |G| + index(y), with zero bits past |G|^2.
+    """Subset of G x G, stored as its packed bits in immutable `bytes`:
+    little-endian, bit f is the pair with flat index
+    f = index(x) * |G| + index(y), with zero bits past |G|^2.  The bit layout
+    is a grid set's; only the container differs, so no group-set path needs
+    numpy.
     """
 
     __slots__ = ("group", "_packed")
 
     def __init__(self, group: Group, members: Iterable[tuple] = ()):
         self.group = group
-        flats = np.fromiter(map(self._checked_flat, members), dtype=np.int64)
-        self._packed = _pack([flats], group.order**2)
+        self._packed = _set_bits(map(self._checked_flat, members), group.order**2)
 
     @classmethod
-    def from_packed(cls, group: Group, packed: np.ndarray) -> "GroupSet":
-        """The set whose pair f is bit f of `packed`, taken over and frozen."""
+    def from_packed(cls, group: Group, packed) -> "GroupSet":
+        """The set whose pair f is bit f of `packed`: any bytes-like object
+        (`bytes`, `bytearray`, a uint8 numpy array) of exactly the set's
+        byte count with zero bits past |G|^2, read into `bytes`."""
+        nbits = group.order**2
+        size = (nbits + 7) // 8
+        try:
+            view = memoryview(packed)
+        except TypeError:
+            raise ValueError(f"packed set must be {size} bytes, got {type(packed).__name__}") from None
+        if (view.format, view.shape) != ("B", (size,)):
+            raise ValueError(f"packed set must be {size} bytes, got format {view.format!r} of shape {view.shape}")
+        raw = packed if type(packed) is bytes else view.tobytes()
+        if nbits % 8 and raw[-1] >> (nbits % 8):
+            raise ValueError(f"packed set has bits past its {nbits} cells")
         obj = cls.__new__(cls)
-        obj.group, obj._packed = group, _checked_packed(packed, group.order**2)
+        obj.group, obj._packed = group, raw
         return obj
 
     @classmethod
     def full(cls, group: Group) -> "GroupSet":
-        return cls.from_packed(group, np.packbits(np.ones(group.order**2, dtype=bool), bitorder="little"))
+        nbits = group.order**2
+        return cls.from_packed(group, ((1 << nbits) - 1).to_bytes((nbits + 7) // 8, "little"))
 
-    def packed(self) -> np.ndarray:
-        """The stored read-only bytes, not a copy: bit f is pair f."""
+    def packed(self) -> bytes:
+        """The stored bytes, not a copy: bit f is pair f."""
         return self._packed
 
     def _checked_flat(self, pair) -> int:
@@ -579,16 +640,27 @@ class GroupSet:
         return bool(self._packed[f >> 3] >> (f & 7) & 1)
 
     def __len__(self) -> int:
-        return _popcount(self._packed)
+        return int.from_bytes(self._packed, "little").bit_count()
+
+    def _rows(self) -> Iterator[tuple[int, list[int]]]:
+        """(x, the y with (x, y) a member, ascending) for every index x with
+        a member, in order.  Row x is bits x*|G| .. (x+1)*|G| - 1, read from
+        the bytes that hold it into one int, so the scratch is one row."""
+        order = self.group.order
+        ys, everything = range(order), (1 << order) - 1
+        for x in range(order):
+            low = x * order
+            row = int.from_bytes(self._packed[low >> 3 : (low + order + 7) >> 3], "little") >> (low & 7) & everything
+            if row:
+                # the row's binary digits, lowest first, as 0/1 bytes
+                yield x, list(compress(ys, bin(row)[:1:-1].encode().translate(_BINARY_DIGITS)))
 
     def __iter__(self) -> Iterator[tuple]:
         elems = list(self.group.elements())
-        # flat index x * |G| + y: the first column is y's
-        ys, xs = _member_columns(self._packed, self.group.order, 2)
-        return ((elems[x], elems[y]) for x, y in zip(xs.tolist(), ys.tolist()))
+        return ((elems[x], elems[y]) for x, ys in self._rows() for y in ys)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, GroupSet) and self.group == other.group and np.array_equal(self._packed, other._packed)
+        return isinstance(other, GroupSet) and self.group == other.group and self._packed == other._packed
 
     def __repr__(self) -> str:
         return f"GroupSet({self.group.label()}, size={len(self)})"

@@ -206,6 +206,19 @@ def test_avoidance_report_counts_match_packed_kernel():
     assert report.max_count()[1] == max(oracle.values())
 
 
+def test_verify_of_a_set_without_corners_has_no_classes():
+    avoider = build_corner_avoider(0.25, length=8, q_max=128)
+    empty = GridSet.empty(3, avoider.side)
+    report = verify_corner_avoidance(avoider, empty)
+    assert report.all_ok() and {r[1] for r in report.rows} == {0}
+
+
+def test_distinct_is_np_unique():
+    rng = np.random.default_rng(3)
+    for values in (np.zeros(0, dtype=np.int64), np.array([5]), rng.integers(-40, 40, 300)):
+        assert np.array_equal(avoiders._distinct(values), np.unique(values))
+
+
 def test_verify_consults_exactly_the_transfer_classes(monkeypatch):
     # a kernel with the right counts but the wrong anchors would check the
     # wrong (x - y, d) classes; record every norm verify asks for

@@ -3,6 +3,7 @@ import shlex
 import sys
 import time
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -660,6 +661,27 @@ def test_verify_avoidance_refuses_a_record_that_contradicts_itself(tmp_path, cap
     assert stderr.startswith(f"error: {bad}: malformed record: {message}")
 
 
+BAD_INPUTS = [
+    # (field, value written over the constructed one, message after "malformed record: "); the rules of `_build`
+    ("delta", 7, "need 0 < delta < 1/2, got 7"),
+    ("delta", 0, "need 0 < delta < 1/2, got 0"),
+    ("c", math.inf, "need a finite c > 0, got inf"),
+    ("c", -0.5, "need a finite c > 0, got -0.5"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", BAD_INPUTS, ids=[f"{f}={v}" for f, v, _ in BAD_INPUTS])
+def test_verify_avoidance_refuses_a_delta_or_c_that_construct_refuses(tmp_path, capsys, corner_record, field, value, message):
+    # the derived fields do not read delta or c, so only this check sees them
+    grid, params = corner_record
+    record = json.loads(params.read_text())
+    record[field] = value
+    bad = tmp_path / "bad.params.json"
+    bad.write_text(json.dumps(record, indent=2))  # an infinite c is written as Infinity
+    code, stdout, stderr = run(capsys, "verify", "avoidance", "--set", str(grid), "--params", str(bad))
+    assert (code, stdout, stderr.strip()) == (1, "", f"error: {bad}: malformed record: {message}")
+
+
 def test_verify_avoidance_refuses_a_five_point_record(tmp_path, capsys):
     # a five-point set with its own sidecar is a valid record of the wrong form
     out = tmp_path / "F.set"
@@ -890,6 +912,29 @@ def test_a_directory_for_a_file_exits_1_naming_it(tmp_path, capsys, argv):
     code, stdout, stderr = run(capsys, *(str(paths.get(arg, arg)) for arg in argv))
     assert (code, stdout) == (1, "")
     assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ") and str(directory) in stderr, stderr
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["-o", "stdout"])
+def test_an_unwritable_sidecar_is_refused_before_the_artifact_is_written(tmp_path, capsys, to_file):
+    # the artifact used to be written in full before the sidecar failed
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    out = tmp_path / "s.set"
+    argv = ["construct", "sumfree", "--length", "8", "--params-out", str(directory)]
+    code, stdout, stderr = run(capsys, *argv, *(["-o", str(out)] if to_file else []))
+    assert (code, stdout) == (1, "") and str(directory) in stderr
+    assert sorted(tmp_path.iterdir()) == [directory]
+
+
+def test_an_unwritable_artifact_leaves_no_new_sidecar_and_an_old_one_unchanged(tmp_path, capsys):
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    sidecar = tmp_path / "dir.params.json"
+    code, _, _ = run(capsys, "construct", "sumfree", "--length", "8", "-o", str(directory))
+    assert code == 1 and sorted(tmp_path.iterdir()) == [directory]
+    sidecar.write_text("old\n")
+    code, _, _ = run(capsys, "construct", "sumfree", "--length", "8", "-o", str(directory))
+    assert code == 1 and sidecar.read_text() == "old\n"
 
 
 def test_every_readme_command_parses():

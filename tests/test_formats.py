@@ -566,6 +566,48 @@ def test_readers_agree_with_line_oracle(case):
     assert set(got) == set_text_oracle(text)
 
 
+@st.composite
+def group_set_spellings(draw):
+    """A group set with its canonical text and the same set spelled
+    otherwise: every digit any representative, '\\r\\n' or '\\n' line ends
+    and a comment among the lines; with the chunk size to read them in."""
+    group = draw(st.sampled_from(IO_GROUPS + [Group.zmod(101), Group.vector(11, 2)]))
+    base, _ = group.radix
+    index = st.integers(0, group.order - 1)
+    pairs = draw(st.lists(st.tuples(index, index), min_size=1, max_size=40))
+    gset = GroupSet(group, [(group.element(x), group.element(y)) for x, y in pairs])
+    buf = io.StringIO()
+    write_group_set(buf, gset)
+
+    def spell(i):
+        return ",".join(str(d + base * draw(st.integers(-2, 2))) for d in group._digits(i))
+
+    lines = [f"{spell(x)} {spell(y)}" for x, y in pairs]
+    lines.insert(draw(st.integers(1, len(lines))), "# a comment")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    other = "".join(line + end for line in [f"group {group.label()}", *lines])
+    return gset, buf.getvalue(), other, draw(st.sampled_from([1, 7, 64, formats._CHUNK_CHARS]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_set_spellings())
+def test_group_set_spellings_read_alike_by_both_paths(case):
+    gset, canonical, other, chunk = case
+    strict, original = [], formats._strict_pairs
+
+    def recorded(*args):
+        strict.append(original(*args))
+        return strict[-1]
+
+    with mock.patch.object(formats, "_CHUNK_CHARS", chunk), mock.patch.object(formats, "_strict_pairs", recorded):
+        assert read_group_set(io.StringIO(canonical)) == gset
+        assert strict and None not in strict  # every chunk of canonical text is read in bulk
+        strict.clear()
+        assert read_group_set(io.StringIO(other)) == gset
+        assert None in strict  # the comment's chunk goes line by line
+    assert set(gset) == set_text_oracle(canonical) == set_text_oracle(other.replace("\r", ""))
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 13])
 def test_lines_straddling_chunk_edges(chunk, monkeypatch):
     grid = GridSet(3, 12, [(x, y, (x * y) % 12 + 1) for x in range(1, 13) for y in range(1, 13, 3)])

@@ -2,7 +2,8 @@
 
 The package names its submodules' public objects lazily (PEP 562), and each
 CLI handler imports what it runs, so commands that compute in plain integers
-never load numpy.  numpy is loaded by this test process already, so the
+or bytes never load numpy: group sets among them, which only grids,
+avoiders and `count homs` compute on with numpy.  numpy is loaded by this test process already, so the
 commands run in fresh interpreters.
 """
 
@@ -42,6 +43,8 @@ def inputs(tmp_path_factory):
     assert main(["construct", "behrend", "--length", "64", "-o", str(tmp / "b.set")]) == 0
     (tmp / "w.kern").write_text("2\n1/2 1/4\n0 1\n3/4 1/8\n1 1/2\n")
     (tmp / "g.tp").write_text("tripartite 3\nXY 0 1\nYZ 1 2\nXZ 0 2\n")
+    (tmp / "h.hg").write_text("3 5 3\n0 1 2\n1 2 3\n2 3 4\n")
+    assert main(["construct", "mandache", "--kernel", str(tmp / "w.kern"), "--group", "fp:3:3", "-o", str(tmp / "S.gset")]) == 0
     return tmp
 
 
@@ -66,21 +69,43 @@ NUMPY_FREE = [
     ["verify", "relationfree", "--relation", "1,1,-2", "--set", "b.set"],
     ["verify", "diamondfree", "--graph", "g.tp"],
     ["count", "triforce", "--kernel", "w.kern"],
+    ["construct", "mandache", "--kernel", "w.kern", "--group", "fp:3:3", "--seed", "4", "-o", "S2.gset"],
+    ["count", "spectrum", "--set", "S.gset"],
+    ["count", "density", "--set", "S.gset"],
+    ["report", "mandache", "--kernel", "w.kern", "--group", "zN:9", "--seeds", "0:3"],
 ]
 
 
-@pytest.mark.parametrize("argv", NUMPY_FREE, ids=lambda argv: " ".join(argv[:2]))
+@pytest.mark.parametrize("argv", NUMPY_FREE, ids=lambda argv: " ".join(argv[:2] + argv[3:4]))
 def test_integer_commands_do_not_load_numpy(inputs, argv):
     assert probe(inputs, *argv) == (0, False)
 
 
 def test_a_grid_count_loads_numpy(inputs):
-    # the positive control: the probe does see numpy when a command loads it
+    # the positive controls: the probe does see numpy when a command loads it
     assert probe(inputs, "count", "spectrum", "--set", "b.set", "--pattern", "ap3") == (0, True)
 
 
-# the submodules whose __all__ the package exports; the first four load no numpy
-EXPORTING = ["behrend", "contfrac", "diamond", "hypergraph", "patterns", "avoiders", "mandache"]
+def test_a_hom_count_loads_numpy(inputs):
+    assert probe(inputs, "count", "homs", "--motif", "triforce", "--hypergraph", "h.hg") == (0, True)
+
+
+def test_verify_avoidance_does_not_load_numpy_ma(tmp_path):
+    # a plain np.unique call imports numpy.ma, about 10 ms of start-up
+    argv = ["construct", "corner3d", "--delta", "0.25", "--length", "8", "--q-max", "40", "-o", str(tmp_path / "A.set")]
+    assert main(argv) == 0
+    source = (
+        "import sys\nfrom cornerforge import cli\n"
+        f"code = cli.main(['verify', 'avoidance', '--set', 'A.set', '--params', 'A.set.params.json'])\n"
+        "print(code, 'numpy' in sys.modules, 'numpy.ma' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", source], capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "0 True False", proc.stderr
+
+
+# the submodules whose __all__ the package exports; the first six load no numpy
+EXPORTING = ["behrend", "contfrac", "diamond", "hypergraph", "patterns", "mandache", "avoiders"]
 LOADED = "print(sorted(m for m in sys.modules if m.startswith('cornerforge')), 'numpy' in sys.modules)"
 
 
@@ -102,7 +127,7 @@ def test_importing_cli_from_the_package_loads_only_cli():
 
 
 def test_the_names_of_the_numpy_free_modules_load_no_numpy():
-    names = ", ".join(name for module in EXPORTING[:4] for name in importlib.import_module(f"cornerforge.{module}").__all__)
+    names = ", ".join(name for module in EXPORTING[:6] for name in importlib.import_module(f"cornerforge.{module}").__all__)
     assert fresh(f"import sys\nfrom cornerforge import {names}\nprint('numpy' in sys.modules)") == "False"
 
 

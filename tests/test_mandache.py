@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cornerforge.hypergraph import StepKernel, triforce_weighted
-from cornerforge.mandache import _coin_limit, kernel_fingerprint, mandache_report, sample_mandache
+from cornerforge.mandache import _coin_limit, _neg_sum_rows, kernel_fingerprint, mandache_report, sample_mandache
 from cornerforge.patterns import Group
 from oracles import mandache_oracle
 
@@ -221,7 +221,7 @@ def _digest_cases():
 
 
 def _mask_digest(pairs):
-    return hashlib.sha256(pairs.packed().tobytes()).hexdigest()
+    return hashlib.sha256(pairs.packed()).hexdigest()
 
 
 def _bits(pairs):
@@ -250,6 +250,23 @@ EDGE_GROUPS = (Group.zmod(12), Group.vector(3, 2))
 def _coin(seed, group, a, b):
     key = f"{seed}|INC|{group.format_element(group.element(a))}|{group.format_element(group.element(b))}"
     return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
+
+
+@pytest.mark.parametrize("group", [Group.zmod(1), Group.zmod(2), Group.zmod(7), Group.vector(2, 4), Group.vector(3, 3), Group.vector(5, 2)], ids=Group.label)
+def test_neg_sum_rows_are_every_row_of_the_table_once(group):
+    # rows come in Gray order, each from the one before by slices
+    names = [group.format_element(e) for e in group.elements()]
+    rows = list(_neg_sum_rows(group, names))
+    assert sorted(a for a, _ in rows) == list(range(group.order))
+    for a, row in rows:
+        ea = group.element(a)
+        assert row == [group.format_element(_neg_sum(group, ea, eb)) for eb in group.elements()], a
+
+
+def _neg_sum(group, x, y):
+    if group.kind == "zN":
+        return -(x + y)
+    return tuple(-(u + v) for u, v in zip(x, y))
 
 
 def test_coin_limits_at_the_edges_match_the_oracle():

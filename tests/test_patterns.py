@@ -131,15 +131,35 @@ def test_group_set_crosses_bytes_only_through_packed():
     pairs = GroupSet(group, [((0, 0), (2, 2)), ((1, 2), (0, 1))])
     again = GroupSet.from_packed(group, pairs.packed())
     assert again == pairs and set(again) == set(pairs)
-    assert pairs.packed() is pairs.packed() and not pairs.packed().flags.writeable
+    assert pairs.packed() is pairs.packed() and type(pairs.packed()) is bytes
     # same bytes, other group: Z/9 pairs (0, 8) and (7, 3) are flat 8 and 66 too
     same_bytes = GroupSet(Group.zmod(9), [(0, 8), (7, 3)])
-    assert np.array_equal(same_bytes.packed(), pairs.packed()) and same_bytes != pairs
+    assert same_bytes.packed() == pairs.packed() and same_bytes != pairs
     assert again != GroupSet(group, [((0, 0), (2, 2))])
     full = GroupSet.full(group)
-    assert full.packed().tobytes() == b"\xff" * 10 + b"\x01" and len(full) == 81
+    assert full.packed() == b"\xff" * 10 + b"\x01" and len(full) == 81
     with pytest.raises(ValueError, match="bits past its 81 cells"):
         GroupSet.from_packed(group, np.full(11, 255, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray, lambda raw: np.frombuffer(raw, dtype=np.uint8)])
+def test_group_set_from_packed_checks_any_bytes_like(kind):
+    group = Group.vector(3, 2)  # 81 pairs in 11 bytes; bit 80 is the last
+    raw = bytes(10) + b"\x01"
+    pairs = GroupSet.from_packed(group, kind(raw))
+    assert pairs == GroupSet(group, [((2, 2), (2, 2))]) and type(pairs.packed()) is bytes
+    for bad in (bytes(10), bytes(12)):
+        with pytest.raises(ValueError, match="packed set must be 11 bytes"):
+            GroupSet.from_packed(group, kind(bad))
+    with pytest.raises(ValueError, match="bits past its 81 cells"):
+        GroupSet.from_packed(group, kind(bytes(10) + b"\x02"))
+
+
+def test_group_set_from_packed_refuses_what_is_not_bytes():
+    group = Group.vector(3, 2)
+    for bad in (np.zeros(11, dtype=np.int64), np.zeros((1, 11), dtype=np.uint8), list(bytes(11)), 0):
+        with pytest.raises(ValueError, match="packed set must be 11 bytes"):
+            GroupSet.from_packed(group, bad)
 
 
 def test_cells_view_and_back():
