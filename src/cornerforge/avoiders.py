@@ -40,7 +40,7 @@ import numpy as np
 from .behrend import behrend_qc_free, behrend_sum_free, qc_coefficients
 from .contfrac import AlphaSequence, build_alpha_hard, frac_floors, verify_alpha
 from . import limits
-from .patterns import GridSet, Pattern, _grid_hits, _member_columns, _pack, grid_differences
+from .patterns import GridSet, Pattern, _grid_hits, _member_blocks, _pack, grid_differences
 
 __all__ = [
     "f_quad",
@@ -628,11 +628,18 @@ def lift_avoider(pattern: Pattern, base: GridSet) -> GridSet:
             shape = [1] * (k - 1)
             shape[k - 2 - i] = side
             inner = inner + c ** (i + 1) * np.arange(1, side + 1, dtype=np.int64).reshape(shape)
-        base_cells = base.cells()
-        cells = np.empty((side,) * k, dtype=bool)
-        for xk in range(1, side + 1):
-            cells[xk - 1] = base_cells[inner + c**k * xk]
-        return GridSet.from_cells(cells)
+        # 8 x_k-slabs are 8 * side^(k-1) bits, side^(k-1) whole bytes, so the
+        # packed blocks fill the mask in order, each cell one bit test of
+        # the base's packed bytes
+        raw = base.packed()
+        out = np.empty((side**k + 7) // 8, dtype=np.uint8)
+        for x0 in range(0, side, 8):
+            xk = np.arange(x0 + 1, min(x0 + 8, side) + 1, dtype=np.int64).reshape((-1,) + (1,) * (k - 1))
+            flats = inner + c**k * xk
+            block = np.packbits(raw[flats >> 3] >> (flats & 7).astype(np.uint8) & 1, axis=None, bitorder="little")
+            at = x0 * side ** (k - 1) // 8
+            out[at : at + block.size] = block
+        return GridSet.from_packed(k, side, out)
     if base.dim != 3:
         raise ValueError("lifting expects a 1-d or 3-d base set")
     if _affine_rank(pattern.points) < 3:
@@ -656,14 +663,13 @@ def lift_avoider(pattern: Pattern, base: GridSet) -> GridSet:
         if _rank(columns + [unit]) == len(columns) + 1:
             columns.append(unit)
     matrix = np.array(columns, dtype=np.int64).T  # image = matrix @ point
-    members = _member_columns(padded.packed(), n, k)
-    if not members[0].size:
+    if not base.packed().any():
         raise ValueError("cannot place the image of an empty base set")
 
     def images():
-        """The images of the 1-based members, _LIFT_ROWS columns at a time."""
-        for start in range(0, members[0].size, _LIFT_ROWS):
-            yield matrix @ (np.stack([m[start : start + _LIFT_ROWS] for m in members]).astype(np.int64) + 1)
+        """The images of the 1-based members, one block of lines at a time."""
+        for _, members in _member_blocks(padded.packed(), n, k):
+            yield matrix @ (np.stack(members).astype(np.int64) + 1)
 
     # two passes: the image's bounding box, then its bits in that box
     bounds = np.array([(img.min(axis=1), img.max(axis=1)) for img in images()])
@@ -672,10 +678,6 @@ def lift_avoider(pattern: Pattern, base: GridSet) -> GridSet:
     limits.check_cells(side, k, f"lifted grid of side {side} in dim {k}")
     weights = side ** np.arange(k, dtype=np.int64)
     return GridSet.from_packed(k, side, _pack((weights @ (img - lows[:, None]) for img in images()), side**k))
-
-
-# members mapped at a time by the general-position lift
-_LIFT_ROWS = 1 << 16
 
 
 def _tile_bits(raw: np.ndarray, nbits: int, count: int) -> np.ndarray:

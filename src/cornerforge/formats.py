@@ -265,16 +265,21 @@ def read_grid_set(fh: TextIO, path: str = "<grid set>") -> GridSet:
 
 
 def write_grid_set(fh: TextIO, grid: GridSet) -> None:
+    """Write `grid` as text: the header, then one line of 1-based
+    coordinates per member, in flat-index order.  The members are read one
+    block of whole lines at a time (`patterns._member_blocks`) and written
+    `_WRITE_ROWS` at a time, so the scratch is one block and one batch of
+    text, not one set."""
     import numpy as np
 
-    from .patterns import _member_columns
+    from .patterns import _member_blocks
 
     fh.write(f"dim {grid.dim} side {grid.side}\n")
-    columns = _member_columns(grid.packed(), grid.side, grid.dim)
     line = "%d " * (grid.dim - 1) + "%d\n"
-    for start in range(0, columns[0].size, _WRITE_ROWS):
-        block = np.stack([column[start : start + _WRITE_ROWS] for column in columns], axis=1) + 1
-        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+    for _, columns in _member_blocks(grid.packed(), grid.side, grid.dim):
+        for start in range(0, columns[0].size, _WRITE_ROWS):
+            rows = np.stack([column[start : start + _WRITE_ROWS] for column in columns], axis=1) + 1
+            fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def read_residues(fh: TextIO, path: str = "<residue set>") -> tuple[frozenset, int]:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
 from .contfrac import _is_prime
@@ -281,8 +281,8 @@ class GridSet:
         return _popcount(self._packed)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        columns = _member_columns(self._packed, self.side, self.dim)
-        return zip(*((column + 1).tolist() for column in columns))
+        blocks = _member_blocks(self._packed, self.side, self.dim)
+        return chain.from_iterable(zip(*((column + 1).tolist() for column in columns)) for _, columns in blocks)
 
     def __eq__(self, other: object) -> bool:
         import numpy as np
@@ -303,34 +303,69 @@ class GridSet:
         return GridSet.from_cells(np.flip(self.cells(), axis=self.dim - 1 - axis))
 
 
-# bytes of the packed mask unpacked at a time while reading the members, and
-# member pairs tested at a time; both bound the kernel's scratch arrays
+# bytes of the packed mask unpacked at a time by the member reader, members
+# per block of whole first-axis lines (a block ends with the line of its
+# _BLOCK_MEMBERS-th member), and member pairs tested at a time: together
+# they bound the scratch of every reader of a grid set's members
 _UNPACK_CHUNK = 1 << 13
-_PAIR_CHUNK = 1 << 15
+_BLOCK_MEMBERS = 1 << 15
+_PAIR_CHUNK = 1 << 14
 
 
-def _member_columns(raw: np.ndarray, side: int, dim: int) -> list[np.ndarray]:
-    """0-based coordinate columns (first coordinate first) of the members of
-    the packed mask `raw`, in flat-index order.  The columns are int16 when
+def _member_blocks(raw: np.ndarray, side: int, dim: int) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+    """Yield (flats, columns) of the members of the packed mask `raw`, in
+    flat-index order, a block of whole first-axis lines (runs of `side`
+    consecutive flat indices) at a time: the one reader of a grid set's
+    members.
+
+    flats holds the members' int64 flat indices and columns their 0-based
+    coordinates, first coordinate first.  The columns are int16 when
     side < 2**15 and int32 otherwise: a value is below side, so value + 1
     still fits, but any other arithmetic on them must widen first.  The mask
-    is unpacked a chunk of bytes at a time, never as a whole bool grid, and
-    each chunk's members are written straight into the columns."""
+    is unpacked `_UNPACK_CHUNK` bytes at a time, never as a whole bool grid.
+    A block ends with the line that holds its `_BLOCK_MEMBERS`-th member, so
+    it has fewer than _BLOCK_MEMBERS + side members, and only the last block
+    has fewer than _BLOCK_MEMBERS.
+    """
     import numpy as np
 
-    columns = np.empty((dim, _popcount(raw)), dtype=np.int16 if side < 1 << 15 else np.int32)
-    end = 0
+    dtype = np.int16 if side < 1 << 15 else np.int32
+    nbits = side**dim
+
+    def block(flats: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        columns, rest = [], flats
+        for _ in range(dim):
+            columns.append((rest % side).astype(dtype))
+            rest = rest // side
+        return flats, columns
+
+    # the members read and not yet yielded, and the flat index at which a
+    # block ends: the last block's end, or the next one's once its
+    # _BLOCK_MEMBERS-th member is read
+    pending: list[np.ndarray] = []
+    held = cut = 0
     for start in range(0, raw.size, _UNPACK_CHUNK):
         bits = np.unpackbits(raw[start : start + _UNPACK_CHUNK], bitorder="little")
         # flatnonzero is several times faster on bool than on uint8
         flats = np.flatnonzero(bits.view(bool))
         flats += 8 * start
-        here = slice(end, end + flats.size)
-        end += flats.size
-        for column in columns:
-            column[here] = flats % side
-            flats //= side
-    return list(columns)
+        pending.append(flats)
+        held += flats.size
+        read = min(8 * (start + _UNPACK_CHUNK), nbits)
+        while held >= _BLOCK_MEMBERS and read >= cut:
+            flats = np.concatenate(pending)
+            cut = (int(flats[_BLOCK_MEMBERS - 1]) // side + 1) * side
+            if cut > read:  # that line is not whole yet
+                pending = [flats]
+                break
+            at = int(np.searchsorted(flats, cut))
+            # the rest is copied, so no reference outlives its block
+            head, pending, held = flats[:at], [flats[at:].copy()], flats.size - at
+            del flats
+            yield block(head)
+            del head
+    if held:
+        yield block(np.concatenate(pending))
 
 
 def _line_numbers(keys: Iterable[np.ndarray], size: int) -> np.ndarray:
@@ -353,22 +388,26 @@ def _grid_hits(
     set for every pattern point t, where d = ds[slot]; the d of `ds` are
     distinct.  Every copy is yielded once, in no fixed order.
 
-    The members are read once into coordinate columns and sorted into lines
-    parallel to v = t_1 - t_0, ordered by their position along the line.
-    When v = e_1 (as in the corner) flat order already is that order, so
-    nothing is sorted and the first column is the position.  A copy with
-    difference d holds two members y = x + d*t_0 and y + d*v on one line, d
-    positions apart, so the kernel walks same-line pairs by rank gap
-    g = 1, 2, ...: a pair at gap g has its line-mates at gap g - 1 too, so
-    only the survivors of g - 1 are tried.  The survivors are filtered a
-    chunk at a time and compacted in place, so no gap builds an array as
-    long as the member list.  Each pair serves d and -d at once; the other
-    pattern points are then tested on the candidates by bounds and by a bit
-    test on the packed mask.  The work is the sum over lines of c(c - 1)
-    for c members on a line, against |T| * N^k per d for scanning the grid:
-    cheap on sparse sets, slow on dense ones.  The scratch is the columns,
-    one int32 line number and one int32 survivor per member, and a chunk's
-    arrays: about 20 bytes per member on the 3-d corner.
+    The members come from `_member_blocks` and are put into lines parallel
+    to v = t_1 - t_0, ordered by their position along the line.  When
+    v = e_1 (as in the corner) flat order already is that order and a line
+    never crosses a block, so each block is walked on its own, nothing is
+    sorted and the first column is the position; any other v gathers every
+    block and sorts once.  A copy with difference d holds two members
+    y = x + d*t_0 and y + d*v on one line, d positions apart, so the kernel
+    walks same-line pairs by rank gap g = 1, 2, ...: a pair at gap g has its
+    line-mates at gap g - 1 too, so only the survivors of g - 1 are tried.
+    The survivors are filtered a chunk at a time and compacted in place, so
+    no gap builds an array as long as the block.  Each pair serves d and -d
+    at once; every other pattern point x + d*t of a candidate is the flat
+    offset d * sum_j w_j N^j from the candidate's own flat index, with
+    w = t - t_0, after a bounds check of the coordinates w moves, and is
+    tested by one bit lookup in the packed mask.  The work is the sum over
+    lines of c(c - 1) for c members on a line, against |T| * N^k per d for
+    scanning the grid: cheap on sparse sets, slow on dense ones.  On the
+    e_1 path the scratch is one block's flat indices, columns, int32 line
+    numbers and int32 survivors, a chunk's arrays and 8 bytes per
+    difference: a bound per block, not per member of the set.
     """
     import numpy as np
 
@@ -384,24 +423,37 @@ def _grid_hits(
         if abs(d) <= reach:
             slot_of[d + reach] = i
     raw = grid.packed()
-    cols = _member_columns(raw, n, k)
+    blocks = _member_blocks(raw, n, k)
     t0 = pattern.points[0]
     offsets = [tuple(t[j] - t0[j] for j in range(k)) for t in pattern.points[1:]]
 
-    def anchors(y: np.ndarray, d) -> np.ndarray:
+    def anchors(cols: list[np.ndarray], y: np.ndarray, d) -> np.ndarray:
         return np.stack([cols[j][y].astype(np.int64) - d * t0[j] + 1 for j in range(k)], axis=1)
 
     if not offsets:  # one point: every member anchors a copy for every d
-        every = np.arange(cols[0].size)
-        for i, d in enumerate(ds):
-            yield np.full(every.size, i), anchors(every, d)
+        for _, cols in blocks:
+            every = np.arange(cols[0].size)
+            for i, d in enumerate(ds):
+                yield np.full(every.size, i), anchors(cols, every, d)
         return
     v, rest = offsets[0], offsets[1:]
-    if v == (1,) + (0,) * (k - 1):
-        # flat order is line order: a line is a run of equal x_2..x_k, and
-        # x_1 rises along it
-        pos, line = cols[0], _line_numbers(cols[1:], cols[0].size)
-    else:
+    # each other point w: the axes it moves and its flat offset per unit d
+    moves = [([j for j in range(k) if w[j]], w, sum(w[j] * n**j for j in range(k))) for w in rest]
+
+    def lines() -> Iterator[tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]]:
+        """(flats, columns, position, line number) of runs of whole lines,
+        each sorted by line, then by position."""
+        if v == (1,) + (0,) * (k - 1):
+            # flat order is line order: a line is a run of equal x_2..x_k,
+            # and x_1 rises along it
+            for flats, cols in blocks:
+                yield flats, cols, cols[0], _line_numbers(cols[1:], flats.size)
+                del flats, cols  # before the next block is read
+            return
+        gathered = list(blocks)
+        flats = np.concatenate([f for f, _ in gathered] or [np.zeros(0, dtype=np.int64)])
+        cols = [np.concatenate([c[j] for _, c in gathered] or [np.zeros(0, dtype=np.int16)]) for j in range(k)]
+        del gathered
         # member = base + pos*v with base fixed on its line; the line's key
         # is base, whose axis-a coordinate is the residue r
         a = next(j for j in range(k) if v[j])
@@ -413,49 +465,55 @@ def _grid_hits(
             keys.append(r)
         del col, r
         order = np.lexsort([pos] + keys)  # by line, then by position
-        pos = pos[order]
-        cols = [c[order] for c in cols]
         line = _line_numbers((key[order] for key in keys), order.size)
+        flats, cols, pos = flats[order], [c[order] for c in cols], pos[order]
         del order, keys
+        yield flats, cols, pos, line
 
-    def copies(y: np.ndarray, d: np.ndarray):
+    # when every d within reach has a slot, as in a spectrum, a candidate's
+    # slot is looked up only once it is a copy
+    every_d = bool((np.delete(slot_of, reach) >= 0).all())
+
+    def copies(flats: np.ndarray, cols: list[np.ndarray], y: np.ndarray, d: np.ndarray):
         """The (slots, anchors) of the candidates y with y + d*v a member."""
-        slot = slot_of[d + reach]
-        keep = slot >= 0
-        y, d, slot = y[keep], d[keep], slot[keep]
-        for w in rest:
+        if not every_d:
+            keep = slot_of[d + reach] >= 0
+            y, d = y[keep], d[keep]
+        for axes, w, step in moves:
+            # a coordinate below 0 reads as a huge unsigned one, so one
+            # comparison bounds it
             keep = np.ones(y.size, dtype=bool)
-            flat = np.zeros(y.size, dtype=np.int64)
-            for j in reversed(range(k)):
-                c = cols[j][y] + d * w[j]
-                keep &= (c >= 0) & (c < n)
-                flat = flat * n + c
-            flat = flat[keep]
+            for j in axes:
+                keep &= (cols[j][y] + d * w[j]).view(np.uint64) < n
+            flat = (flats[y] + d * step)[keep]
             keep[keep] = (raw[flat >> 3] >> (flat & 7).astype(np.uint8) & 1).astype(bool)
-            y, d, slot = y[keep], d[keep], slot[keep]
-        return slot, anchors(y, d)
+            y, d = y[keep], d[keep]
+        return slot_of[d + reach], anchors(cols, y, d)
 
-    # the pairs (low, low + gap) still to try: every member at gap 1, then
-    # the survivors of the gap before, written back over `low` in order
-    low = np.arange(max(pos.size - 1, 0), dtype=np.int32)
-    gap = 1
-    while low.size:
-        kept = 0
-        for start in range(0, low.size, _PAIR_CHUNK):
-            y = low[start : start + _PAIR_CHUNK]
-            y = y[y < pos.size - gap]
-            y = y[line[y + gap] == line[y]]
-            # positions rise along a line, so a pair past reach stays past it
-            dist = pos[y + gap] - pos[y]
-            near = dist <= reach
-            y, dist = y[near], dist[near].astype(np.int64)
-            for chunk in (copies(y, dist), copies(y + gap, -dist)):  # d and -d
-                if chunk[0].size:
-                    yield chunk
-            low[kept : kept + y.size] = y
-            kept += y.size
-        low = low[:kept]
-        gap += 1
+    for flats, cols, pos, line in lines():
+        # the pairs (low, low + gap) still to try: every member at gap 1,
+        # then the survivors of the gap before, written back over `low` in
+        # order
+        low = np.arange(max(pos.size - 1, 0), dtype=np.int32)
+        gap = 1
+        while low.size:
+            kept = 0
+            for start in range(0, low.size, _PAIR_CHUNK):
+                y = low[start : start + _PAIR_CHUNK]
+                y = y[y < pos.size - gap]
+                y = y[line[y + gap] == line[y]]
+                # positions rise along a line, so a pair past reach stays past it
+                dist = pos[y + gap] - pos[y]
+                near = dist <= reach
+                y, dist = y[near], dist[near].astype(np.int64)
+                for chunk in (copies(flats, cols, y, dist), copies(flats, cols, y + gap, -dist)):  # d and -d
+                    if chunk[0].size:
+                        yield chunk
+                low[kept : kept + y.size] = y
+                kept += y.size
+            low = low[:kept]
+            gap += 1
+        del flats, cols, pos, line, low  # before the next block is read
 
 
 def _grid_counts(grid: GridSet, pattern: Pattern, ds: Sequence[int]) -> dict[int, int]:

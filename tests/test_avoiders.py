@@ -1,6 +1,8 @@
+import io
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +26,7 @@ from cornerforge.avoiders import (
 )
 from cornerforge.contfrac import build_alpha_hard, verify_alpha
 from cornerforge.patterns import GridSet, Pattern, count_pattern, grid_differences, spectrum
-from cornerforge import avoiders, limits
+from cornerforge import avoiders, formats, limits, patterns
 from oracles import corner3_count_oracle, corner3_transfer_classes, lift_oracle
 
 
@@ -217,6 +219,44 @@ def test_distinct_is_np_unique():
     rng = np.random.default_rng(3)
     for values in (np.zeros(0, dtype=np.int64), np.array([5]), rng.integers(-40, 40, 300)):
         assert np.array_equal(avoiders._distinct(values), np.unique(values))
+
+
+def test_grid_member_readers_scratch_is_one_block():
+    # a random 3-d set of about 300k members at the benchmark's N = 257,
+    # built before tracing starts, so no peak counts the mask.  Scratch is
+    # the traced peak less what the call leaves held (its result, or the
+    # text in the StringIO).  2.5 MB bounds one block of _BLOCK_MEMBERS
+    # members, one chunk of _PAIR_CHUNK pairs and one batch of written text:
+    # it does not grow with the set.  Reading every member into whole-set
+    # columns first, the kernel (spectrum and verify) took 6.0 MB here.
+    avoider = build_corner_avoider(0.25, length=8, q_max=500)
+    n = avoider.side
+    rng = np.random.default_rng(7)
+    cells = np.zeros(n**3, dtype=bool)
+    cells[rng.integers(0, n**3, 305_000)] = True
+    grid = GridSet.from_cells(cells.reshape((n,) * 3))
+    del cells
+    assert n == 257 and len(grid) > 300_000
+    budget = 2_500_000
+
+    def write() -> io.StringIO:
+        buf = io.StringIO()
+        formats.write_grid_set(buf, grid)
+        return buf
+
+    for name, call in (
+        ("spectrum", lambda: spectrum(grid, Pattern.corner(3))),
+        ("verify", lambda: verify_corner_avoidance(avoider, grid)),
+        ("write", write),
+    ):
+        tracemalloc.start()
+        try:
+            kept = call()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del kept
+        assert peak - held < budget, (name, peak - held)
 
 
 def test_verify_consults_exactly_the_transfer_classes(monkeypatch):
@@ -421,6 +461,20 @@ def test_lift_via_projection_beyond_the_digit_base():
     _assert_lift_matches_oracle(pat, base)
 
 
+@pytest.mark.parametrize("lifted_side", [1, 7, 8, 9, 16, 17])
+@pytest.mark.parametrize("pattern", [Pattern.one_dim(range(5)), Pattern(2, ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0)))], ids=str)
+def test_lift_via_projection_at_slab_edges(pattern, lifted_side):
+    # the lift fills its mask eight x_k-slabs at a time: sides around
+    # multiples of 8 end on a whole or a partial group of slabs
+    c, _, _ = pattern_projection(pattern)
+    weight = sum(c ** (i + 1) for i in range(pattern.dim))
+    rng = random.Random(lifted_side)
+    base_side = weight * lifted_side + rng.randrange(weight)
+    base = GridSet(1, base_side, [(v,) for v in range(1, base_side + 1) if rng.random() < 0.3])
+    assert lift_avoider(pattern, base).side == lifted_side
+    _assert_lift_matches_oracle(pattern, base)
+
+
 LIFT_3D_PATTERNS = [
     # padding: the pattern holds the unit corner {0, e1, e2, e3}
     Pattern.corner(4),
@@ -443,6 +497,19 @@ def test_lift_of_3d_base_matches_lift_oracle(pattern, seed):
     cube = list(itertools.product(range(1, side + 1), repeat=3))
     base = GridSet(3, side, rng.sample(cube, rng.randint(1, len(cube))))
     _assert_lift_matches_oracle(pattern, base)
+
+
+@pytest.mark.parametrize("block", ["one line", "two lines"])
+@pytest.mark.parametrize("pattern", LIFT_3D_PATTERNS[4:], ids=str)  # general position
+def test_general_position_lift_across_block_edges(pattern, block, monkeypatch):
+    # a full base: every line of the padded set holds members, so "one
+    # line" puts a block edge between every two lines; the oracle reads the
+    # base's members before the blocks shrink
+    base = GridSet.full(3, 3)
+    side, members = lift_oracle(pattern.points, list(base), base.dim, base.side)
+    monkeypatch.setattr(patterns, "_BLOCK_MEMBERS", {"one line": 1, "two lines": base.side + 1}[block])
+    monkeypatch.setattr(patterns, "_UNPACK_CHUNK", 1)
+    assert lift_avoider(pattern, base) == GridSet(pattern.dim, side, members)
 
 
 def test_tile_bits_matches_tiling_the_cells():

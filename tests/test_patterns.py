@@ -20,7 +20,7 @@ from cornerforge.patterns import (
     count_pattern,
     spectrum,
 )
-from oracles import _group_by_hand, corner_count_oracle, grid_count_oracle, group_corner_oracle
+from oracles import _group_by_hand, corner_count_oracle, grid_count_oracle, group_corner_oracle, set_text_oracle
 
 
 def random_grid(rng, dim, side, density=0.4):
@@ -320,8 +320,8 @@ def grid_pattern_cases(draw, step=None):
     return GridSet(dim, side, members), Pattern(dim, tuple(points)), d
 
 
-def check_kernel_against_oracle(g, pat, d):
-    members = set(g)
+def check_kernel_against_oracle(g, pat, d, members=None):
+    members = set(g) if members is None else members
     assert count_pattern(g, pat, d) == grid_count_oracle(members, g.dim, g.side, pat.points, d)
     assert spectrum(g, pat).counts == {
         e: grid_count_oracle(members, g.dim, g.side, pat.points, e) for s in range(1, g.side) for e in (s, -s)
@@ -340,15 +340,60 @@ def test_grid_kernel_matches_oracle_along_the_first_axis(case):
     check_kernel_against_oracle(*case)
 
 
+def shrink_blocks(mp, block, side):
+    """Make the member reader's blocks "one line" (a block ends with the line
+    of its first member, so a block edge falls between every two lines that
+    hold members) or "two lines" (side + 1 members, more than one line
+    holds, so every block but the last spans two lines or more), and unpack
+    the mask one byte at a time, so unpack edges fall inside lines."""
+    mp.setattr(patterns, "_BLOCK_MEMBERS", {"one line": 1, "two lines": side + 1}[block])
+    mp.setattr(patterns, "_UNPACK_CHUNK", 1)
+
+
+@pytest.mark.parametrize("block", [None, "one line", "two lines"])
 @pytest.mark.parametrize("chunk", [1, 3])
 @settings(max_examples=100, deadline=None)
 @given(case=st.one_of(grid_pattern_cases(), grid_pattern_cases(step=1), grid_pattern_cases(step=-1)))
-def test_grid_kernel_matches_oracle_across_pair_chunk_edges(chunk, case):
-    # sides of at most 8 never fill a chunk of 2**15 pairs; chunks of 1 and
-    # 3 put a chunk edge inside every gap's survivors
+def test_grid_kernel_matches_oracle_across_pair_chunk_edges(chunk, block, case):
+    # sides of at most 8 never fill a chunk of 2**14 pairs or a block of
+    # 2**15 members; chunks of 1 and 3 put a chunk edge inside every gap's
+    # survivors, and the shrunk blocks put block edges between lines.  The
+    # oracle's members are read before the blocks shrink.
+    g = case[0]
+    members = set(g)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(patterns, "_PAIR_CHUNK", chunk)
-        check_kernel_against_oracle(*case)
+        if block:
+            shrink_blocks(mp, block, g.side)
+        check_kernel_against_oracle(*case, members=members)
+
+
+@pytest.mark.parametrize("block", ["one line", "two lines"])
+@settings(max_examples=100, deadline=None)
+@given(case=grid_pattern_cases())
+def test_member_reader_round_trips_across_block_edges(block, case):
+    g = case[0]
+    # membership by bit lookup, which does not go through the reader
+    cells = [p[::-1] for p in itertools.product(range(1, g.side + 1), repeat=g.dim) if p[::-1] in g]
+    with pytest.MonkeyPatch.context() as mp:
+        shrink_blocks(mp, block, g.side)
+        lines = [np.unique(flats // g.side).tolist() for flats, _ in patterns._member_blocks(g.packed(), g.side, g.dim)]
+        listed = list(g)
+        buf = io.StringIO()
+        write_grid_set(buf, g)
+    # blocks are whole lines, in order; "one line" puts a block edge
+    # between every two lines with members
+    flat_lines = sorted({sum((c - 1) * g.side**j for j, c in enumerate(p[1:])) for p in cells})
+    assert [line for block_lines in lines for line in block_lines] == flat_lines
+    if block == "one line":
+        assert all(len(block_lines) == 1 for block_lines in lines)
+    else:
+        assert all(len(block_lines) >= 2 for block_lines in lines[:-1])
+    assert listed == cells  # flat order: first coordinate fastest
+    text = buf.getvalue()
+    assert set_text_oracle(text) == set(cells)
+    assert text == f"dim {g.dim} side {g.side}\n" + "".join(" ".join(map(str, p)) + "\n" for p in cells)
+    assert read_grid_set(io.StringIO(text)) == g
 
 
 def test_kernel_sorts_only_off_the_first_axis(monkeypatch):
