@@ -14,7 +14,6 @@ from cornerforge import (
     GroupSet,
     Pattern,
     corner_count_group,
-    count_pattern,
     spectrum,
 )
 
@@ -22,9 +21,10 @@ from cornerforge import (
 
 full = GridSet.full(3, 6)
 corner = Pattern.corner(3)
+counts = spectrum(full, corner).counts
 print("full [6]^3 cube, corner counts by difference:")
 for d in range(1, 6):
-    print(f"  d={d}: {count_pattern(full, corner, d)} (= (6-d)^3)")
+    print(f"  d={d}: {counts[d]} (= (6-d)^3)")
 
 rng = random.Random(0)
 half = GridSet(3, 6, [p for p in full if rng.random() < 0.5])
@@ -37,9 +37,10 @@ print(f"  total corner count over all d: {spec.total()}")
 # patterns need not contain the origin; anchors may sit outside the grid
 window = Pattern.one_dim([5, 7])
 line = GridSet(1, 12, [(5,), (7,), (10,), (12,)])
+counts = spectrum(line, window).counts
 print(f"\n1-d pattern {{5,7}} in {sorted(x for (x,) in line)}:")
 for d in (1, -1):
-    print(f"  d={d}: {count_pattern(line, window, d)} anchors")
+    print(f"  d={d}: {counts[d]} anchors")
 
 # --- groups (wraparound corners) ---------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Triforce and k-force densities, weighted kernels, and pair pruning.
+"""Triforce and k-force densities and weighted kernels.
 
 The triforce is the 3-uniform hypergraph on vertices {1,2,3,1',2',3'} with
 edges 123', 12'3, 1'23; the k-force is its k-uniform analogue.  Its
@@ -16,7 +16,6 @@ from cornerforge import (
     edge_density,
     hom_count,
     kforce_density,
-    prune_sparse_pairs,
     triforce_motif,
     triforce_weighted,
 )
@@ -62,13 +61,3 @@ for _ in range(200):
     ratio = triforce_weighted(w) / w.mean() ** 4
     worst = ratio if worst is None else min(worst, ratio)
 print(f"  smallest integral/mean^4 ratio over 200 random kernels: {float(worst):.3f} (never below 1)")
-
-# --- pruning ------------------------------------------------------------------
-
-core = Hypergraph.complete(3, 5).edges  # every pair lies in 3 triples
-pendant = frozenset({frozenset({3, 4, 5})})
-h = Hypergraph(3, 6, core | pendant)
-result = prune_sparse_pairs(h, Fraction(1, 4))  # delete pairs in <= 1.5 triples
-print(f"\npruning at threshold delta*n = 1.5:")
-print(f"  kept {len(result.pruned.edges)} of {len(h.edges)} triples, deleted {sorted(map(sorted, result.deleted))}")
-print(f"  link graph has {len(result.link_edges)} surviving pairs")

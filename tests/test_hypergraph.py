@@ -16,7 +16,6 @@ from cornerforge.hypergraph import (
     hom_count,
     kforce_density,
     kforce_motif,
-    prune_sparse_pairs,
     single_edge_motif,
     triforce_motif,
     triforce_weighted,
@@ -27,7 +26,6 @@ from oracles import (
     corner_hypergraph_oracle,
     hom_count_dfs_oracle,
     hom_count_oracle,
-    prune_oracle,
     triforce_weighted_oracle,
 )
 
@@ -258,40 +256,6 @@ def test_kernel_validation():
         StepKernel(1, [[[Fraction(3, 2)]]])
     with pytest.raises(ValueError):
         StepKernel(0, [])
-
-
-def test_prune_trivial_cases():
-    single = SINGLE_TRIPLE
-    result = prune_sparse_pairs(single, Fraction(1, 2))  # threshold 1.5 >= 1
-    assert not result.pruned.edges and result.deleted == (frozenset({0, 1, 2}),)
-    complete6 = Hypergraph.complete(3, 6)
-    kept = prune_sparse_pairs(complete6, Fraction(1, 6))  # pairs in 4 > 1 triples
-    assert kept.pruned.edges == complete6.edges
-    assert len(kept.link_edges) == 15
-
-
-def test_prune_threshold_is_inclusive():
-    # pair degree exactly delta * n must be deleted
-    h = Hypergraph(3, 4, frozenset({frozenset({0, 1, 2}), frozenset({0, 1, 3})}))
-    result = prune_sparse_pairs(h, Fraction(1, 2))  # delta*n = 2, pair {0,1} has 2
-    assert not result.pruned.edges
-
-
-def test_prune_fixpoint_and_deletion_bound():
-    rng = random.Random(12)
-    for _ in range(8):
-        n = rng.randint(4, 10)
-        h = random_hypergraph(rng, 3, n, density=rng.uniform(0.2, 0.7))
-        delta = Fraction(rng.randint(1, 3), rng.randint(4, 9))
-        if not 0 < delta < 1:
-            continue
-        result = prune_sparse_pairs(h, delta)
-        assert result.pruned.edges == prune_oracle(h, delta, rng)
-        assert len(result.deleted) <= Fraction(n * (n - 1), 2) * delta * n
-        # surviving covered pairs really do exceed the threshold
-        for pair in result.link_edges:
-            cover = sum(1 for e in result.pruned.edges if pair <= e)
-            assert cover > delta * n
 
 
 def test_motif_shapes():

@@ -17,7 +17,7 @@ from cornerforge.patterns import (
     GroupSet,
     Pattern,
     corner_count_group,
-    count_pattern,
+    grid_differences,
     spectrum,
 )
 from oracles import _group_by_hand, corner_count_oracle, grid_count_oracle, group_corner_oracle, set_text_oracle
@@ -32,24 +32,15 @@ def random_grid(rng, dim, side, density=0.4):
     return GridSet(dim, side, pts)
 
 
-def test_full_grid_corner_counts():
-    g = GridSet.full(3, 4)
-    assert count_pattern(g, Pattern.corner(3), 1) == 27
-    for d in (1, 2, 3, -1, -2, -3):
-        assert count_pattern(g, Pattern.corner(3), d) == (4 - abs(d)) ** 3
-
-
 def test_empty_set_counts_zero():
     g = GridSet.empty(3, 5)
-    assert count_pattern(g, Pattern.corner(3), 2) == 0
+    assert spectrum(g, Pattern.corner(3)).counts[2] == 0
 
 
 def test_rejects_bad_inputs():
     g = GridSet.full(2, 3)
-    with pytest.raises(ValueError):
-        count_pattern(g, Pattern.corner(3), 1)
-    with pytest.raises(ValueError):
-        count_pattern(g, Pattern.corner(2), 0)
+    with pytest.raises(ValueError, match="^dimension mismatch: set 2, pattern 3$"):
+        spectrum(g, Pattern.corner(3))
     with pytest.raises(ValueError):
         Pattern(2, ((0, 0), (0, 0)))
     with pytest.raises(ValueError):
@@ -60,7 +51,7 @@ def test_anchor_may_fall_outside_the_grid():
     # pattern without the origin: anchors contribute without being members
     g = GridSet(1, 10, [(5,), (7,)])
     pat = Pattern.one_dim([5, 7])
-    assert count_pattern(g, pat, 1) == 1  # x = 0, outside [1,10]
+    assert spectrum(g, pat).counts[1] == 1  # x = 0, outside [1,10]
 
 
 def test_random_grids_match_oracle():
@@ -81,7 +72,7 @@ def test_random_grids_match_oracle():
         )
         d = rng.choice([x for x in range(-side + 1, side) if x])
         expected = grid_count_oracle(set(g), dim, side, pat.points, d)
-        assert count_pattern(g, pat, d) == expected
+        assert spectrum(g, pat).counts[d] == expected
 
 
 def test_reflection_symmetry():
@@ -92,10 +83,7 @@ def test_reflection_symmetry():
         g = random_grid(rng, dim, side)
         pat = Pattern.corner(dim)
         axis = rng.randrange(dim)
-        d = rng.choice([x for x in range(-side + 1, side) if x])
-        assert count_pattern(g, pat, d) == count_pattern(
-            g.reflect(axis), pat.reflect(axis), d
-        )
+        assert spectrum(g, pat).counts == spectrum(g.reflect(axis), pat.reflect(axis)).counts
 
 
 def test_grid_set_round_trip():
@@ -303,7 +291,7 @@ def test_spectrum_total_matches_oracle_sum():
 
 @st.composite
 def grid_pattern_cases(draw, step=None):
-    """(set, pattern, d) on a side of at most 8; with `step` = 1 or -1 the
+    """(set, pattern) on a side of at most 8; with `step` = 1 or -1 the
     first two pattern points differ by step * e_1, the kernel's unsorted
     and sorted line orders."""
     dim = draw(st.integers(1, 3))
@@ -316,16 +304,24 @@ def grid_pattern_cases(draw, step=None):
     if step is not None:
         second = (points[0][0] + step,) + points[0][1:]
         points = [points[0], second] + [p for p in points[1:] if p != second]
-    d = draw(st.integers(-(side + 2), side + 2).filter(bool))
-    return GridSet(dim, side, members), Pattern(dim, tuple(points)), d
+    return GridSet(dim, side, members), Pattern(dim, tuple(points))
 
 
-def check_kernel_against_oracle(g, pat, d, members=None):
+def check_kernel_against_oracle(g, pat, members=None):
     members = set(g) if members is None else members
-    assert count_pattern(g, pat, d) == grid_count_oracle(members, g.dim, g.side, pat.points, d)
     assert spectrum(g, pat).counts == {
         e: grid_count_oracle(members, g.dim, g.side, pat.points, e) for s in range(1, g.side) for e in (s, -s)
     }
+    # each hit names one copy by its slot and the flat of its member
+    # x + d*t_0: a real copy, and no copy twice, so right counts cannot
+    # hide wrong flats
+    ds, t0 = grid_differences(g.side), pat.points[0]
+    hits = [hit for slots, flats in patterns._grid_hits(g, pat) for hit in zip(slots.tolist(), flats.tolist())]
+    assert len(set(hits)) == len(hits)
+    for slot, flat in hits:
+        d = ds[slot]
+        x = [flat // g.side**j % g.side + 1 - d * t0[j] for j in range(g.dim)]
+        assert all(tuple(x[j] + d * t[j] for j in range(g.dim)) in members for t in pat.points), (d, x)
 
 
 @settings(max_examples=200, deadline=None)
@@ -417,8 +413,9 @@ def test_one_dim_sets_at_the_narrow_column_edge(side):
     assert list(g) == members
     ds = (1, -1, 2, side - 2, 2 - side, side - 1, 1 - side)
     for pat in (Pattern.corner(1), Pattern.corner(1).reflect(0), Pattern.arithmetic(3)):
+        counts = spectrum(g, pat).counts
         for d in ds:
-            assert count_pattern(g, pat, d) == grid_count_oracle(members, 1, side, pat.points, d)
+            assert counts[d] == grid_count_oracle(members, 1, side, pat.points, d)
     # every d with a copy is among ds: the spectrum's other entries are 0
     expected = {d: c for d in ds if (c := grid_count_oracle(members, 1, side, Pattern.corner(1).points, d))}
     assert {d: c for d, c in spectrum(g, Pattern.corner(1)).counts.items() if c} == expected

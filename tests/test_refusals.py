@@ -12,6 +12,7 @@ import argparse
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cornerforge import avoiders, behrend, cli, contfrac, diamond, hypergraph, patterns
@@ -24,6 +25,11 @@ def _record_with(field, change):
     record = ALPHA.record()
     record[field] = change(record[field])
     return contfrac.AlphaSequence.from_json(json.dumps(record))
+
+
+def _verify_another_side():
+    avoider = avoiders.build_corner_avoider(0.3, length=4, q_max=80)
+    avoiders.verify_corner_avoidance(avoider, GridSet(3, avoider.side + 1))
 
 
 def _qc(points):
@@ -39,8 +45,13 @@ REFUSALS = [
     ("Pattern dim 0", lambda: Pattern(0, ((),)), ValueError, "pattern dimension must be positive"),
     ("Pattern with no point", lambda: Pattern(1, ()), ValueError, "pattern needs at least one point"),
     ("Pattern point of another dim", lambda: Pattern(1, ((0, 1),)), ValueError, "pattern point has wrong dimension"),
+    ("Pattern repeated point", lambda: Pattern(1, ((0,), (0,))), ValueError, "pattern points must be distinct"),
     ("GridSet dim 0", lambda: GridSet(0, 1), ValueError, "dim and side must be positive"),
     ("GridSet side 0", lambda: GridSet(1, 0), ValueError, "dim and side must be positive"),
+    ("GridSet.from_cells of a non-cube", lambda: GridSet.from_cells(np.zeros((1, 2), dtype=bool)), ValueError,
+     "cells must be a cube, got shape (1, 2)"),
+    ("corner_count_group at the identity", lambda: patterns.corner_count_group(GroupSet(Group.zmod(2)), 0), ValueError,
+     "difference d must not be the identity"),
     ("Group.zmod(0)", lambda: Group.zmod(0), ValueError, "modulus must be positive"),
     ("IntervalSystem L 0", lambda: avoiders.IntervalSystem(0, 2, frozenset()), ValueError,
      "need L >= 1 and Theta1 >= 2"),
@@ -52,12 +63,17 @@ REFUSALS = [
      lambda: avoiders.check_five_point_transfer(avoiders.IntervalSystem(1, 2, frozenset()), Fraction(1, 3),
                                                 (0, 1, 2, 3, 4), 1, 1),
      ValueError, "interval system was built for a different pattern"),
+    ("verify_corner_avoidance of another side", _verify_another_side, ValueError, "expected a side-"),
+    ("pattern_projection of 4 points", lambda: avoiders.pattern_projection(Pattern.corner(3)), ValueError,
+     "projection route needs at least 5 points"),
     ("lift to a side too small", lambda: avoiders.lift_avoider(Pattern.arithmetic(5), GridSet(1, 1)), ValueError,
      "base side too small for even one lifted layer"),
     ("lift a 2-d base", lambda: avoiders.lift_avoider(Pattern.corner(3), GridSet(2, 2)), ValueError,
      "lifting expects a 1-d or 3-d base set"),
     ("lift a flat 5-point pattern from a 3-d base", lambda: avoiders.lift_avoider(Pattern.arithmetic(5), GridSet(3, 2)),
      ValueError, "use a 1-d base for a 5-point pattern of low affine dimension"),
+    ("lift a flat 4-point pattern from a 3-d base", lambda: avoiders.lift_avoider(Pattern.arithmetic(4), GridSet(3, 2)),
+     ValueError, "pattern has fewer than 5 points and affine dimension below 3"),
     ("lift an empty base in general position",
      lambda: avoiders.lift_avoider(Pattern(3, ((0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2))), GridSet(3, 2)),
      ValueError, "cannot place the image of an empty base set"),
@@ -78,10 +94,6 @@ REFUSALS = [
     ("kforce_motif(1)", lambda: hypergraph.kforce_motif(1), ValueError, "k-force needs k >= 2"),
     ("kforce_density with n 0", lambda: hypergraph.kforce_density(hypergraph.Hypergraph(2, 0, frozenset())), ValueError,
      "density of an empty vertex set is undefined"),
-    ("prune_sparse_pairs k 2", lambda: hypergraph.prune_sparse_pairs(hypergraph.Hypergraph(2, 2, frozenset()), "1/2"),
-     ValueError, "pair pruning is defined for 3-uniform hypergraphs"),
-    ("prune_sparse_pairs delta 0", lambda: hypergraph.prune_sparse_pairs(hypergraph.Hypergraph(3, 3, frozenset()), 0),
-     ValueError, "delta must lie strictly between 0 and 1"),
     ("DigitSphereParams dim 0", lambda: behrend.DigitSphereParams(1, 0, 2, 1, 0), ValueError,
      "dimension must be at least 1"),
     ("DigitSphereParams base below headroom", lambda: behrend.DigitSphereParams(1, 1, 1, 2, 0), ValueError,
