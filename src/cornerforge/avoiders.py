@@ -33,14 +33,26 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .behrend import behrend_qc_free, behrend_sum_free, qc_coefficients
 from .contfrac import AlphaSequence, build_alpha_hard, frac_floors, verify_alpha
 from . import limits
-from .patterns import GridSet, Pattern, _grid_hits, _member_blocks, _pack, grid_differences
+from .patterns import (
+    GridSet,
+    Pattern,
+    _grid_hits,
+    _member_blocks,
+    _pack,
+    _set_bits,
+    _set_flats,
+    grid_differences,
+)
+
+# numpy is imported in the function bodies that compute with it, so the
+# five-point avoider and the 1-d lift load none
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "f_quad",
@@ -201,8 +213,7 @@ class _AvoiderBase:
         return GridSet.from_packed(self.dim, self.side, self._fill())
 
 
-# statistic values decided at a time by both avoiders; a multiple of 8, so
-# the five-point avoider's packed chunks are whole bytes
+# statistic values decided at a time by both avoiders
 _DECIDE_CHUNK = 1 << 15
 
 
@@ -222,6 +233,8 @@ class CornerAvoider(_AvoiderBase):
         return f_quad(x, y, z)
 
     def _fill(self) -> np.ndarray:
+        import numpy as np
+
         n = self.side
         vmax = f_quad(n, 1, 1)  # largest attainable |statistic|
         lookup = np.empty(2 * vmax + 1, dtype=bool)  # membership of v at v + vmax
@@ -237,12 +250,20 @@ class CornerAvoider(_AvoiderBase):
         base = diff * (xs + ys) + vmax  # the index at z = 0
         out = np.empty((n**3 + 7) // 8, dtype=np.uint8)
         # 8 z-slabs are 8n^2 bits, n^2 whole bytes, so the packed blocks fill
-        # the mask in order without an n^3 bool cube
+        # the mask in order without an n^3 bool cube.  Each slab's indices
+        # go into one reused array: a fresh n^2 int32 temporary per z (264 KB
+        # at N = 257) is past malloc's default mmap threshold, so, depending
+        # on what the heap freed before, every z could map it and page-fault
+        # it in anew (30,621 minor faults in `construct corner3d`, against
+        # 6,646 with the array reused)
         slabs = np.empty((8, n, n), dtype=bool)  # [z, y, x], as GridSet.cells
+        index = np.empty((n, n), dtype=np.int32)
         for z0 in range(0, n, 8):
             zs = range(z0 + 1, min(z0 + 9, n + 1))
             for i, z in enumerate(zs):
-                slabs[i] = lookup[base - 2 * z * diff]
+                np.multiply(diff, -2 * z, out=index)
+                index += base
+                np.take(lookup, index, out=slabs[i])
             block = np.packbits(slabs[: len(zs)], axis=None, bitorder="little")
             at = z0 * n * n // 8
             out[at : at + block.size] = block
@@ -265,14 +286,15 @@ class FivePointAvoider(_AvoiderBase):
         (x,) = point if isinstance(point, tuple) else (point,)
         return x * x
 
-    def _fill(self) -> np.ndarray:
+    def _fill(self) -> bytes:
         n = self.side
-        out = np.empty((n + 7) // 8, dtype=np.uint8)
-        for x0 in range(0, n, _DECIDE_CHUNK):
-            squares = [x * x for x in range(x0 + 1, min(x0 + _DECIDE_CHUNK, n) + 1)]
-            block = np.packbits(np.array(self.system.decide_values(self.alpha, squares), dtype=bool), bitorder="little")
-            out[x0 // 8 : x0 // 8 + block.size] = block
-        return out
+
+        def members() -> Iterable[int]:
+            for x0 in range(0, n, _DECIDE_CHUNK):
+                squares = [x * x for x in range(x0 + 1, min(x0 + _DECIDE_CHUNK, n) + 1)]
+                yield from itertools.compress(range(x0, n), self.system.decide_values(self.alpha, squares))
+
+        return _set_bits(members(), n)
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +498,8 @@ class AvoidanceReport:
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct entries of `values`, ascending: np.unique's answer
     without its import of numpy.ma, which a plain np.unique call makes."""
+    import numpy as np
+
     values = np.sort(values)
     first = np.ones(values.size, dtype=bool)
     first[1:] = values[1:] != values[:-1]
@@ -493,6 +517,8 @@ def verify_corner_avoidance(avoider: CornerAvoider, grid: GridSet) -> AvoidanceR
     2*(n1-n2)*d*p/q at most 3/L).  The per-d count is compared with the
     14 N^3 / L ceiling.  `grid` must be a side-N 3-d set.
     """
+    import numpy as np
+
     if not isinstance(avoider, CornerAvoider):
         raise ValueError(f"corner avoidance is certified for form {CornerAvoider.form!r}, not {avoider.form!r}")
     n = avoider.side
@@ -505,6 +531,7 @@ def verify_corner_avoidance(avoider: CornerAvoider, grid: GridSet) -> AvoidanceR
     counts = np.zeros(len(ds), dtype=np.int64)
     classes = [np.zeros(0, dtype=np.int64)]
     for slots, flats in _grid_hits(grid, Pattern.corner(3)):
+        slots, flats = np.asarray(slots), np.asarray(flats)  # from either route
         counts += np.bincount(slots, minlength=len(ds))
         # t_0 is the origin, so a corner's flat is its anchor's, and
         # n1 - n2 is flats % n - flats // n % n
@@ -582,7 +609,8 @@ def lift_avoider(pattern: Pattern, base: GridSet) -> GridSet:
     Occurrences of the pattern in the lifted set map to occurrences in the
     base (both maps are linear, so they commute with dilation), which is how
     the base's avoidance carries over.  A lifted grid past the cell limit
-    is refused before it is allocated.
+    is refused before it is allocated.  The 1-d lift runs in plain Python
+    (`_lift_flats`), the 3-d lift on numpy.
     """
     k = pattern.dim
     if base.dim == 1:
@@ -592,27 +620,11 @@ def lift_avoider(pattern: Pattern, base: GridSet) -> GridSet:
         if side < 1:
             raise ValueError("base side too small for even one lifted layer")
         limits.check_cells(side, k, f"lifted grid of side {side} in dim {k}")
-        # phi(x) - 1 over axes [x_{k-1} .. x_1]: the 0-based base cell of each
-        # point, less its x_k term, which each row below adds
-        inner = np.full((side,) * (k - 1), -1, dtype=np.int64)
-        for i in range(k - 1):
-            shape = [1] * (k - 1)
-            shape[k - 2 - i] = side
-            inner = inner + c ** (i + 1) * np.arange(1, side + 1, dtype=np.int64).reshape(shape)
-        # 8 x_k-slabs are 8 * side^(k-1) bits, side^(k-1) whole bytes, so the
-        # packed blocks fill the mask in order, each cell one bit test of
-        # the base's packed bytes
-        raw = base.packed()
-        out = np.empty((side**k + 7) // 8, dtype=np.uint8)
-        for x0 in range(0, side, 8):
-            xk = np.arange(x0 + 1, min(x0 + 8, side) + 1, dtype=np.int64).reshape((-1,) + (1,) * (k - 1))
-            flats = inner + c**k * xk
-            block = np.packbits(raw[flats >> 3] >> (flats & 7).astype(np.uint8) & 1, axis=None, bitorder="little")
-            at = x0 * side ** (k - 1) // 8
-            out[at : at + block.size] = block
-        return GridSet.from_packed(k, side, out)
+        return GridSet.from_packed(k, side, _set_bits(_lift_flats(base, c, k, side), side**k))
     if base.dim != 3:
         raise ValueError("lifting expects a 1-d or 3-d base set")
+    import numpy as np
+
     if _affine_rank(pattern.points) < 3:
         if len(pattern.points) >= 5:
             raise ValueError("use a 1-d base for a 5-point pattern of low affine dimension")
@@ -634,7 +646,7 @@ def lift_avoider(pattern: Pattern, base: GridSet) -> GridSet:
         if _rank(columns + [unit]) == len(columns) + 1:
             columns.append(unit)
     matrix = np.array(columns, dtype=np.int64).T  # image = matrix @ point
-    if not base.packed().any():
+    if not len(base):
         raise ValueError("cannot place the image of an empty base set")
 
     def images():
@@ -651,10 +663,31 @@ def lift_avoider(pattern: Pattern, base: GridSet) -> GridSet:
     return GridSet.from_packed(k, side, _pack((weights @ (img - lows[:, None]) for img in images()), side**k))
 
 
-def _tile_bits(raw: np.ndarray, nbits: int, count: int) -> np.ndarray:
-    """`count` copies of the first `nbits` bits of the packed array `raw`,
+def _lift_flats(base: GridSet, c: int, k: int, side: int) -> Iterator[int]:
+    """The flat indices of the points x of [side]^k whose phi(x) =
+    sum_i c^(i+1) x_i is a member of the 1-d `base`, in plain Python.  The
+    members are grouped by their residue mod c^k, so for each x_1 .. x_(k-1)
+    only the members m congruent to the rest of phi are tried, each giving
+    x_k = (m - rest) / c^k when that lies in [1, side]."""
+    top, last = c**k, side ** (k - 1)
+    by_residue: dict[int, list[int]] = {}
+    for f in _set_flats(base.packed()):
+        by_residue.setdefault((f + 1) % top, []).append(f + 1)  # 1-based, as phi
+    for head in itertools.product(range(1, side + 1), repeat=k - 1):  # x_1 .. x_(k-1)
+        rest = sum(c ** (i + 1) * x for i, x in enumerate(head))
+        flat = sum((x - 1) * side**i for i, x in enumerate(head))
+        for m in by_residue.get(rest % top, ()):
+            x = (m - rest) // top
+            if 1 <= x <= side:
+                yield flat + (x - 1) * last
+
+
+def _tile_bits(raw, nbits: int, count: int) -> np.ndarray:
+    """`count` copies of the first `nbits` bits of the packed bytes `raw`,
     end to end, packed.  Eight copies are 8 * nbits bits, whole bytes, so
     the output is that block repeated, then the copies left over."""
-    bits = np.unpackbits(raw, count=nbits, bitorder="little")
+    import numpy as np
+
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=nbits, bitorder="little")
     eight = np.packbits(np.tile(bits, 8), bitorder="little")
     return np.concatenate([np.tile(eight, count // 8), np.packbits(np.tile(bits, count % 8), bitorder="little")])

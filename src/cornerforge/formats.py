@@ -25,16 +25,19 @@ Grid and group sets in the canonical form the writers emit are parsed in
 bulk, a chunk of text at a time: grid text with numpy, group text through a
 dict of the group's canonical element names.  Text in any other spelling
 goes through the per-line reader, which yields the same set and gives every
-diagnostic.  Only the grid-set readers and writers load numpy; the group
-set, residue, hypergraph, kernel, graph and spectrum formats run without it.
+diagnostic.  A grid-set body that ends within its first chunk goes
+through the per-line reader whole, without numpy, and the grid-set writer
+writes a set of few members in plain Python (by `patterns._numpy_pays`);
+only larger grid sets load numpy.  The group set, residue, hypergraph,
+kernel, graph and spectrum formats never do.
 """
 
 from __future__ import annotations
 
-import csv
 import operator
 from fractions import Fraction
-from itertools import chain
+from functools import partial
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
@@ -78,7 +81,8 @@ class ParseError(ValueError):
 # scratch arrays stay far below the mask they fill
 _CHUNK_CHARS = 1 << 13
 
-# members written at a time by the grid-set writer
+# members written at a time by the grid-set writer, and rows by the
+# spectrum writers
 _WRITE_ROWS = 1 << 13
 
 
@@ -124,11 +128,17 @@ def _header(fh: TextIO, path: str) -> tuple[int, list[tuple[int, str]], Iterator
     return lineno, _tokens(header), lines
 
 
-def _line_chunks(fh: TextIO) -> Iterator[str]:
-    """The rest of `fh` in pieces of about _CHUNK_CHARS characters, each
-    ending in '\\n'; a last line without one gets it."""
+def _pieces(fh: TextIO) -> Iterator[str]:
+    """The rest of `fh`, read _CHUNK_CHARS characters at a time."""
+    return iter(partial(fh.read, _CHUNK_CHARS), "")
+
+
+def _line_chunks(pieces: Iterable[str]) -> Iterator[str]:
+    """The text of `pieces` (see _pieces) cut after a '\\n' in each piece
+    that has one, so every chunk ends in '\\n'; a last line without one
+    gets it."""
     tail: list[str] = []
-    while piece := fh.read(_CHUNK_CHARS):
+    for piece in pieces:
         cut = piece.rfind("\n") + 1
         if cut:
             yield "".join(tail) + piece[:cut]
@@ -204,15 +214,18 @@ def _strict_pairs(text: str, x_flat: dict[bytes, int], y_flat: dict[bytes, int])
 
 
 def _read_flats(
-    fh: TextIO, lineno: int, strict: Callable[[str], Optional[Sequence[int]]], flat_of_line: Callable[[int, str], int]
+    pieces: Iterable[str],
+    lineno: int,
+    strict: Callable[[str], Optional[Sequence[int]]],
+    flat_of_line: Callable[[int, str], int],
 ) -> Iterator[Sequence[int]]:
-    """The flat indices of the set lines after the header, which is line
-    `lineno`, one sequence per chunk.  strict(text) parses a chunk in strict
-    form in bulk and returns None for any other chunk; that chunk goes line
-    by line through flat_of_line(lineno, line), which raises the ParseError
-    of a bad line, so every input reads as the per-line reader alone would
-    read it."""
-    for text in _line_chunks(fh):
+    """The flat indices of the set lines in `pieces`, the text after the
+    header, which is line `lineno`, one sequence per chunk.  strict(text)
+    parses a chunk in strict form in bulk and returns None for any other
+    chunk; that chunk goes line by line through flat_of_line(lineno, line),
+    which raises the ParseError of a bad line, so every input reads as the
+    per-line reader alone would read it."""
+    for text in _line_chunks(pieces):
         flats = strict(text)
         if flats is None:
             lines = enumerate(text.split("\n")[:-1], start=lineno + 1)
@@ -249,9 +262,11 @@ def _grid_header(fh: TextIO, path: str) -> tuple[int, int, int, list[tuple[int, 
 
 
 def read_grid_set(fh: TextIO, path: str = "<grid set>") -> GridSet:
-    import numpy as np
-
-    from .patterns import GridSet, _pack
+    """The grid set in `fh`.  A body that ends within the first
+    _CHUNK_CHARS read goes through the per-line reader alone, in plain
+    Python; a longer one is parsed in bulk with numpy where it is in strict
+    form."""
+    from .patterns import GridSet, _pack, _set_bits
 
     lineno, dim, side, _, _ = _grid_header(fh, path)
     weights = [side**j for j in range(dim)]
@@ -259,23 +274,34 @@ def read_grid_set(fh: TextIO, path: str = "<grid set>") -> GridSet:
     def flat_of_line(lineno: int, line: str) -> int:
         return sum((c - 1) * w for c, w in zip(_grid_point(path, lineno, line, dim, side), weights))
 
+    pieces = _pieces(fh)
+    first = next(pieces, "")
+    if len(first) < _CHUNK_CHARS:
+        flats = _read_flats([first], lineno, lambda text: None, flat_of_line)
+        return GridSet.from_packed(dim, side, _set_bits(chain.from_iterable(flats), side**dim))
+    import numpy as np
+
     seps = b" " * (dim - 1) + b"\n"
-    flats = _read_flats(fh, lineno, lambda text: _strict_flats(text, seps, 1, side, weights), flat_of_line)
+    flats = _read_flats(chain([first], pieces), lineno, lambda text: _strict_flats(text, seps, 1, side, weights), flat_of_line)
     return GridSet.from_packed(dim, side, _pack((np.asarray(chunk, dtype=np.int64) for chunk in flats), side**dim))
 
 
 def write_grid_set(fh: TextIO, grid: GridSet) -> None:
     """Write `grid` as text: the header, then one line of 1-based
-    coordinates per member, in flat-index order.  The members are read one
-    block of whole lines at a time (`patterns._member_blocks`) and written
-    `_WRITE_ROWS` at a time, so the scratch is one block and one batch of
-    text, not one set."""
-    import numpy as np
-
-    from .patterns import _member_blocks
+    coordinates per member, in flat-index order.  A set of few members
+    (`patterns._numpy_pays`) is written in plain Python, at once.  A larger
+    one is read one block of whole lines at a time
+    (`patterns._member_blocks`) and written `_WRITE_ROWS` members at a time,
+    so the scratch is one block and one batch of text, not one set."""
+    from .patterns import _member_blocks, _numpy_pays
 
     fh.write(f"dim {grid.dim} side {grid.side}\n")
     line = "%d " * (grid.dim - 1) + "%d\n"
+    if not _numpy_pays(len(grid)):
+        fh.write("".join([line % point for point in grid]))
+        return
+    import numpy as np
+
     for _, columns in _member_blocks(grid.packed(), grid.side, grid.dim):
         for start in range(0, columns[0].size, _WRITE_ROWS):
             rows = np.stack([column[start : start + _WRITE_ROWS] for column in columns], axis=1) + 1
@@ -346,7 +372,7 @@ def read_group_set(fh: TextIO, path: str = "<group set>") -> GroupSet:
     names = [group._name(i).encode() for i in range(order)]
     x_flat = {name: i * order for i, name in enumerate(names)}
     y_flat = {name: i for i, name in enumerate(names)}
-    flats = _read_flats(fh, lineno, lambda text: _strict_pairs(text, x_flat, y_flat), flat_of_line)
+    flats = _read_flats(_pieces(fh), lineno, lambda text: _strict_pairs(text, x_flat, y_flat), flat_of_line)
     return GroupSet.from_packed(group, _set_bits(chain.from_iterable(flats), order * order))
 
 
@@ -477,20 +503,27 @@ def write_tripartite(fh: TextIO, graph: TripartiteGraph) -> None:
 
 
 def write_spectrum_csv(fh: TextIO, spec: Spectrum) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["d", "count"])
-    for key, count in spec.rows():
-        writer.writerow([key, count])
+    """The bytes `csv.writer` writes for a "d,count" header and one row per
+    difference, joined `_WRITE_ROWS` rows at a time: a key text holds
+    digits, '-' and ',' (`Spectrum.rows`), so only a key with a comma is
+    quoted."""
+    rows = spec.rows()
+    fh.write("d,count\r\n")
+    while batch := [f'"{key}",{count}\r\n' if "," in key else f"{key},{count}\r\n" for key, count in islice(rows, _WRITE_ROWS)]:
+        fh.write("".join(batch))
 
 
 def write_spectrum_json(fh: TextIO, spec: Spectrum) -> None:
     """The bytes `json.dump` writes with indent=2 for {"counts": {key:
-    count}, "total", "max_d", "max_count"}, written a row at a time."""
+    count}, "total", "max_d", "max_count"}, the counts joined `_WRITE_ROWS`
+    rows at a time; a key text holds digits, '-' and ',' (`Spectrum.rows`),
+    which JSON takes unescaped."""
     best = spec.max_entry()
+    rows = spec.rows()
     fh.write('{\n  "counts": {')
     lead = "\n    "
-    for key, count in spec.rows():
-        fh.write(f"{lead}{encode_basestring_ascii(key)}: {count}")
+    while batch := [f'"{key}": {count}' for key, count in islice(rows, _WRITE_ROWS)]:
+        fh.write(lead + ",\n    ".join(batch))
         lead = ",\n    "
     fh.write("}" if lead == "\n    " else "\n  }")
     max_d = "null" if best is None else encode_basestring_ascii(str(best[0]))

@@ -9,8 +9,9 @@ Two kinds of carrier set are supported:
   ``(x,y), (x+d,y), (x,y+d)`` with group arithmetic (wraparound).
 
 Both kinds are stored as their packed bits, little-endian, that every
-consumer reads or fills directly: a grid set as a read-only uint8 numpy
-array, a group set as immutable `bytes`.  Grid patterns are
+consumer reads or fills directly: a grid set as a read-only `memoryview`
+(of `bytes`, or of the numpy array that filled it), a group set as
+immutable `bytes`.  Grid patterns are
 counted from the members: every copy x + d*T holds two members on one line
 parallel to t_1 - t_0, so the grid kernel pairs up members line by line,
 for every difference 0 < |d| < N in one pass, and tests the other pattern
@@ -27,19 +28,23 @@ digit tuple for F_p^n) is made only by `Group.element` and read only by
 statistic of interest: its maximum entry is the best "popular difference"
 of the set.
 
-Only the grid code computes with numpy, and it imports numpy in its
-function bodies: group sets, their corner walk and `Group` run on `bytes`
-and ints, so importing this module, or counting a group set, loads no numpy.
+numpy is imported only in function bodies, and only where it computes:
+group sets, their corner walk and `Group` run on `bytes` and ints, grid-set
+iteration and popcount run on ints, and the grid kernel picks its numpy
+route or a plain-Python route from an exact count of the work it is about
+to do (`_numpy_pays`), so importing this module, counting a group set or
+counting a small grid set loads no numpy.
 """
 
 from __future__ import annotations
 
 import operator
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import compress
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
-from .contfrac import _is_prime
 from . import limits
 
 # the grid functions import numpy when they run (see above)
@@ -87,26 +92,40 @@ def _set_bits(flats: Iterable[int], nbits: int) -> bytes:
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _popcount(raw: np.ndarray) -> int:
-    """Set bits of a packed array, unpacked a chunk of bytes at a time."""
-    import numpy as np
+def _set_flats(raw) -> Iterator[int]:
+    """The indices of the set bits of the packed bytes `raw`, ascending, in
+    plain Python: `_UNPACK_CHUNK` bytes at a time are read into one int,
+    whose binary digits, lowest first, select from the chunk's indices."""
+    for start in range(0, len(raw), _UNPACK_CHUNK):
+        chunk = int.from_bytes(raw[start : start + _UNPACK_CHUNK], "little")
+        if chunk:
+            digits = bin(chunk)[:1:-1].encode().translate(_BINARY_DIGITS)
+            yield from compress(range(8 * start, 8 * start + len(digits)), digits)
 
-    chunks = (raw[start : start + _UNPACK_CHUNK] for start in range(0, raw.size, _UNPACK_CHUNK))
-    return sum(int(np.count_nonzero(np.unpackbits(chunk))) for chunk in chunks)
 
-
-def _checked_packed(raw: np.ndarray, nbits: int) -> np.ndarray:
-    """`raw` frozen read-only, once it is uint8 bytes of exactly `nbits`
-    bits with zero tail bits."""
-    import numpy as np
-
-    raw = np.asarray(raw)
-    if raw.dtype != np.uint8 or raw.shape != ((nbits + 7) // 8,):
-        raise ValueError(f"packed set must be {(nbits + 7) // 8} uint8 bytes, got {raw.dtype} of shape {raw.shape}")
-    if nbits % 8 and raw[-1] >> (nbits % 8):
+def _checked_packed(raw, nbits: int) -> memoryview:
+    """A read-only view of `raw`, once it is exactly the bytes of `nbits`
+    bits with zero tail bits.  A contiguous uint8 numpy array is taken over
+    and frozen, not copied; any other writable bytes-like object is copied
+    into `bytes`."""
+    size = (nbits + 7) // 8
+    try:
+        view = memoryview(raw)
+    except TypeError:
+        raise ValueError(f"packed set must be {size} uint8 bytes, got {type(raw).__name__}") from None
+    if (view.format, view.shape) != ("B", (size,)):
+        raise ValueError(f"packed set must be {size} uint8 bytes, got format {view.format!r} of shape {view.shape}")
+    if not view.c_contiguous:
+        view = memoryview(view.tobytes())
+    elif not view.readonly:
+        if hasattr(raw, "flags"):  # a numpy array
+            raw.flags.writeable = False
+            view = memoryview(raw)
+        else:
+            view = memoryview(view.tobytes())
+    if nbits % 8 and view[-1] >> (nbits % 8):
         raise ValueError(f"packed set has bits past its {nbits} cells")
-    raw.flags.writeable = False
-    return raw
+    return view
 
 
 def _replicate(unit: int, block: int, count: int) -> int:
@@ -196,35 +215,34 @@ class Pattern:
 class GridSet:
     """Subset of [N]^k with 1-based coordinates, stored as its packed bits.
 
-    The one stored form is a read-only little-endian uint8 array whose bit
-    f is the cell with flat index f = sum_j (p_j - 1) * N^j (first
-    coordinate fastest); the bits past N^k are zero.  Conversion between
+    The one stored form is a read-only `memoryview` of little-endian bytes
+    whose bit f is the cell with flat index f = sum_j (p_j - 1) * N^j (first
+    coordinate fastest); the bits past N^k are zero.  numpy code views it
+    with `np.frombuffer`, plain Python reads it as ints.  Conversion between
     1-based tuples and flat bits happens only at this boundary.
     """
 
     __slots__ = ("dim", "side", "_packed")
 
     def __init__(self, dim: int, side: int, members: Iterable[tuple[int, ...]] = ()):
-        import numpy as np
-
         if dim < 1 or side < 1:
             raise ValueError("dim and side must be positive")
         self.dim = dim
         self.side = side
-        self._packed = _pack([np.fromiter(map(self._checked_flat, members), dtype=np.int64)], side**dim)
+        self._packed = memoryview(_set_bits(map(self._checked_flat, members), side**dim))
 
     @classmethod
-    def from_packed(cls, dim: int, side: int, packed: np.ndarray) -> "GridSet":
-        """The set whose cell f is bit f of `packed`, taken over and frozen."""
+    def from_packed(cls, dim: int, side: int, packed) -> "GridSet":
+        """The set whose cell f is bit f of `packed`: `bytes`, or a uint8
+        numpy array, which is taken over and frozen (see _checked_packed)."""
         obj = cls.__new__(cls)
         obj.dim, obj.side, obj._packed = dim, side, _checked_packed(packed, side**dim)
         return obj
 
     @classmethod
     def full(cls, dim: int, side: int) -> "GridSet":
-        import numpy as np
-
-        return cls.from_cells(np.ones((side,) * dim, dtype=bool))
+        nbits = side**dim
+        return cls.from_packed(dim, side, ((1 << nbits) - 1).to_bytes((nbits + 7) // 8, "little"))
 
     @classmethod
     def empty(cls, dim: int, side: int) -> "GridSet":
@@ -240,7 +258,7 @@ class GridSet:
             raise ValueError(f"cells must be a cube, got shape {cells.shape}")
         return cls.from_packed(cells.ndim, cells.shape[0], np.packbits(cells.reshape(-1), bitorder="little"))
 
-    def packed(self) -> np.ndarray:
+    def packed(self) -> memoryview:
         """The stored read-only bytes, not a copy: bit f is cell f."""
         return self._packed
 
@@ -250,7 +268,8 @@ class GridSet:
         import numpy as np
 
         n, k = self.side, self.dim
-        return np.unpackbits(self._packed, count=n**k, bitorder="little").view(bool).reshape((n,) * k)
+        raw = np.frombuffer(self._packed, dtype=np.uint8)
+        return np.unpackbits(raw, count=n**k, bitorder="little").view(bool).reshape((n,) * k)
 
     def _checked_flat(self, p: tuple[int, ...]) -> int:
         """The flat index of point `p`, whose coordinates must be integers
@@ -278,20 +297,18 @@ class GridSet:
         return bool(self._packed[f >> 3] >> (f & 7) & 1)
 
     def __len__(self) -> int:
-        return _popcount(self._packed)
+        raw = self._packed
+        chunks = (raw[start : start + _UNPACK_CHUNK] for start in range(0, len(raw), _UNPACK_CHUNK))
+        return sum(int.from_bytes(chunk, "little").bit_count() for chunk in chunks)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        blocks = _member_blocks(self._packed, self.side, self.dim)
-        return chain.from_iterable(zip(*((column + 1).tolist() for column in columns)) for _, columns in blocks)
+        """The members in flat-index order, in plain Python."""
+        n, k = self.side, self.dim
+        places = [n**j for j in range(k)]
+        return (tuple(f // place % n + 1 for place in places) for f in _set_flats(self._packed))
 
     def __eq__(self, other: object) -> bool:
-        import numpy as np
-
-        return (
-            isinstance(other, GridSet)
-            and (self.dim, self.side) == (other.dim, other.side)
-            and np.array_equal(self._packed, other._packed)
-        )
+        return isinstance(other, GridSet) and (self.dim, self.side) == (other.dim, other.side) and self._packed == other._packed
 
     def __repr__(self) -> str:
         return f"GridSet(dim={self.dim}, side={self.side}, size={len(self)})"
@@ -311,12 +328,33 @@ _UNPACK_CHUNK = 1 << 13
 _BLOCK_MEMBERS = 1 << 15
 _PAIR_CHUNK = 1 << 14
 
+# plain-Python steps that cost less than importing numpy (see _numpy_pays)
+_PLAIN_STEPS = 1 << 16
 
-def _member_blocks(raw: np.ndarray, side: int, dim: int) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
-    """Yield (flats, columns) of the members of the packed mask `raw`, in
+
+def _numpy_pays(steps: int) -> bool:
+    """Whether grid work of `steps` plain-Python steps, counted before any
+    of it is done, goes to numpy: the one route rule of the grid code.  It
+    reads `_PLAIN_STEPS` when called.
+
+    Two routes, because each wins on one workload.  Importing numpy costs
+    more than the whole of a small grid computation: `python -c "import
+    numpy"` took 0.121 s against 0.044 s for `python -c pass` (median of 11,
+    2-vCPU VM), while counting, reading or writing the five-point chain's
+    sets (29 and 502 members) takes milliseconds in plain Python, and about
+    1 << 16 Python steps fit in that 0.08 s.  On the 3-d corner set
+    (312,705 members, 3.4 MB of text) plain Python is 2.5-4x slower than
+    numpy: 165 ms against 54-67 ms to read it and 268 ms against 72 ms to
+    write it (in process, best of 7).
+    """
+    return steps > _PLAIN_STEPS
+
+
+def _member_blocks(raw, side: int, dim: int) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+    """Yield (flats, columns) of the members of the packed bytes `raw`, in
     flat-index order, a block of whole first-axis lines (runs of `side`
-    consecutive flat indices) at a time: the one reader of a grid set's
-    members.
+    consecutive flat indices) at a time: the numpy reader of a grid set's
+    members (`_set_flats` is the plain-Python one).
 
     flats holds the members' int64 flat indices and columns their 0-based
     coordinates, first coordinate first.  The columns are int16 when
@@ -329,6 +367,7 @@ def _member_blocks(raw: np.ndarray, side: int, dim: int) -> Iterator[tuple[np.nd
     """
     import numpy as np
 
+    raw = np.frombuffer(raw, dtype=np.uint8)
     dtype = np.int16 if side < 1 << 15 else np.int32
     nbits = side**dim
 
@@ -379,53 +418,118 @@ def _line_numbers(keys: Iterable[np.ndarray], size: int) -> np.ndarray:
     return np.cumsum(line, out=line)
 
 
-def _grid_hits(grid: GridSet, pattern: Pattern) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _grid_hits(grid: GridSet, pattern: Pattern) -> Iterator[tuple[Sequence[int], Sequence[int]]]:
     """Yield (slots, flats) chunks of pattern copies for every difference
     0 < |d| < N, the one grid kernel.
 
     Each entry is one copy x + d*T in the set: slot i means
-    d = `grid_differences`(N)[i], and the flat is the int64 flat index of
-    its member x + d*t_0.  Every copy is yielded once, in no fixed order.
+    d = `grid_differences`(N)[i], and the flat is the flat index of its
+    member x + d*t_0.  Every copy is yielded once, in no fixed order.  The
+    chunks are int64 numpy arrays on the numpy route and `array("q")` on the
+    plain-Python route.
 
-    The members come from `_member_blocks` and are put into lines parallel
-    to v = t_1 - t_0, ordered by their position along the line.  When
-    v = e_1 (as in the corner) flat order already is that order and a line
-    never crosses a block, so each block is walked on its own, nothing is
-    sorted and the first column is the position; any other v gathers every
-    block and sorts once.  A copy with difference d holds two members
-    y = x + d*t_0 and y + d*v on one line, |d| positions apart (fewer than
-    N), so the kernel walks same-line pairs by rank gap g = 1, 2, ...: a
-    pair at gap g has its line-mates at gap g - 1 too, so only the
-    survivors of g - 1 are tried.  The survivors are filtered a chunk at a
-    time and compacted in place, so no gap builds an array as long as the
-    block.  Each pair serves d and -d at once; every other pattern point
-    x + d*t of a candidate is the flat offset d * sum_j w_j N^j from the
-    candidate's own flat index, with w = t - t_0, after a bounds check of
-    the coordinates w moves, and is tested by one bit lookup in the packed
-    mask.  The work is the sum over lines of c(c - 1) for c members on a
-    line, against |T| * N^k per d for scanning the grid: cheap on sparse
-    sets, slow on dense ones.  On the e_1 path the scratch is one block's
-    flat indices, columns, int32 line numbers and int32 survivors, and a
-    chunk's arrays: a bound per block, not per member of the set.
+    The members are put into lines parallel to v = t_1 - t_0, ordered by
+    their position along the line.  A copy with difference d holds two
+    members y = x + d*t_0 and y + d*v on one line, |d| positions apart
+    (fewer than N), so every same-line pair is tried, for d and -d at once;
+    every other pattern point x + d*t of a candidate is the flat offset
+    d * sum_j w_j N^j from the candidate's own flat index, with w = t - t_0,
+    after a bounds check of the coordinates w moves, and is tested by one
+    bit lookup in the packed mask.  The work is the sum over lines of
+    c(c - 1) / 2 pairs for c members on a line, against |T| * N^k per d for
+    scanning the grid: cheap on sparse sets, slow on dense ones.  The route
+    follows `_numpy_pays`: a set with more members than it allows goes to
+    numpy ungrouped (`_numpy_hits`); a smaller one is grouped into lines in
+    plain Python, and its same-line pairs decide.  A one-point pattern has
+    every member as a copy for every d, members * 2(N - 1) hits.
     """
-    import numpy as np
-
     if grid.dim != pattern.dim:
         raise ValueError(f"dimension mismatch: set {grid.dim}, pattern {pattern.dim}")
     n, k = grid.side, grid.dim
-    raw = grid.packed()
-    blocks = _member_blocks(raw, n, k)
     t0 = pattern.points[0]
     offsets = [tuple(t[j] - t0[j] for j in range(k)) for t in pattern.points[1:]]
+    # each point w past t_1: the axes it moves and its flat offset per unit d
+    moves = [([j for j in range(k) if w[j]], w, sum(w[j] * n**j for j in range(k))) for w in offsets[1:]]
+    if not _numpy_pays(len(grid)):
+        flats = list(_set_flats(grid.packed()))
+        if not offsets:
+            if not _numpy_pays(len(flats) * 2 * (n - 1)):
+                for i in range(2 * (n - 1) if flats else 0):
+                    yield array("q", [i]) * len(flats), array("q", flats)
+                return
+        else:
+            lines = _lines_along(flats, n, k, offsets[0])
+            if not _numpy_pays(sum(len(line) * (len(line) - 1) // 2 for line in lines)):
+                yield from _plain_hits(grid.packed(), n, lines, moves)
+                return
+    yield from _numpy_hits(grid, offsets, moves)
 
+
+def _lines_along(flats: Iterable[int], n: int, k: int, v: tuple[int, ...]) -> list[list[tuple[int, int]]]:
+    """The members with flat indices `flats` of a side-n k-d grid, put into
+    lines parallel to v, each line its (position, flat) pairs sorted by
+    position: member = base + position * v, with the line's base fixed."""
+    a = next(j for j in range(k) if v[j])
+    places = [n**j for j in range(k)]
+    lines: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for f in flats:
+        coords = [f // place % n for place in places]
+        r = coords[a] % abs(v[a])
+        pos = (coords[a] - r) // v[a]
+        key = (r, *(coords[j] - pos * v[j] for j in range(k) if j != a))
+        lines.setdefault(key, []).append((pos, f))
+    return [sorted(line) for line in lines.values()]
+
+
+def _plain_hits(raw, n: int, lines: list[list[tuple[int, int]]], moves) -> Iterator[tuple[array, array]]:
+    """The plain-Python route of `_grid_hits`: one chunk, every same-line
+    pair tried in turn."""
+    slots, hits = array("q"), array("q")
+    for line in lines:
+        for i, (low, y) in enumerate(line):
+            for high, z in line[i + 1 :]:
+                dist = high - low
+                for x, d in ((y, dist), (z, -dist)):
+                    for axes, w, step in moves:
+                        if not all(0 <= x // n**j % n + d * w[j] < n for j in axes):
+                            break
+                        f = x + d * step
+                        if not raw[f >> 3] >> (f & 7) & 1:
+                            break
+                    else:
+                        # the slot of d in grid_differences: 2|d| - 2, one more for d < 0
+                        slots.append(2 * dist - 2 + (d < 0))
+                        hits.append(x)
+    if slots:
+        yield slots, hits
+
+
+def _numpy_hits(grid: GridSet, offsets: list[tuple[int, ...]], moves) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The numpy route of `_grid_hits`, a block of members at a time.
+
+    The members come from `_member_blocks`.  When v = e_1 (as in the
+    corner) flat order already is line order and a line never crosses a
+    block, so each block is walked on its own, nothing is sorted and the
+    first column is the position; any other v gathers every block and sorts
+    once.  Same-line pairs are walked by rank gap g = 1, 2, ...: a pair at
+    gap g has its line-mates at gap g - 1 too, so only the survivors of
+    g - 1 are tried.  The survivors are filtered a chunk at a time and
+    compacted in place, so no gap builds an array as long as the block.  On
+    the e_1 path the scratch is one block's flat indices, columns, int32
+    line numbers and int32 survivors, and a chunk's arrays: a bound per
+    block, not per member of the set.
+    """
+    import numpy as np
+
+    n, k = grid.side, grid.dim
+    raw = np.frombuffer(grid.packed(), dtype=np.uint8)
+    blocks = _member_blocks(raw, n, k)
     if not offsets:  # one point: every member is a copy for every d
         for flats, _ in blocks:
             for i in range(2 * (n - 1)):
                 yield np.full(flats.size, i), flats
         return
-    v, rest = offsets[0], offsets[1:]
-    # each other point w: the axes it moves and its flat offset per unit d
-    moves = [([j for j in range(k) if w[j]], w, sum(w[j] * n**j for j in range(k))) for w in rest]
+    v = offsets[0]
 
     def lines() -> Iterator[tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]]:
         """(flats, columns, position, line number) of runs of whole lines,
@@ -522,6 +626,8 @@ class Group:
 
     @staticmethod
     def vector(p: int, n: int) -> "Group":
+        from .contfrac import _is_prime
+
         if n < 1 or not _is_prime(p):
             raise ValueError(f"need prime p and exponent n >= 1, got p={p}, n={n}")
         return Group("fp", (p, n))
@@ -776,9 +882,9 @@ class Spectrum:
         return sum(self.counts.values())
 
     def rows(self) -> Iterator[tuple[str, int]]:
-        for d, c in self.counts.items():
-            key = ",".join(str(x) for x in d) if isinstance(d, tuple) else str(d)
-            yield key, c
+        """(text, count) of every difference, in order: an integer d as its
+        digits, a digit tuple comma-joined."""
+        return ((",".join(map(str, d)) if isinstance(d, tuple) else str(d), c) for d, c in self.counts.items())
 
 
 def _check_differences(side: int) -> None:
@@ -806,13 +912,17 @@ def spectrum(carrier: Union[GridSet, GroupSet], pattern: Optional[Pattern] = Non
     if isinstance(carrier, GridSet):
         if pattern is None:
             raise ValueError("grid spectra need an explicit pattern")
-        import numpy as np
-
         _check_differences(carrier.side)
         ds = grid_differences(carrier.side)
         counts = dict.fromkeys(ds, 0)
         for slots, _ in _grid_hits(carrier, pattern):
-            for slot, count in zip(*(a.tolist() for a in np.unique(slots, return_counts=True))):
+            if type(slots) is array:  # the plain-Python route's
+                tally = Counter(slots).items()
+            else:
+                import numpy as np
+
+                tally = zip(*(a.tolist() for a in np.unique(slots, return_counts=True)))
+            for slot, count in tally:
                 counts[ds[slot]] += count
         return Spectrum(counts)
     if pattern is not None:

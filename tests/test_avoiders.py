@@ -493,8 +493,8 @@ def test_lift_via_projection_beyond_the_digit_base():
 @pytest.mark.parametrize("lifted_side", [1, 7, 8, 9, 16, 17])
 @pytest.mark.parametrize("pattern", [Pattern.one_dim(range(5)), Pattern(2, ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0)))], ids=str)
 def test_lift_via_projection_at_slab_edges(pattern, lifted_side):
-    # the lift fills its mask eight x_k-slabs at a time: sides around
-    # multiples of 8 end on a whole or a partial group of slabs
+    # sides around multiples of 8 end the lifted mask on a whole or a
+    # partial byte
     c, _, _ = pattern_projection(pattern)
     weight = sum(c ** (i + 1) for i in range(pattern.dim))
     rng = random.Random(lifted_side)

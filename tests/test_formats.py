@@ -1,3 +1,4 @@
+import csv
 import io
 import itertools
 import json
@@ -5,7 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cornerforge import formats
@@ -24,6 +25,7 @@ from cornerforge.formats import (
     write_hypergraph,
     write_kernel,
     write_residues,
+    write_spectrum_csv,
     write_spectrum_json,
     write_tripartite,
 )
@@ -159,14 +161,19 @@ def grid_sets(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(grid_sets())
-def test_grid_set_write_read_round_trip(grid):
-    buf = io.StringIO()
-    write_grid_set(buf, grid)
-    # one line per member in flat-index order, as the per-point writer had it
-    expected = f"dim {grid.dim} side {grid.side}\n" + "".join(" ".join(str(c) for c in p) + "\n" for p in grid)
-    assert buf.getvalue() == expected
-    buf.seek(0)
-    assert read_grid_set(buf) == grid
+def test_grid_set_write_read_round_trip(grid_route, grid):
+    # one line per member in flat-index order (first coordinate fastest), as
+    # the per-point writer had it, on both of the writer's routes
+    points = sorted(grid, key=lambda p: p[::-1])
+    assert list(grid) == points
+    expected = f"dim {grid.dim} side {grid.side}\n" + "".join(" ".join(str(c) for c in p) + "\n" for p in points)
+    for route in ("numpy", "plain"):
+        buf = io.StringIO()
+        with grid_route(route):
+            write_grid_set(buf, grid)
+        assert buf.getvalue() == expected
+        buf.seek(0)
+        assert read_grid_set(buf) == grid
 
 
 @st.composite
@@ -566,6 +573,32 @@ def test_readers_agree_with_line_oracle(case):
     assert set(got) == set_text_oracle(text)
 
 
+@settings(max_examples=150, deadline=None)
+@given(set_texts(), st.sampled_from([None, "x", "0 1", "1 1 1 1", "-1", "99999", "# ok"]), st.integers(0, 60))
+def test_both_grid_read_routes_give_the_same_set_and_errors(case, bad, at):
+    # a body that ends within the first chunk is read in plain Python, line
+    # by line; with one-character chunks every other body is read in bulk
+    # with numpy, a line at a time.  A bad line gives the same
+    # file:line:column on both
+    text, _ = case
+    assume(text.startswith("dim"))
+    if bad:
+        lines = text.split("\n")
+        lines.insert(min(at, len(lines) - 1) + 1, bad)
+        text = "\n".join(lines)
+    read = []
+    assert len(text) < formats._CHUNK_CHARS
+    for chunk in (1, formats._CHUNK_CHARS):
+        with mock.patch.object(formats, "_CHUNK_CHARS", chunk):
+            try:
+                read.append(read_grid_set(io.StringIO(text), "g.set"))
+            except ParseError as err:
+                read.append(str(err))
+    assert read[0] == read[1]
+    if bad in (None, "# ok"):
+        assert set(read[1]) == set_text_oracle(text)
+
+
 @st.composite
 def group_set_spellings(draw):
     """A group set with its canonical text and the same set spelled
@@ -661,9 +694,33 @@ def test_spectrum_json_matches_json_dump(counts):
         "max_d": None if best is None else str(best[0]),
         "max_count": None if best is None else best[1],
     }
-    buf = io.StringIO()
-    write_spectrum_json(buf, spec)
-    assert buf.getvalue() == json.dumps(expected, indent=2)
+    for rows in (formats._WRITE_ROWS, 1, 3):  # one join, and batch edges
+        buf = io.StringIO()
+        with mock.patch.object(formats, "_WRITE_ROWS", rows):
+            write_spectrum_json(buf, spec)
+        assert buf.getvalue() == json.dumps(expected, indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.dictionaries(st.integers(-300, 300).filter(bool), st.integers(0, 10**12)),
+        st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(0, 5)),
+        st.dictionaries(st.tuples(st.integers(0, 4)), st.integers(0, 999)),
+    )
+)
+@example({})
+def test_spectrum_csv_matches_csv_writer(counts):
+    spec = Spectrum(counts)
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["d", "count"])
+    writer.writerows([key, count] for key, count in spec.rows())
+    for rows in (formats._WRITE_ROWS, 1, 3):
+        buf = io.StringIO()
+        with mock.patch.object(formats, "_WRITE_ROWS", rows):
+            write_spectrum_csv(buf, spec)
+        assert buf.getvalue() == expected.getvalue()
 
 
 def test_spectrum_json_max_d_keeps_the_tuple_repr():

@@ -2,9 +2,12 @@
 
 The package names its submodules' public objects lazily (PEP 562), and each
 CLI handler imports what it runs, so commands that compute in plain integers
-or bytes never load numpy: group sets among them, which only grids,
-avoiders and `count homs` compute on with numpy.  numpy is loaded by this test process already, so the
-commands run in fresh interpreters.
+or bytes never load numpy: group sets among them, and grid sets whose work
+is small enough for plain Python (`patterns._numpy_pays`), such as the
+five-point avoider, its lift and their spectra.  The 3-d corner avoider,
+grid sets past that size and `count homs` compute with numpy.  numpy is
+loaded by this test process already, so the commands run in fresh
+interpreters.
 """
 
 import importlib
@@ -45,7 +48,17 @@ def inputs(tmp_path_factory):
     (tmp / "g.tp").write_text("tripartite 3\nXY 0 1\nYZ 1 2\nXZ 0 2\n")
     (tmp / "h.hg").write_text("3 5 3\n0 1 2\n1 2 3\n2 3 4\n")
     assert main(["construct", "mandache", "--kernel", str(tmp / "w.kern"), "--group", "fp:3:3", "-o", str(tmp / "S.gset")]) == 0
+    # the benchmark's five-point set (29 members of [65537]) and its lift
+    # (502 members of [1170]^2), and its 3-d corner set (312,705 members)
+    assert main(["construct", "fivepoint", *FIVEPOINT, "-o", str(tmp / "F.set")]) == 0
+    assert main(["construct", "lift", "--pattern", LIFT, "--base", str(tmp / "F.set"), "-o", str(tmp / "G.set")]) == 0
+    assert main(["construct", "corner3d", *CORNER3D, "-o", str(tmp / "A.set")]) == 0
     return tmp
+
+
+FIVEPOINT = ["--a", "0,1,2,3,4", "--delta", "0.1772", "--length", "16", "--q-max", "100000"]
+LIFT = "points:1,1;0,1;0,0;1,0;2,0"
+CORNER3D = ["--delta", "0.25", "--length", "8", "--q-max", "500"]
 
 
 def probe(tmp: Path, *argv: str) -> tuple[int, bool]:
@@ -73,6 +86,11 @@ NUMPY_FREE = [
     ["count", "spectrum", "--set", "S.gset"],
     ["count", "density", "--set", "S.gset"],
     ["report", "mandache", "--kernel", "w.kern", "--group", "zN:9", "--seeds", "0:3"],
+    ["construct", "fivepoint", *FIVEPOINT, "-o", "F2.set"],
+    ["construct", "lift", "--pattern", LIFT, "--base", "F.set", "-o", "G2.set"],
+    ["count", "spectrum", "--set", "F.set", "--pattern", "a:2,3,0,4,1"],
+    ["count", "spectrum", "--set", "G.set", "--pattern", "points:0,0;0,1;1,1;1,0;2,0"],
+    ["count", "density", "--set", "G.set"],
 ]
 
 
@@ -82,8 +100,21 @@ def test_integer_commands_do_not_load_numpy(inputs, argv):
 
 
 def test_a_grid_count_loads_numpy(inputs):
-    # the positive controls: the probe does see numpy when a command loads it
-    assert probe(inputs, "count", "spectrum", "--set", "b.set", "--pattern", "ap3") == (0, True)
+    # the positive controls: the probe does see numpy when a command loads
+    # it.  The 3-d corner set has far more members than plain Python takes
+    assert probe(inputs, "count", "spectrum", "--set", "A.set", "--pattern", "corner3") == (0, True)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "corner3d", *CORNER3D, "-o", "A2.set"],
+        ["verify", "avoidance", "--set", "A.set", "--params", "A.set.params.json"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_the_corner3d_commands_load_numpy(inputs, argv):
+    assert probe(inputs, *argv) == (0, True)
 
 
 def test_a_hom_count_loads_numpy(inputs):
@@ -104,7 +135,7 @@ def test_verify_avoidance_does_not_load_numpy_ma(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 True False", proc.stderr
 
 
-# the submodules whose __all__ the package exports; the first six load no numpy
+# the submodules whose __all__ the package exports; none loads numpy when imported
 EXPORTING = ["behrend", "contfrac", "diamond", "hypergraph", "patterns", "mandache", "avoiders"]
 LOADED = "print(sorted(m for m in sys.modules if m.startswith('cornerforge')), 'numpy' in sys.modules)"
 
@@ -127,7 +158,7 @@ def test_importing_cli_from_the_package_loads_only_cli():
 
 
 def test_the_names_of_the_numpy_free_modules_load_no_numpy():
-    names = ", ".join(name for module in EXPORTING[:6] for name in importlib.import_module(f"cornerforge.{module}").__all__)
+    names = ", ".join(name for module in EXPORTING for name in importlib.import_module(f"cornerforge.{module}").__all__)
     assert fresh(f"import sys\nfrom cornerforge import {names}\nprint('numpy' in sys.modules)") == "False"
 
 

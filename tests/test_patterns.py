@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -96,10 +97,18 @@ def test_grid_set_round_trip():
 def test_packed_bytes_are_the_stored_form():
     g = GridSet(2, 3, [(1, 1), (3, 3)])  # flat indices 0 and 8 of 9 bits
     raw = g.packed()
-    assert raw is g.packed() and not raw.flags.writeable
+    assert raw is g.packed() and type(raw) is memoryview and raw.readonly
     assert raw.tolist() == [1, 1]
+    # a numpy array is taken over, frozen and not copied
     given = np.array([1, 1], dtype=np.uint8)
-    assert GridSet.from_packed(2, 3, given) == g and not given.flags.writeable
+    taken = GridSet.from_packed(2, 3, given)
+    assert taken == g and not given.flags.writeable and np.shares_memory(np.frombuffer(taken.packed(), np.uint8), given)
+    # bytes are viewed, other bytes-like objects copied
+    assert GridSet.from_packed(2, 3, b"\x01\x01") == g == GridSet.from_packed(2, 3, bytearray(b"\x01\x01"))
+    mutable = bytearray(b"\x01\x01")
+    copied = GridSet.from_packed(2, 3, mutable)
+    mutable[0] = 0
+    assert copied == g and copied.packed().readonly
     assert GridSet.from_packed(2, 3, np.array([1, 0], dtype=np.uint8)) != g
     assert [p in g for p in itertools.product(range(0, 5), repeat=2)] == [
         p in {(1, 1), (3, 3)} for p in itertools.product(range(0, 5), repeat=2)
@@ -107,7 +116,7 @@ def test_packed_bytes_are_the_stored_form():
     assert (1, 1, 1) not in g
     with pytest.raises(ValueError, match="bits past its 9 cells"):
         GridSet.from_packed(2, 3, np.array([0, 2], dtype=np.uint8))
-    for bad in (np.zeros(3, dtype=np.uint8), np.zeros(2, dtype=np.int64), np.zeros((1, 2), dtype=np.uint8)):
+    for bad in (np.zeros(3, dtype=np.uint8), np.zeros(2, dtype=np.int64), np.zeros((1, 2), dtype=np.uint8), [1, 1], 0):
         with pytest.raises(ValueError, match="must be 2 uint8 bytes"):
             GridSet.from_packed(2, 3, bad)
     full = GridSet.full(3, 5)  # 125 bits: the last byte holds 5
@@ -326,14 +335,51 @@ def check_kernel_against_oracle(g, pat, members=None):
 
 @settings(max_examples=200, deadline=None)
 @given(grid_pattern_cases())
-def test_grid_kernel_matches_oracle(case):
-    check_kernel_against_oracle(*case)
+def test_grid_kernel_matches_oracle(grid_route, case):
+    for route in ("numpy", "plain"):
+        with grid_route(route):
+            check_kernel_against_oracle(*case)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(grid_pattern_cases(step=1), grid_pattern_cases(step=-1)))
-def test_grid_kernel_matches_oracle_along_the_first_axis(case):
-    check_kernel_against_oracle(*case)
+def test_grid_kernel_matches_oracle_along_the_first_axis(grid_route, case):
+    for route in ("numpy", "plain"):
+        with grid_route(route):
+            check_kernel_against_oracle(*case)
+
+
+@pytest.mark.parametrize("route", ["numpy", "plain"])
+def test_each_route_yields_its_own_chunks(grid_route, route):
+    # the plain route yields array("q") chunks and never reaches numpy's kernel
+    g = GridSet(2, 5, [(1, 1), (2, 1), (1, 2), (3, 3), (4, 3), (3, 4)])
+    with grid_route(route), pytest.MonkeyPatch.context() as mp:
+        if route == "plain":
+            mp.setattr(patterns, "_numpy_hits", None)
+        chunks = list(patterns._grid_hits(g, Pattern.corner(2)))
+    assert {type(part) for chunk in chunks for part in chunk} == {np.ndarray if route == "numpy" else array}
+    assert spectrum(g, Pattern.corner(2)).counts[1] == 2
+
+
+def test_the_route_follows_exact_work_counts(monkeypatch):
+    # 6 members; along e_1 (and -e_1) one line of 5, 10 same-line pairs
+    g = GridSet(2, 5, [(x, 1) for x in range(1, 6)] + [(3, 3)])
+    routes = []
+    numpy_hits = patterns._numpy_hits
+    monkeypatch.setattr(patterns, "_numpy_hits", lambda *args: routes.append("numpy") or numpy_hits(*args))
+    for steps in (5, 9, 10):
+        monkeypatch.setattr(patterns, "_PLAIN_STEPS", steps)
+        routes.append(steps)
+        spectrum(g, Pattern.corner(2))
+        spectrum(g, Pattern.corner(2).reflect(0))
+    # past 5 steps the members go to numpy ungrouped, past 9 the pairs do
+    assert routes == [5, "numpy", "numpy", 9, "numpy", "numpy", 10]
+    # a one-point pattern: 6 members * 2 * 4 differences = 48 hits
+    for steps in (47, 48):
+        monkeypatch.setattr(patterns, "_PLAIN_STEPS", steps)
+        routes.append(steps)
+        spectrum(g, Pattern(2, ((0, 0),)))
+    assert routes[7:] == [47, "numpy", 48]
 
 
 def shrink_blocks(mp, block, side):
@@ -350,14 +396,15 @@ def shrink_blocks(mp, block, side):
 @pytest.mark.parametrize("chunk", [1, 3])
 @settings(max_examples=100, deadline=None)
 @given(case=st.one_of(grid_pattern_cases(), grid_pattern_cases(step=1), grid_pattern_cases(step=-1)))
-def test_grid_kernel_matches_oracle_across_pair_chunk_edges(chunk, block, case):
+def test_grid_kernel_matches_oracle_across_pair_chunk_edges(grid_route, chunk, block, case):
     # sides of at most 8 never fill a chunk of 2**14 pairs or a block of
     # 2**15 members; chunks of 1 and 3 put a chunk edge inside every gap's
-    # survivors, and the shrunk blocks put block edges between lines.  The
-    # oracle's members are read before the blocks shrink.
+    # survivors, and the shrunk blocks put block edges between lines, on
+    # the numpy route that has both.  The oracle's members are read before
+    # the blocks shrink.
     g = case[0]
     members = set(g)
-    with pytest.MonkeyPatch.context() as mp:
+    with grid_route("numpy"), pytest.MonkeyPatch.context() as mp:
         mp.setattr(patterns, "_PAIR_CHUNK", chunk)
         if block:
             shrink_blocks(mp, block, g.side)
@@ -367,11 +414,11 @@ def test_grid_kernel_matches_oracle_across_pair_chunk_edges(chunk, block, case):
 @pytest.mark.parametrize("block", ["one line", "two lines"])
 @settings(max_examples=100, deadline=None)
 @given(case=grid_pattern_cases())
-def test_member_reader_round_trips_across_block_edges(block, case):
+def test_member_reader_round_trips_across_block_edges(grid_route, block, case):
     g = case[0]
     # membership by bit lookup, which does not go through the reader
     cells = [p[::-1] for p in itertools.product(range(1, g.side + 1), repeat=g.dim) if p[::-1] in g]
-    with pytest.MonkeyPatch.context() as mp:
+    with grid_route("numpy"), pytest.MonkeyPatch.context() as mp:
         shrink_blocks(mp, block, g.side)
         lines = [np.unique(flats // g.side).tolist() for flats, _ in patterns._member_blocks(g.packed(), g.side, g.dim)]
         listed = list(g)
@@ -396,6 +443,7 @@ def test_kernel_sorts_only_off_the_first_axis(monkeypatch):
     sorts = []
     lexsort = np.lexsort
     monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(len(keys)) or lexsort(keys))
+    monkeypatch.setattr(patterns, "_PLAIN_STEPS", 0)  # the numpy route, which sorts
     g = random_grid(random.Random(3), 3, 6)
     corner = spectrum(g, Pattern.corner(3))
     assert sorts == []  # t_1 - t_0 = e_1: flat order is line order
@@ -403,27 +451,29 @@ def test_kernel_sorts_only_off_the_first_axis(monkeypatch):
     assert sorts == [3]  # t_1 - t_0 = -e_1: sorted
 
 
+@pytest.mark.parametrize("route", ["numpy", "plain"])
 @pytest.mark.parametrize("side", [2**15 - 1, 2**15, 2**15 + 1])
-def test_one_dim_sets_at_the_narrow_column_edge(side):
-    # columns are int16 below side 2**15 and int32 from it; members at N and
-    # N - 1 put the largest coordinate of each width through the kernel,
-    # the iterator and the writer
-    members = [(1,), (side - 1,), (side,)]
-    g = GridSet(1, side, members)
-    assert list(g) == members
-    ds = (1, -1, 2, side - 2, 2 - side, side - 1, 1 - side)
-    for pat in (Pattern.corner(1), Pattern.corner(1).reflect(0), Pattern.arithmetic(3)):
-        counts = spectrum(g, pat).counts
-        for d in ds:
-            assert counts[d] == grid_count_oracle(members, 1, side, pat.points, d)
-    # every d with a copy is among ds: the spectrum's other entries are 0
-    expected = {d: c for d in ds if (c := grid_count_oracle(members, 1, side, Pattern.corner(1).points, d))}
-    assert {d: c for d, c in spectrum(g, Pattern.corner(1)).counts.items() if c} == expected
-    buf = io.StringIO()
-    write_grid_set(buf, g)
-    assert buf.getvalue() == f"dim 1 side {side}\n1\n{side - 1}\n{side}\n"
-    buf.seek(0)
-    assert read_grid_set(buf) == g
+def test_one_dim_sets_at_the_narrow_column_edge(grid_route, route, side):
+    # numpy's columns are int16 below side 2**15 and int32 from it; members
+    # at N and N - 1 put the largest coordinate of each width through the
+    # kernel, the iterator and the writer, on both routes
+    with grid_route(route):
+        members = [(1,), (side - 1,), (side,)]
+        g = GridSet(1, side, members)
+        assert list(g) == members
+        ds = (1, -1, 2, side - 2, 2 - side, side - 1, 1 - side)
+        for pat in (Pattern.corner(1), Pattern.corner(1).reflect(0), Pattern.arithmetic(3)):
+            counts = spectrum(g, pat).counts
+            for d in ds:
+                assert counts[d] == grid_count_oracle(members, 1, side, pat.points, d)
+        # every d with a copy is among ds: the spectrum's other entries are 0
+        expected = {d: c for d in ds if (c := grid_count_oracle(members, 1, side, Pattern.corner(1).points, d))}
+        assert {d: c for d, c in spectrum(g, Pattern.corner(1)).counts.items() if c} == expected
+        buf = io.StringIO()
+        write_grid_set(buf, g)
+        assert buf.getvalue() == f"dim 1 side {side}\n1\n{side - 1}\n{side}\n"
+        buf.seek(0)
+        assert read_grid_set(buf) == g
 
 
 def test_corner_kernel_scratch_per_member():
